@@ -35,7 +35,7 @@ def test_sec31_full_build(benchmark, bench_world):
 
 
 def test_sec31_snapshot_roundtrip(benchmark, bench_iyp, tmp_path):
-    path = tmp_path / "iyp.json.gz"
+    path = tmp_path / "iyp.iyp2"
 
     def snapshot_cycle():
         save_snapshot(bench_iyp.store, path)

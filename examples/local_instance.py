@@ -38,7 +38,7 @@ def main() -> None:
     world = build_world(WorldConfig.small())
     iyp, report = build_iyp(world)
     with tempfile.TemporaryDirectory() as tmp:
-        snapshot_path = Path(tmp) / "iyp-2024-05-01.json.gz"
+        snapshot_path = Path(tmp) / "iyp-2024-05-01.iyp2"
         save_snapshot(iyp.store, snapshot_path)
         size_mb = snapshot_path.stat().st_size / 1e6
         print(f"  snapshot: {snapshot_path.name} ({size_mb:.1f} MB, "

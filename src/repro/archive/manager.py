@@ -24,11 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.archive.format import (
-    SnapshotFormatError,
-    is_v2_snapshot,
-    read_meta,
-)
+from repro.archive.format import SnapshotFormatError, read_meta
 from repro.core.diff import snapshot_diff
 from repro.graphdb.snapshot import load_snapshot, save_snapshot
 from repro.graphdb.store import GraphStore
@@ -160,7 +156,6 @@ class SnapshotArchive:
         store: GraphStore,
         label: str,
         *,
-        format: int = 2,
         build: Mapping[str, Any] | None = None,
         created_at: str = "",
         delta: bool = True,
@@ -183,16 +178,15 @@ class SnapshotArchive:
         entries = self.entries()
         if any(entry.label == label for entry in entries):
             raise ValueError(f"archive already has a snapshot labelled {label!r}")
-        suffix = ".iyp2" if format == 2 else ".json.gz"
-        tmp = self.root / f".{label}{suffix}.tmp"
-        save_snapshot(store, tmp, format=format)
+        tmp = self.root / f".{label}.iyp2.tmp"
+        save_snapshot(store, tmp)
         checksum = _sha256(tmp)
         existing = next((e for e in entries if e.checksum == checksum), None)
         if existing is not None:
             tmp.unlink()
             filename = existing.filename
         else:
-            filename = f"{label}{suffix}"
+            filename = f"{label}.iyp2"
             tmp.replace(self.root / filename)
         delta_record = None
         if delta and entries:
@@ -209,7 +203,7 @@ class SnapshotArchive:
         entry = ArchiveEntry(
             label=label,
             filename=filename,
-            format=format,
+            format=2,
             checksum=checksum,
             nodes=store.node_count,
             relationships=store.relationship_count,
@@ -361,23 +355,41 @@ class SnapshotArchive:
             current = base
         return current, list(reversed(chain))
 
-    def _load_chain(self, entry: ArchiveEntry) -> GraphStore:
-        from repro.delta import apply_delta
+    def verified_batches(
+        self, base: ArchiveEntry, deltas: list[ArchiveEntry]
+    ) -> list[tuple[ArchiveEntry, Any]]:
+        """``(entry, DeltaBatch)`` per delta, oldest first, to apply on
+        top of ``base`` (a full entry, or the delta served so far).
+
+        The one place the base-checksum rule lives (chain loads and the
+        serving watcher share it): every file's embedded base checksum
+        is checked against what the chain provides *before* anything is
+        returned, so the head of a broken chain is never replayed.
+        """
         from repro.delta.format import load_delta
 
-        base, deltas = self.delta_chain(entry)
-        store = load_snapshot(self.path(base))
+        batches = []
         expected_checksum = base.checksum
-        for delta_entry in deltas:
-            batch, meta = load_delta(self.path(delta_entry))
+        for entry in deltas:
+            batch, meta = load_delta(self.path(entry))
             if meta.get("base_checksum") != expected_checksum:
                 raise SnapshotFormatError(
-                    f"{delta_entry.label}: built against base checksum "
+                    f"{entry.label}: built against base checksum "
                     f"{str(meta.get('base_checksum'))[:12]}…, chain provides "
                     f"{expected_checksum[:12]}…"
                 )
+            batches.append((entry, batch))
+            expected_checksum = entry.checksum
+        return batches
+
+    def _load_chain(self, entry: ArchiveEntry) -> GraphStore:
+        from repro.delta import apply_delta
+
+        base, deltas = self.delta_chain(entry)
+        batches = self.verified_batches(base, deltas)
+        store = load_snapshot(self.path(base))
+        for _entry, batch in batches:
             apply_delta(store, batch)
-            expected_checksum = delta_entry.checksum
         return store
 
     def info(self, selector: str) -> dict[str, Any]:
@@ -523,6 +535,3 @@ class SnapshotArchive:
         old = self.load(old_selector)
         new = self.load(new_selector)
         return snapshot_diff(old, new)
-
-    def is_v2(self, entry: ArchiveEntry) -> bool:
-        return entry.format == 2 and is_v2_snapshot(self.path(entry))

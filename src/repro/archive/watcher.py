@@ -1,25 +1,21 @@
 """Directory watcher: keep the served graph current as the archive grows.
 
 The paper's weekly cadence means a serving instance goes stale the
-moment a new dump lands.  :class:`ArchiveWatcher` closes that gap with
-zero downtime: a daemon thread polls the archive manifest and, when a
-new latest entry appears, brings the running
-:class:`~repro.server.app.QueryService` up to date — in-flight queries
-finish against the old state, new queries see the new one.
+moment a new dump lands.  :class:`ArchiveWatcher` (``repro serve
+--watch``) closes that gap with zero downtime: a daemon thread polls
+the archive manifest and, when a new latest entry appears, brings the
+running service up to date — in-flight queries finish against the old
+state, new queries see the new one.
 
-Two mechanisms, chosen per entry:
+How each new entry is taken is decided from what the watcher can
+observe, not by the operator: pending entries that form a verified
+delta chain on top of the served label are applied in place when the
+served store can ``apply_delta`` (the dict backend) — O(changes), no
+reload, no swap; anything else (a full snapshot, a broken chain, a
+failed apply, a frozen columnar store or a ``WorkerPool``) is loaded
+chain-aware off to the side and swapped — always correct, O(world).
 
-- **swap** (``repro serve --watch``): load the entry in the background
-  and atomically swap the whole serving state — always correct, O(world)
-  per update;
-- **follow** (``repro serve --follow``): when the new entries form a
-  delta chain on top of the currently served label and the store backend
-  supports in-place application, apply each
-  :class:`~repro.delta.records.DeltaBatch` under the store's write lock
-  instead — O(changes), no reload, no swap.  Anything that breaks the
-  chain (a full snapshot landed, the base checksum disagrees, the apply
-  fails) falls back to a full load-and-swap.
-
+A failed load or swap is logged and the old store keeps serving.
 Polling is cheap when nothing happens: the manifest's ``(mtime, size)``
 signature is cached and unchanged manifests are never re-read or
 re-parsed (``skipped_polls`` counts those fast exits).
@@ -36,12 +32,12 @@ log = logging.getLogger("repro.archive")
 class ArchiveWatcher:
     """Polls an archive and keeps the service on the latest entry."""
 
-    def __init__(self, service, archive, interval: float = 5.0,
-                 follow: bool = False):
+    def __init__(self, service, archive, interval: float = 5.0):
+        """``service`` is anything with ``snapshot_label`` and
+        ``load_and_swap(label)`` — a ``QueryService`` or a ``WorkerPool``."""
         self.service = service
         self.archive = archive
         self.interval = interval
-        self.follow = follow
         self.swaps = 0
         self.delta_applies = 0
         self.skipped_polls = 0
@@ -89,7 +85,7 @@ class ArchiveWatcher:
         current = self.service.snapshot_label
         if latest.label == current:
             return False
-        if self.follow and self._apply_pending_deltas(entries, latest, current):
+        if self._apply_pending_deltas(latest, current):
             return True
         try:
             self.service.load_and_swap(latest.label)
@@ -102,53 +98,37 @@ class ArchiveWatcher:
         log.info("archive watcher: swapped to %r", latest.label)
         return True
 
-    def _apply_pending_deltas(self, entries, latest, current: str | None) -> bool:
+    def _apply_pending_deltas(self, latest, current: str | None) -> bool:
         """Try to walk from ``current`` to ``latest`` by applying deltas.
 
         Returns False (caller falls back to load-and-swap) whenever the
         pending entries are not a clean delta chain rooted at what we
         serve, the backend cannot apply in place, or an apply fails.
         """
-        if current is None or not hasattr(self.service, "apply_delta"):
-            return False
         store = getattr(self.service, "store", None)
-        if not hasattr(store, "apply_delta"):
+        if current is None or not hasattr(store, "apply_delta"):
             return False
-        by_label = {entry.label: entry for entry in entries}
-        served = by_label.get(current)
-        if served is None:
-            return False
-        chain = []
-        cursor = latest
-        while cursor.label != current:
-            if cursor.kind != "delta" or len(chain) >= len(entries):
-                return False
-            chain.append(cursor)
-            cursor = by_label.get(cursor.base)
-            if cursor is None:
-                return False
         try:
-            from repro.delta.format import load_delta
-
-            expected_checksum = served.checksum
-            for entry in reversed(chain):
-                batch, meta = load_delta(self.archive.path(entry))
-                if meta.get("base_checksum") != expected_checksum:
-                    raise ValueError(
-                        f"{entry.label}: base checksum mismatch "
-                        f"(chain expects {expected_checksum[:12]}…)"
-                    )
+            base, deltas = self.archive.delta_chain(latest)
+            chain = [base, *deltas]
+            labels = [entry.label for entry in chain]
+            if current not in labels:
+                return False  # a full snapshot landed since what we serve
+            served = labels.index(current)
+            pending = self.archive.verified_batches(
+                chain[served], chain[served + 1:]
+            )
+            for entry, batch in pending:
                 self.service.apply_delta(batch, label=entry.label)
                 self.delta_applies += 1
-                expected_checksum = entry.checksum
         except Exception as exc:  # noqa: BLE001 - fall back to full swap
             log.warning(
-                "archive watcher: delta follow to %r failed (%s); "
+                "archive watcher: applying deltas up to %r failed (%s); "
                 "falling back to load-and-swap", latest.label, exc,
             )
             return False
         log.info("archive watcher: applied %d delta(s), now at %r",
-                 len(chain), latest.label)
+                 len(pending), latest.label)
         return True
 
     def _run(self) -> None:

@@ -2,10 +2,10 @@
 
 The offline analogue of the IYP project's operational scripts::
 
-    python -m repro build --scale small --output iyp.json.gz
-    python -m repro query --snapshot iyp.json.gz \
+    python -m repro build --scale small --output iyp.iyp2
+    python -m repro query --snapshot iyp.iyp2 \
         "MATCH (a:AS) RETURN count(a)"
-    python -m repro serve --snapshot iyp.json.gz --port 8734
+    python -m repro serve --snapshot iyp.iyp2 --port 8734
     python -m repro serve --archive archive --watch 5
     python -m repro top --port 8734 --once
     python -m repro quality --dir archive
@@ -13,7 +13,7 @@ The offline analogue of the IYP project's operational scripts::
     python -m repro inventory
     python -m repro ontology
     python -m repro studies --scale small
-    python -m repro info --snapshot iyp.json.gz
+    python -m repro info --snapshot iyp.iyp2
 
 ``query`` and ``serve`` share one admission-control path
 (:mod:`repro.server.admission`): ``--timeout`` and ``--limit`` on the
@@ -32,6 +32,10 @@ from repro.graphdb import load_snapshot, save_snapshot
 from repro.ontology import ENTITIES, RELATIONSHIPS
 from repro.pipeline import build_iyp
 from repro.simnet import WorldConfig, build_world
+
+#: Default dump file: what ``build`` writes and the snapshot-reading
+#: commands open when no path is given.
+DEFAULT_SNAPSHOT = "iyp.iyp2"
 
 _SCALES = {
     "small": WorldConfig.small,
@@ -86,7 +90,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             f"Archived as {entry.label} in {args.archive}/ "
             f"(checksum {entry.checksum[:12]})"
         )
-    save_snapshot(iyp.store, args.output, format=2 if args.format == "v2" else 1)
+    save_snapshot(iyp.store, args.output)
     size_mb = Path(args.output).stat().st_size / 1e6
     print(f"Snapshot written to {args.output} ({size_mb:.1f} MB)")
     return 0
@@ -462,17 +466,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     (``--snapshot`` is then an archive selector, default ``latest``),
     ``/query`` accepts ``snapshot=`` for time travel, ``POST /admin/swap``
     hot-swaps the live store, and ``--watch`` polls the archive so new
-    builds go live without a restart.  ``--follow`` is the incremental
-    variant of ``--watch``: archived *delta* entries are applied to the
-    live store in place — O(changes), no reload, no swap — falling back
-    to a full load-and-swap whenever the pending entries do not form a
-    clean delta chain on what is being served.
+    builds go live without a restart (see
+    :class:`repro.archive.ArchiveWatcher` for how each entry is taken).
     """
     from repro.server import QueryService, create_server
     from repro.server.metrics import Metrics
 
-    if args.watch is not None and args.follow is not None:
-        print("--watch and --follow are mutually exclusive", file=sys.stderr)
+    if args.watch is not None and not args.archive:
+        print("--watch requires --archive", file=sys.stderr)
         return 1
     # One registry across build and serving, so pipeline counters show
     # up on the served /metrics endpoint.
@@ -525,19 +526,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         archive=archive,
         snapshot_label=snapshot_label,
     )
-    watcher = None
-    interval = args.watch if args.watch is not None else args.follow
-    if interval is not None:
-        if archive is None:
-            print("--watch/--follow requires --archive", file=sys.stderr)
-            return 1
-        from repro.archive import ArchiveWatcher
-
-        follow = args.follow is not None
-        watcher = ArchiveWatcher(service, archive, interval=interval, follow=follow)
-        watcher.start()
-        mode = "following deltas in" if follow else "watching"
-        print(f"{mode.capitalize()} {args.archive}/ every {interval:g}s")
+    watcher = _start_watcher(args, service, archive)
     server = create_server(service, args.host, args.port)
     host, port = server.server_address[:2]
     print(
@@ -567,6 +556,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _start_watcher(args: argparse.Namespace, service, archive):
+    """``--watch``: keep ``service`` (a ``QueryService`` or a
+    ``WorkerPool``) on the archive's latest entry; None without it."""
+    if args.watch is None:
+        return None
+    from repro.archive import ArchiveWatcher
+
+    watcher = ArchiveWatcher(service, archive, interval=args.watch)
+    watcher.start()
+    print(f"Watching {args.archive}/ every {args.watch:g}s")
+    return watcher
+
+
 def _serve_pool(
     args: argparse.Namespace, store, archive, snapshot_label: str | None
 ) -> int:
@@ -575,16 +577,13 @@ def _serve_pool(
 
     Hot swap is parent-driven here (``/admin/swap`` would only reach
     whichever worker accepted the connection): with ``--watch`` the
-    parent polls the archive, packs new snapshots into fresh segments,
-    and broadcasts them to every worker; the old segment is unlinked
-    once all workers acknowledge.  ``--follow`` keeps those swap
-    semantics on this path (a frozen shared-memory segment cannot be
-    mutated in place) — delta entries still work, because the archive's
-    chain-aware ``load()`` materializes base + deltas before packing.
+    archive watcher drives ``WorkerPool.load_and_swap``, which packs
+    each new entry into a fresh segment and broadcasts it to every
+    worker; the old segment is unlinked once all workers acknowledge.
     """
     import multiprocessing
     import signal
-    import time as time_mod
+    import threading
 
     from repro.columnar.pool import WorkerPool
     from repro.columnar.shm import pack_store
@@ -611,6 +610,7 @@ def _serve_pool(
             "slow_query_seconds": args.slow_query_threshold,
             "snapshot_label": snapshot_label,
         },
+        archive=archive,
     )
     pool.start()
     host, port = pool.address
@@ -620,27 +620,15 @@ def _serve_pool(
         f"({args.workers} worker processes, backend columnar, "
         f"segment {manifest.name})"
     )
-    last_label = snapshot_label
-    interval = args.watch if args.watch is not None else args.follow
+    # Started after the fork: workers must not inherit the thread's state.
+    watcher = _start_watcher(args, pool, archive)
     try:
-        while True:
-            time_mod.sleep(interval if interval else 3600.0)
-            if archive is None or not interval:
-                continue
-            entry = archive.resolve("latest")
-            if entry.label == last_label:
-                continue
-            print(f"New snapshot {entry.label}; packing and swapping...")
-            new_manifest = pack_store(archive.load(entry))
-            summary = pool.swap(new_manifest, label=entry.label)
-            last_label = entry.label
-            print(
-                f"Swapped {summary['workers']} workers to {entry.label}; "
-                f"unlinked {summary['unlinked_segment']}"
-            )
+        threading.Event().wait()
     except KeyboardInterrupt:
         print("\nshutting down worker pool")
     finally:
+        if watcher is not None:
+            watcher.stop()
         pool.stop()
     return 0
 
@@ -968,15 +956,10 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--scale", choices=sorted(_SCALES), default="small")
     build.add_argument("--seed", type=int, default=20240501)
     build.add_argument("--datasets", help="comma-separated dataset subset")
-    build.add_argument("--output", default="iyp.json.gz")
+    build.add_argument("--output", default=DEFAULT_SNAPSHOT)
     build.add_argument(
         "--verbose", action="store_true",
         help="print per-crawler telemetry (timings, nodes/rels created vs merged)",
-    )
-    build.add_argument(
-        "--format", choices=("v1", "v2"), default="v1",
-        help="snapshot format for --output: v1 gzip-JSON (default) or "
-             "the v2 framed binary format",
     )
     build.add_argument(
         "--archive", metavar="DIR",
@@ -990,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser("query", help="run a Cypher query on a snapshot")
     query.add_argument("query")
-    query.add_argument("--snapshot", default="iyp.json.gz")
+    query.add_argument("--snapshot", default=DEFAULT_SNAPSHOT)
     query.add_argument(
         "--limit", type=int, default=None,
         help="abort when the query returns more rows than this "
@@ -1030,14 +1013,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--watch", type=float, metavar="SECONDS",
-        help="poll the archive at this interval and hot-swap to new "
-             "snapshots as they appear (requires --archive)",
-    )
-    serve.add_argument(
-        "--follow", type=float, metavar="SECONDS",
-        help="like --watch, but apply archived delta entries to the "
-             "live store in place (O(changes), no reload); falls back "
-             "to a full swap when the chain breaks (requires --archive)",
+        help="poll the archive at this interval and bring the service "
+             "to each new entry: delta entries are applied to a dict "
+             "store in place, anything else is loaded and hot-swapped "
+             "(requires --archive)",
     )
     serve.add_argument("--scale", choices=sorted(_SCALES), default="small")
     serve.add_argument("--seed", type=int, default=20240501)
@@ -1135,7 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = sub.add_parser("explain", help="show a query's execution plan")
     explain.add_argument("query")
-    explain.add_argument("--snapshot", default="iyp.json.gz")
+    explain.add_argument("--snapshot", default=DEFAULT_SNAPSHOT)
     explain.set_defaults(func=cmd_explain)
 
     lint = sub.add_parser(
@@ -1177,7 +1156,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser(
         "validate-graph", help="sweep a snapshot for ontology violations"
     )
-    validate.add_argument("--snapshot", default="iyp.json.gz")
+    validate.add_argument("--snapshot", default=DEFAULT_SNAPSHOT)
     validate.add_argument(
         "--show", type=int, default=3, metavar="N",
         help="violations to print per crawler (default 3)",
@@ -1185,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(func=cmd_validate_graph)
 
     info = sub.add_parser("info", help="summarize a snapshot")
-    info.add_argument("--snapshot", default="iyp.json.gz")
+    info.add_argument("--snapshot", default=DEFAULT_SNAPSHOT)
     info.set_defaults(func=cmd_info)
 
     diff = sub.add_parser("diff", help="diff two snapshots by identity")
@@ -1276,7 +1255,7 @@ def build_parser() -> argparse.ArgumentParser:
     selfcheck.set_defaults(func=cmd_selfcheck)
 
     report = sub.add_parser("report", help="generate the weekly study report")
-    report.add_argument("--snapshot", default="iyp.json.gz")
+    report.add_argument("--snapshot", default=DEFAULT_SNAPSHOT)
     report.add_argument("--output", help="write markdown here (default: stdout)")
     report.set_defaults(func=cmd_report)
 
@@ -1292,7 +1271,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="procedure name (with or without the algo. prefix), or "
         "'list' to enumerate the registry",
     )
-    analytics.add_argument("--snapshot", default="iyp.json.gz")
+    analytics.add_argument("--snapshot", default=DEFAULT_SNAPSHOT)
     analytics.add_argument(
         "--arg",
         action="append",

@@ -34,7 +34,12 @@ import socketserver
 import threading
 from typing import Any
 
-from repro.columnar.shm import SegmentManifest, attach_manifest, segment_registry
+from repro.columnar.shm import (
+    SegmentManifest,
+    attach_manifest,
+    pack_store,
+    segment_registry,
+)
 from repro.concurrency import new_lock
 
 log = logging.getLogger("repro.columnar.pool")
@@ -146,9 +151,11 @@ class WorkerPool:
         "_listener": "frozen",
         "_context": "frozen",
         "_service_config": "frozen",
+        "archive": "frozen",
         "_workers": "_lock",
         "_pipes": "_lock",
         "_manifest": "_lock",
+        "_label": "_lock",
         "_started": "_lock",
     }
 
@@ -159,12 +166,15 @@ class WorkerPool:
         port: int = 0,
         workers: int = 4,
         service_config: dict[str, Any] | None = None,
+        archive: Any | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._lock = new_lock("WorkerPool._lock")
         self._context = multiprocessing.get_context("fork")
         self._service_config = dict(service_config or {})
+        #: Optional ``SnapshotArchive`` that :meth:`load_and_swap` loads from.
+        self.archive = archive
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -172,6 +182,7 @@ class WorkerPool:
         self._listener.setblocking(False)
         with self._lock:
             self._manifest = manifest
+            self._label: str | None = self._service_config.get("snapshot_label")
             self._workers: list[Any] = []
             self._pipes: list[Any] = []
             self._started = False
@@ -187,6 +198,12 @@ class WorkerPool:
     def manifest(self) -> SegmentManifest:
         with self._lock:
             return self._manifest
+
+    @property
+    def snapshot_label(self) -> str | None:
+        """Label of the archive entry every worker serves."""
+        with self._lock:
+            return self._label
 
     def start(self, ready_timeout: float = 30.0) -> None:
         """Fork the workers and wait for every ready handshake."""
@@ -238,12 +255,13 @@ class WorkerPool:
         ack_timeout: float = 60.0,
     ) -> dict[str, Any]:
         """Publish a new segment; unlink the old one once all workers
-        acknowledge they swapped onto it."""
+        acknowledge they swapped onto it.  Until then the pool keeps
+        owning the old segment, so a failed swap leaves the new one to
+        its publisher."""
         with self._lock:
             if not self._started:
                 raise RuntimeError("pool not started")
             old = self._manifest
-            self._manifest = manifest
             pipes = list(self._pipes)
         generations = []
         for pipe in pipes:
@@ -255,6 +273,9 @@ class WorkerPool:
             if message[0] != _MSG_SWAPPED:
                 raise RuntimeError(f"unexpected swap reply {message!r}")
             generations.append(message[1])
+        with self._lock:
+            self._manifest = manifest
+            self._label = label
         unlinked = segment_registry().unlink(old.name)
         log.info(
             "swapped all %d workers to %s (generation %s); old segment "
@@ -270,6 +291,20 @@ class WorkerPool:
             "generations": generations,
             "unlinked_segment": old.name if unlinked else None,
         }
+
+    def load_and_swap(self, selector: str = "latest") -> dict[str, Any]:
+        """Move every worker to an archived entry (the ``--watch`` hook);
+        deltas arrive through the archive's chain-aware ``load``.  The
+        freshly packed segment is unlinked again if the swap fails."""
+        if self.archive is None:
+            raise RuntimeError("no snapshot archive attached")
+        entry = self.archive.resolve(selector)
+        manifest = pack_store(self.archive.load(entry))
+        try:
+            return self.swap(manifest, label=entry.label)
+        except BaseException:
+            segment_registry().unlink(manifest.name)
+            raise
 
     def stop(self, join_timeout: float = 10.0) -> None:
         """Stop every worker, close the listener, unlink the segment."""

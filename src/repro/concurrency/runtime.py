@@ -15,8 +15,8 @@ With ``REPRO_LOCK_DEBUG=1`` in the environment (or after
 
 When the flag is off (production serving), the factories return the
 plain uninstrumented locks and the contract checks compile down to a
-no-op method call — the server throughput guard in
-``benchmarks/test_server_throughput.py`` holds this to <5% overhead.
+no-op method call, so the lifecycle benchmark's ``obs.overhead_pct``
+and ``serve_refresh`` timings are taken with plain locks.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ O(changes) work at every stage:
 
 The incremental build entry point is
 ``repro.pipeline.build.build_iyp(..., incremental=True)``; the serving
-side is ``repro serve --follow``.
+side is ``repro serve --watch`` (:mod:`repro.archive.watcher`).
 """
 
 from repro.delta.apply import DeltaApplyError, DeltaApplyResult, apply_delta

@@ -1,23 +1,17 @@
 """Graph snapshots: the reproduction's analogue of IYP's weekly dumps.
 
-Two on-disk formats exist:
+:func:`save_snapshot` writes the framed binary IYP2 format of
+:mod:`repro.archive.format` (interned strings, per-section checksums,
+a streaming reader).  Dumps written before that format existed are
+gzip-compressed JSON documents (**v1**); :func:`load_snapshot` sniffs
+the leading magic bytes and still opens them, so every CLI command and
+the archive manager accept old and new dumps alike, and ``repro archive
+add old.json.gz`` re-archives one as IYP2.  Loading a snapshot
+reconstructs a store that is observationally identical (ids included),
+mirroring how IYP users download a dump and run a local instance.
 
-- **v1** — a gzip-compressed JSON document containing every node,
-  relationship, index definition, and constraint (this module);
-- **v2** — a framed binary format with interned strings, per-section
-  checksums, and a streaming reader (:mod:`repro.archive.format`),
-  which loads several times faster at identical fidelity.
-
-:func:`load_snapshot` sniffs the leading magic bytes and reads either
-format transparently, so every CLI command and the archive manager
-accept old and new dumps alike.  Loading a snapshot reconstructs a
-store that is observationally identical (ids included), mirroring how
-IYP users download a dump and run a local instance.
-
-Snapshot bytes are deterministic: the gzip header is written with
-``mtime=0`` (and no filename field) and JSON keys are sorted, so two
-saves of an identical store produce byte-identical files.  The archive
-manager relies on this for checksum-based deduplication.
+:func:`snapshot_dict` / :func:`store_from_dict` are the v1 document
+model; the test suite uses them as the store-equality reference.
 """
 
 from __future__ import annotations
@@ -97,31 +91,15 @@ def store_from_dict(data: dict[str, Any]) -> GraphStore:
     return store
 
 
-def save_snapshot(store: GraphStore, path: str | Path, format: int = 1) -> None:
-    """Write a snapshot of the store to ``path``.
+def save_snapshot(store: GraphStore, path: str | Path) -> None:
+    """Write an IYP2 snapshot of the store to ``path``.
 
-    ``format=1`` (the default) writes the gzip-JSON dump; ``format=2``
-    writes the framed binary format of :mod:`repro.archive.format`.
-    Either way the bytes are deterministic for a given store state.
+    The bytes are deterministic for a given store state (the archive's
+    checksum dedup relies on it).
     """
-    if format == 2:
-        from repro.archive.format import save_snapshot_v2
+    from repro.archive.format import save_snapshot_v2
 
-        save_snapshot_v2(store, path)
-        return
-    if format != 1:
-        raise ValueError(f"unsupported snapshot format {format!r}")
-    payload = json.dumps(
-        snapshot_dict(store), separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
-    # filename="" keeps the path out of the gzip FNAME header field and
-    # mtime=0 keeps the save time out — either would break the byte
-    # determinism the archive's checksum dedup relies on.
-    with open(Path(path), "wb") as raw:
-        with gzip.GzipFile(
-            filename="", fileobj=raw, mode="wb", mtime=0
-        ) as handle:
-            handle.write(payload)
+    save_snapshot_v2(store, path)
 
 
 def load_snapshot(path: str | Path) -> GraphStore:

@@ -17,8 +17,8 @@ counting so a scrape can tell "small workload" from "churning registry".
 
 Everything is guarded by one lock; a record is a dict lookup, a dozen
 integer adds, and one bucket increment — negligible next to executing
-the query it describes (guarded by the <5% CI benchmark in
-``benchmarks/test_server_throughput.py``).
+the query it describes (measured as ``obs.overhead_pct`` by the
+lifecycle benchmark's ``serve_refresh`` workload).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The paper's public IYP instance is a Neo4j endpoint anyone can query
 with Cypher; this package is the reproduction's equivalent, serving a
 snapshot (or a freshly built simnet world) as JSON over HTTP::
 
-    python -m repro serve --snapshot iyp.json.gz --port 8734
+    python -m repro serve --snapshot iyp.iyp2 --port 8734
 
     curl -s localhost:8734/healthz
     curl -s localhost:8734/query -d '{"query": "MATCH (a:AS) RETURN count(a)"}'

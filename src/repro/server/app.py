@@ -245,8 +245,8 @@ class QueryService:
         #: into).
         self.metrics = metrics or Metrics()
         #: With ``tracing`` off, spans and per-query profiling are both
-        #: disabled — the comparison baseline for the overhead guard in
-        #: ``benchmarks/test_server_throughput.py``.
+        #: disabled — the comparison baseline of the lifecycle
+        #: benchmark's ``obs.overhead_pct``.
         self.tracing = tracing
         self.tracer = Tracer(enabled=tracing)
         self.engine.tracer = self.tracer
@@ -376,7 +376,7 @@ class QueryService:
         """Advance the served store in place by applying a delta batch.
 
         The in-place counterpart to :meth:`swap_store` for ``repro serve
-        --follow``: instead of building a whole new serving state around
+        --watch``: instead of building a whole new serving state around
         a reloaded store, the batch is replayed into the *live* store
         under its write lock (one atomic scope, one version bump), the
         planner's statistics are refreshed incrementally from the apply

@@ -23,6 +23,7 @@ from repro.archive.format import (
 )
 from repro.graphdb import GraphStore, load_snapshot, save_snapshot
 from repro.graphdb.snapshot import snapshot_dict
+from tests.conftest import write_v1_snapshot
 
 
 def _sample_store() -> GraphStore:
@@ -94,14 +95,14 @@ class TestTransparentDispatch:
     def test_load_snapshot_sniffs_v2(self, tmp_path):
         store = _sample_store()
         path = tmp_path / "snap.iyp2"
-        save_snapshot(store, path, format=2)
+        save_snapshot(store, path)
         assert is_v2_snapshot(path)
         assert snapshot_dict(load_snapshot(path)) == snapshot_dict(store)
 
     def test_load_snapshot_still_reads_v1(self, tmp_path):
         store = _sample_store()
         path = tmp_path / "snap.json.gz"
-        save_snapshot(store, path)
+        write_v1_snapshot(store, path)
         assert not is_v2_snapshot(path)
         assert snapshot_dict(load_snapshot(path)) == snapshot_dict(store)
 

@@ -1,12 +1,16 @@
 """The snapshot archive: manifest, retention, integrity, deltas."""
 
+import hashlib
 import json
 
 import pytest
 
-from repro.archive import SnapshotArchive
+from repro.archive import ArchiveEntry, SnapshotArchive
+from repro.cli import main
 from repro.core import IYP, Reference
+from repro.graphdb import load_snapshot
 from repro.graphdb.snapshot import snapshot_dict
+from tests.conftest import write_v1_snapshot
 
 
 def _mini_iyp(extra_asn: int | None = None) -> IYP:
@@ -24,6 +28,19 @@ def _mini_iyp(extra_asn: int | None = None) -> IYP:
 @pytest.fixture
 def archive(tmp_path):
     return SnapshotArchive(tmp_path / "archive")
+
+
+def _add_v1_entry(archive, store, label):
+    """An entry as pre-IYP2 archives recorded it: a gzip-JSON file and
+    ``"format": 1`` in the manifest.  ``add`` no longer writes these."""
+    path = archive.root / f"{label}.json.gz"
+    write_v1_snapshot(store, path)
+    checksum = hashlib.sha256(path.read_bytes()).hexdigest()
+    entry = ArchiveEntry(
+        label, path.name, 1, checksum, store.node_count, store.relationship_count
+    )
+    archive._write_manifest([*archive.entries(), entry])
+    return path
 
 
 class TestAddAndResolve:
@@ -62,11 +79,23 @@ class TestAddAndResolve:
             archive.resolve("latest")
 
     def test_v1_format_entries_supported(self, archive):
+        """Read compatibility with pre-IYP2 dumps, at every entry point:
+        the file, a ``"format": 1`` manifest entry, and the one-way
+        migration ``repro archive add old.json.gz``."""
         store = _mini_iyp().store
-        entry = archive.add(store, "old-style", format=1)
-        assert entry.format == 1
-        assert entry.filename.endswith(".json.gz")
+        path = _add_v1_entry(archive, store, "old-style")
+        assert snapshot_dict(load_snapshot(path)) == snapshot_dict(store)
+        assert archive.resolve("old-style").format == 1
         assert snapshot_dict(archive.load("old-style")) == snapshot_dict(store)
+
+        code = main([
+            "archive", "add", str(path), "--dir", str(archive.root),
+            "--label", "migrated",
+        ])
+        assert code == 0
+        migrated = archive.resolve("migrated")
+        assert migrated.format == 2 and migrated.filename == "migrated.iyp2"
+        assert snapshot_dict(archive.load("migrated")) == snapshot_dict(store)
 
     def test_build_metadata_recorded(self, archive):
         entry = archive.add(
@@ -112,7 +141,7 @@ class TestDedupAndDelta:
 class TestVerify:
     def test_clean_archive_verifies(self, archive):
         archive.add(_mini_iyp().store, "t0")
-        archive.add(_mini_iyp(extra_asn=2).store, "t1", format=1)
+        _add_v1_entry(archive, _mini_iyp(extra_asn=2).store, "t1")
         report = archive.verify(deep=True)
         assert report.ok
         assert report.entries_checked == 2

@@ -38,6 +38,7 @@ from repro.delta.records import node_key, record_order_key, rel_key
 from repro.graphdb.store import GraphStore
 from repro.pipeline.build import build_iyp
 from repro.server.app import QueryService
+from tests.test_optimizer_equivalence import PAPER_LISTINGS, result_multiset
 
 # ---------------------------------------------------------------------------
 # Random-store fuzz machinery
@@ -504,15 +505,19 @@ class TestArchiveDeltaChain:
 
 
 # ---------------------------------------------------------------------------
-# Serving: QueryService.apply_delta and the --follow watcher
+# Serving: QueryService.apply_delta and the --watch watcher
 # ---------------------------------------------------------------------------
 
 
-def _service_with_archive(tmp_path):
+def _service_with_archive(tmp_path, backend="dict"):
     archive = SnapshotArchive(tmp_path / "archive")
     base = _two_as_store()
     archive.add(base, "gen-1")
     store = archive.load("gen-1")
+    if backend == "columnar":  # frozen: no apply_delta
+        from repro.columnar import ColumnarGraphStore
+
+        store = ColumnarGraphStore.from_store(store)
     service = QueryService(store, archive=archive, snapshot_label="gen-1")
     return service, archive, base
 
@@ -548,10 +553,18 @@ class TestServiceApplyDelta:
         assert service.store.node_count == 2
 
 
+def _archive_next_delta(archive, base, asn, label, base_label):
+    """Archive ``base`` + one more AS as a delta entry; returns the new store."""
+    new = copy_store(base)
+    new.create_node({"AS"}, {"asn": asn})
+    archive.add_delta(new, delta_from_diff(base, new), label, base=base_label)
+    return new
+
+
 class TestArchiveWatcher:
     def test_unchanged_manifest_is_not_reparsed(self, tmp_path):
         service, archive, _base = _service_with_archive(tmp_path)
-        watcher = ArchiveWatcher(service, archive, follow=False)
+        watcher = ArchiveWatcher(service, archive)
         assert watcher.check_once() is False  # parses once, already current
         assert watcher.check_once() is False
         assert watcher.check_once() is False
@@ -559,12 +572,9 @@ class TestArchiveWatcher:
 
     def test_follow_applies_delta_chain_in_place(self, tmp_path):
         service, archive, base = _service_with_archive(tmp_path)
-        watcher = ArchiveWatcher(service, archive, follow=True)
+        watcher = ArchiveWatcher(service, archive)
         watcher.check_once()
-
-        new = copy_store(base)
-        new.create_node({"AS"}, {"asn": 3})
-        archive.add_delta(new, delta_from_diff(base, new), "gen-2", base="gen-1")
+        _archive_next_delta(archive, base, 3, "gen-2", "gen-1")
 
         assert watcher.check_once() is True
         assert watcher.delta_applies == 1
@@ -575,7 +585,7 @@ class TestArchiveWatcher:
 
     def test_follow_falls_back_to_swap_on_full_snapshot(self, tmp_path):
         service, archive, base = _service_with_archive(tmp_path)
-        watcher = ArchiveWatcher(service, archive, follow=True)
+        watcher = ArchiveWatcher(service, archive)
         new = copy_store(base)
         new.create_node({"AS"}, {"asn": 3})
         archive.add(new, "gen-2")  # a full snapshot breaks the chain
@@ -586,15 +596,57 @@ class TestArchiveWatcher:
         assert service.snapshot_label == "gen-2"
         assert service.generation == 1
 
-    def test_plain_watch_swaps_on_delta_entry(self, tmp_path):
-        service, archive, base = _service_with_archive(tmp_path)
-        watcher = ArchiveWatcher(service, archive, follow=False)
-        new = copy_store(base)
-        new.create_node({"AS"}, {"asn": 3})
-        archive.add_delta(new, delta_from_diff(base, new), "gen-2", base="gen-1")
+    def test_store_without_apply_delta_swaps_on_delta_entry(self, tmp_path):
+        """``--backend columnar``: the frozen store cannot take a delta,
+        so the entry arrives through the chain-aware load-and-swap."""
+        service, archive, base = _service_with_archive(tmp_path, "columnar")
+        watcher = ArchiveWatcher(service, archive)
+        _archive_next_delta(archive, base, 3, "gen-2", "gen-1")
 
         assert watcher.check_once() is True
-        assert watcher.swaps == 1  # chain-aware load + full swap
+        assert (watcher.swaps, watcher.delta_applies) == (1, 0)
+        assert service.snapshot_label == "gen-2"
+        assert service.store.node_count == 3
+        assert service.generation == 1
+
+    def test_checksum_mismatch_applies_nothing(self, tmp_path):
+        """A chain whose tail fails base-checksum verification is refused
+        whole: the head is not replayed, and the swap fallback (which
+        verifies the same chain) leaves the old label serving."""
+        service, archive, base = _service_with_archive(tmp_path)
+        watcher = ArchiveWatcher(service, archive)
+        second = _archive_next_delta(archive, base, 3, "gen-2", "gen-1")
+        _archive_next_delta(archive, second, 4, "gen-3", "gen-2")
+        manifest = json.loads(archive.manifest_path.read_text())
+        manifest["snapshots"][1]["checksum"] = "0" * 64  # gen-3 no longer fits
+        archive.manifest_path.write_text(json.dumps(manifest))
+
+        assert watcher.check_once() is False
+        assert (watcher.swaps, watcher.delta_applies) == (0, 0)
+        assert service.snapshot_label == "gen-1"
+        assert service.store.node_count == 2
+
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
+    def test_corrupt_newest_entry_keeps_old_label_serving(
+        self, tmp_path, backend, caplog
+    ):
+        service, archive, base = _service_with_archive(tmp_path, backend)
+        watcher = ArchiveWatcher(service, archive)
+        new = copy_store(base)
+        new.create_node({"AS"}, {"asn": 3})
+        entry = archive.add(new, "gen-2")
+        path = archive.path(entry)
+        path.write_bytes(path.read_bytes()[:-10])  # truncated dump
+
+        with caplog.at_level("WARNING", logger="repro.archive"):
+            assert watcher.check_once() is False
+        assert "swap to 'gen-2' failed" in caplog.text
+        assert service.snapshot_label == "gen-1"
+        assert service.execute("MATCH (a:AS) RETURN count(a) AS n")["rows"] == [[2]]
+
+        _archive_next_delta(archive, base, 5, "gen-3", "gen-1")  # a good entry
+        assert watcher.check_once() is True
+        assert service.snapshot_label == "gen-3"
         assert service.store.node_count == 3
 
 
@@ -620,6 +672,10 @@ class TestIncrementalBuild:
         )
         assert all(run.payload_checksum for run in report.crawler_runs)
 
+        # A live service on an independent copy of week 1 (the
+        # incremental build mutates ``iyp.store`` itself).
+        service = QueryService(copy_store(iyp.store))
+
         new_world = copy.deepcopy(small_world)
         renamed = sorted(new_world.ases)[0]
         new_world.ases[renamed].name += " (renamed)"
@@ -640,6 +696,19 @@ class TestIncrementalBuild:
             validate=False, analytics=False,
         )
         assert_stores_equivalent(scratch.store, iyp2.store)
+
+        # The delta alone advances the served week-1 store to week 2,
+        # and it then answers the paper listings like the rebuild.
+        service.apply_delta(report2.delta, label="week-2")
+        assert_stores_equivalent(scratch.store, service.store)
+        rows = 0
+        for name in sorted(PAPER_LISTINGS):
+            parameters = {"org_name": "none"} if name == "LISTING_3" else None
+            expected = scratch.engine.run(PAPER_LISTINGS[name], parameters)
+            served = service.engine.run(PAPER_LISTINGS[name], parameters)
+            assert result_multiset(expected) == result_multiset(served), name
+            rows += len(expected.records)
+        assert rows > 0, "replay matched nothing"
 
     def test_no_churn_build_skips_everything(self, small_world):
         iyp, report = build_iyp(

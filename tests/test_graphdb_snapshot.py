@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.graphdb import GraphStore, load_snapshot, save_snapshot
 from repro.graphdb.snapshot import snapshot_dict, store_from_dict
+from tests.conftest import write_v1_snapshot
 
 
 def _sample_store() -> GraphStore:
@@ -20,7 +21,7 @@ def _sample_store() -> GraphStore:
 class TestRoundtrip:
     def test_file_roundtrip(self, tmp_path):
         store = _sample_store()
-        path = tmp_path / "snapshot.json.gz"
+        path = tmp_path / "snapshot.iyp2"
         save_snapshot(store, path)
         loaded = load_snapshot(path)
         assert loaded.node_count == store.node_count
@@ -29,7 +30,7 @@ class TestRoundtrip:
 
     def test_indexes_and_constraints_restored(self, tmp_path):
         store = _sample_store()
-        path = tmp_path / "snapshot.json.gz"
+        path = tmp_path / "snapshot.iyp2"
         save_snapshot(store, path)
         loaded = load_snapshot(path)
         assert loaded.has_index("AS", "asn")
@@ -37,7 +38,7 @@ class TestRoundtrip:
 
     def test_list_properties_survive(self, tmp_path):
         store = _sample_store()
-        path = tmp_path / "snapshot.json.gz"
+        path = tmp_path / "snapshot.iyp2"
         save_snapshot(store, path)
         loaded = load_snapshot(path)
         node = loaded.find_nodes("AS", "asn", 2914)[0]
@@ -52,16 +53,18 @@ class TestRoundtrip:
             raise AssertionError("expected ValueError")
 
     def test_snapshot_is_compressed_json(self, tmp_path):
+        """The pre-IYP2 dump format: compressed JSON, still loadable."""
         import gzip
         import json
 
         store = _sample_store()
         path = tmp_path / "snapshot.json.gz"
-        save_snapshot(store, path)
+        write_v1_snapshot(store, path)
         with gzip.open(path, "rt") as handle:
             payload = json.load(handle)
         assert payload["format_version"] == 1
         assert len(payload["nodes"]) == 2
+        assert snapshot_dict(load_snapshot(path)) == snapshot_dict(store)
 
 
 class TestFidelityAfterDeletions:
@@ -104,7 +107,7 @@ class TestFidelityAfterDeletions:
 
     def test_constraint_enforced_after_reload(self, tmp_path):
         store = _sample_store()
-        path = tmp_path / "snapshot.json.gz"
+        path = tmp_path / "snapshot.iyp2"
         save_snapshot(store, path)
         loaded = load_snapshot(path)
         from repro.graphdb.errors import ConstraintViolationError
@@ -120,7 +123,7 @@ class TestFidelityAfterDeletions:
         from repro.cypher import CypherEngine
 
         store = _sample_store()
-        path = tmp_path / "snapshot.json.gz"
+        path = tmp_path / "snapshot.iyp2"
         save_snapshot(store, path)
         loaded = load_snapshot(path)
         plan = CypherEngine(loaded).explain("MATCH (a:AS {asn: 2914}) RETURN a")
@@ -150,21 +153,28 @@ _EDGE_CASE_PROPS = {
 }
 
 
-@pytest.mark.parametrize("format", [1, 2], ids=["v1", "v2"])
+#: v1 is read-only in ``src`` (old dumps must keep opening); v2 is what
+#: ``save_snapshot`` writes.
+_WRITERS = pytest.mark.parametrize(
+    "write", [write_v1_snapshot, save_snapshot], ids=["v1", "v2"]
+)
+
+
+@_WRITERS
 class TestEdgeCasePropertyFidelity:
     """Awkward property values must survive both formats bit-for-bit."""
 
-    def _roundtrip(self, tmp_path, format, props):
+    def _roundtrip(self, tmp_path, write, props):
         store = GraphStore()
         a = store.create_node({"N"}, dict(props))
         b = store.create_node({"N"}, {"i": 1})
         store.create_relationship(a.id, "E", b.id, dict(props))
-        path = tmp_path / f"edge.v{format}"
-        save_snapshot(store, path, format=format)
+        path = tmp_path / "edge"
+        write(store, path)
         return store, load_snapshot(path)
 
-    def test_values_identical(self, tmp_path, format):
-        store, loaded = self._roundtrip(tmp_path, format, _EDGE_CASE_PROPS)
+    def test_values_identical(self, tmp_path, write):
+        store, loaded = self._roundtrip(tmp_path, write, _EDGE_CASE_PROPS)
         node = next(n for n in loaded.iter_nodes() if "unicode" in n.properties)
         rel = next(iter(loaded.iter_relationships()))
         for entity in (node, rel):
@@ -172,33 +182,33 @@ class TestEdgeCasePropertyFidelity:
                 assert entity.properties[key] == value, key
         assert snapshot_dict(loaded) == snapshot_dict(store)
 
-    def test_bool_does_not_become_int(self, tmp_path, format):
+    def test_bool_does_not_become_int(self, tmp_path, write):
         # In Python True == 1; serialization must not flatten the type,
         # or WHERE x = true / x = 1 would change answers after a reload.
         _, loaded = self._roundtrip(
-            tmp_path, format, {"flag": True, "count": 1, "zero": False}
+            tmp_path, write, {"flag": True, "count": 1, "zero": False}
         )
         node = next(n for n in loaded.iter_nodes() if "flag" in n.properties)
         assert node.properties["flag"] is True
         assert node.properties["zero"] is False
         assert type(node.properties["count"]) is int
 
-    def test_large_int_exact(self, tmp_path, format):
-        _, loaded = self._roundtrip(tmp_path, format, {"big": 2**70 + 1})
+    def test_large_int_exact(self, tmp_path, write):
+        _, loaded = self._roundtrip(tmp_path, write, {"big": 2**70 + 1})
         node = next(n for n in loaded.iter_nodes() if "big" in n.properties)
         assert node.properties["big"] == 2**70 + 1
 
-    def test_none_scalar_never_reaches_a_snapshot(self, tmp_path, format):
+    def test_none_scalar_never_reaches_a_snapshot(self, tmp_path, write):
         # The store follows Neo4j's null semantics: a None property is
         # a removal, so neither format ever has to encode a bare null —
         # only None inside lists (kept above) is representable.
         store, loaded = self._roundtrip(
-            tmp_path, format, {"gone": None, "kept": 1}
+            tmp_path, write, {"gone": None, "kept": 1}
         )
         node = next(n for n in loaded.iter_nodes() if "kept" in n.properties)
         assert "gone" not in node.properties
 
-    def test_nested_lists_rejected_at_the_model(self, tmp_path, format):
+    def test_nested_lists_rejected_at_the_model(self, tmp_path, write):
         # The property model only allows scalars and flat lists, so a
         # nested list can never reach either serializer.
         store = GraphStore()
@@ -206,8 +216,8 @@ class TestEdgeCasePropertyFidelity:
             store.create_node({"N"}, {"nested": [[1, 2], [3]]})
 
 
-@pytest.mark.parametrize("format", [1, 2], ids=["v1", "v2"])
-def test_snapshot_bytes_deterministic(tmp_path, format):
+@_WRITERS
+def test_snapshot_bytes_deterministic(tmp_path, write):
     """Two saves of the same store are byte-identical (checksum dedup)."""
     store = GraphStore()
     store.create_index("N", "i")
@@ -217,8 +227,8 @@ def test_snapshot_bytes_deterministic(tmp_path, format):
     for a, b in zip(nodes, nodes[1:], strict=False):
         store.create_relationship(a.id, "E", b.id, {"w": a.id})
     first, second = tmp_path / "first", tmp_path / "second"
-    save_snapshot(store, first, format=format)
-    save_snapshot(store, second, format=format)
+    write(store, first)
+    write(store, second)
     assert first.read_bytes() == second.read_bytes()
 
 

@@ -37,7 +37,7 @@ class TestFusion:
 
 class TestSnapshotRoundtrip:
     def test_query_results_survive_reload(self, small_iyp, tmp_path):
-        path = tmp_path / "iyp-snapshot.json.gz"
+        path = tmp_path / "iyp-snapshot.iyp2"
         save_snapshot(small_iyp.store, path)
         restored = load_snapshot(path)
         engine = CypherEngine(restored)
@@ -47,7 +47,7 @@ class TestSnapshotRoundtrip:
             assert original == reloaded
 
     def test_snapshot_preserves_scale(self, small_iyp, tmp_path):
-        path = tmp_path / "iyp-snapshot.json.gz"
+        path = tmp_path / "iyp-snapshot.iyp2"
         save_snapshot(small_iyp.store, path)
         restored = load_snapshot(path)
         assert restored.node_count == small_iyp.store.node_count

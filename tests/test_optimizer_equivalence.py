@@ -283,16 +283,27 @@ class TestRelationshipIsomorphism:
     def test_isomorphism_is_join_order_independent(self, moas_store):
         """Force the planner to run the second textual pattern first (it
         carries an index seek) and check the multiset still matches the
-        naive textual-order execution."""
+        naive textual-order execution.  The seek comes from an inline
+        property map, or — the MOAS selective join — from a ``WHERE``
+        equality on a parameter that the planner promotes."""
         engine = CypherEngine(moas_store)
-        query = (
-            "MATCH (x:AS)-[:ORIGINATE]->(p:Prefix), (y:AS {asn: 2})-[:ORIGINATE]->(p) "
-            "RETURN x.asn, y.asn"
-        )
-        plan_lines = "\n".join(engine.explain(query))
-        assert "join=1/2 pattern=1" in plan_lines  # reorder actually happened
-        rows = assert_equivalent(moas_store, query)
-        assert rows == 1  # only (x=1, y=2) on the MOAS prefix
+        for query, parameters, promoted in [
+            (
+                "MATCH (x:AS)-[:ORIGINATE]->(p:Prefix), "
+                "(y:AS {asn: 2})-[:ORIGINATE]->(p) RETURN x.asn, y.asn",
+                None, "",
+            ),
+            (
+                "MATCH (x:AS)-[:ORIGINATE]-(p:Prefix), (y:AS)-[:ORIGINATE]-(p) "
+                "WHERE y.asn = $asn AND x.asn <> y.asn RETURN DISTINCT p.prefix",
+                {"asn": 2}, "pushed seek y.asn",
+            ),
+        ]:
+            plan_lines = "\n".join(engine.explain(query))
+            assert "join=1/2 pattern=1" in plan_lines  # reorder actually happened
+            assert promoted in plan_lines
+            rows = assert_equivalent(moas_store, query, parameters)
+            assert rows == 1  # only (x=1, y=2) on the MOAS prefix
 
 
 class TestVariableLengthUnderReordering:

@@ -329,21 +329,40 @@ class TestAdmission:
         assert entries[-1]["query"] == "MATCH (a:AS) RETURN a.asn"
 
     def test_parallel_readers_all_succeed(self, iyp_server):
-        base, service, _ = iyp_server
-        results: list[int] = []
+        """Six clients sweeping distinct parameters (every request
+        misses the cache) really do run inside the store together; the
+        same clients repeating one parameter are answered by the cache."""
+        base, service, iyp = iyp_server
+        query = (
+            "MATCH (a:AS)-[:ORIGINATE]-(p:Prefix) WHERE a.asn >= $asn "
+            "RETURN count(DISTINCT p) AS n"
+        )
+        asns = iyp.run("MATCH (a:AS) RETURN a.asn ORDER BY a.asn").column()
 
-        def hit():
-            status, _ = _post_query(
-                base, "MATCH (a:AS)-[:ORIGINATE]-(p:Prefix) RETURN count(*)"
-            )
-            results.append(status)
+        def drive(asns):
+            results: list[int] = []
 
-        threads = [threading.Thread(target=hit) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert results == [200] * 6
+            def client(worker: int):
+                for i in range(4):
+                    asn = asns[(worker * 4 + i) % len(asns)]
+                    status, _ = _post_query(base, query, parameters={"asn": asn})
+                    results.append(status)
+
+            threads = [
+                threading.Thread(target=client, args=(w,)) for w in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            return results
+
+        assert drive(asns) == [200] * 24
+        assert service.admission.peak_active >= 2, "no reader parallelism"
+        hits_before = service.cache.info()["hits"]
+        assert drive(asns[:1]) == [200] * 24
+        assert service.cache.info()["hits"] > hits_before
+        assert service.cache.info()["hit_rate"] > 0
 
 
 # ---------------------------------------------------------------------------

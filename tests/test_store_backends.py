@@ -460,6 +460,74 @@ def test_worker_pool_serves_and_hot_swaps_mid_query(small_iyp):
         shared_memory.SharedMemory(name=second.name)
 
 
+def test_watched_pool_survives_a_corrupt_entry_then_moves_on(
+    tmp_path, caplog, monkeypatch
+):
+    """``repro serve --workers N --watch``: the archive watcher drives the
+    pool.  A truncated newest dump is logged, its half-made segment is
+    not leaked, every worker keeps answering on the old label; the next
+    good entry (a delta — taken through the chain-aware load) goes live."""
+    from repro.archive import ArchiveWatcher, SnapshotArchive
+    from repro.delta import delta_from_diff
+
+    archive = SnapshotArchive(tmp_path / "archive")
+    base = GraphStore.from_records(NODES, RELS)
+    archive.add(base, "gen-1")
+    pool = WorkerPool(
+        pack_store(base), workers=2, archive=archive,
+        service_config={"snapshot_label": "gen-1"},
+    )
+    count_query = "MATCH (a:AS) RETURN count(a) AS n"
+
+    def health():
+        host, port = pool.address
+        with urllib.request.urlopen(
+            f"http://{host}:{port}/healthz", timeout=30
+        ) as response:
+            return json.loads(response.read())
+
+    try:
+        pool.start()
+        watcher = ArchiveWatcher(pool, archive)
+        assert watcher.check_once() is False  # already on the latest
+
+        grown = GraphStore.from_records(NODES + [(20, ["AS"], {"asn": 64500})], RELS)
+        broken = archive.path(archive.add(grown, "gen-2"))
+        broken.write_bytes(broken.read_bytes()[:-10])
+        segments = segment_registry().names()
+        with caplog.at_level("WARNING", logger="repro.archive"):
+            assert watcher.check_once() is False
+        assert "swap to 'gen-2' failed" in caplog.text
+        assert segment_registry().names() == segments
+        assert pool.snapshot_label == "gen-1"
+        for _ in range(4):
+            assert health()["snapshot"] == "gen-1"
+            assert _post(*pool.address, count_query)["rows"] == [[3]]
+
+        archive.add_delta(
+            grown, delta_from_diff(base, grown), "gen-3", base="gen-1"
+        )
+
+        def refuse(manifest, label=None):
+            raise TimeoutError("worker did not acknowledge swap")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pool, "swap", refuse)
+            assert watcher.check_once() is False
+        # The segment packed for the refused swap was unlinked again,
+        # and the failed poll is retried without a new manifest write.
+        assert segment_registry().names() == segments
+        assert watcher.check_once() is True
+        assert (watcher.swaps, watcher.delta_applies) == (1, 0)
+        assert pool.snapshot_label == "gen-3"
+        for _ in range(4):
+            assert health()["snapshot"] == "gen-3"
+            assert _post(*pool.address, count_query)["rows"] == [[4]]
+    finally:
+        pool.stop()
+    assert segment_registry().names() == []
+
+
 def test_stats_reports_backend_field(small_iyp):
     from repro.server.app import QueryService
 
