@@ -507,25 +507,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.workers > 1 and args.backend != "columnar":
         print("--workers N (N>1) requires --backend columnar", file=sys.stderr)
         return 1
+    # The service options, spelled once for the in-process service and
+    # for the copy each pool worker builds.
+    options = {
+        "max_concurrent": args.max_concurrent,
+        "default_timeout": args.timeout,
+        "default_max_rows": args.max_rows,
+        "cache_size": args.cache_size,
+        "tracing": not args.no_trace,
+        "slow_query_seconds": args.slow_query_threshold,
+        "snapshot_label": snapshot_label,
+    }
     if args.backend == "columnar":
         if args.workers > 1:
-            return _serve_pool(args, store, archive, snapshot_label)
+            return _serve_pool(args, store, archive, options)
         from repro.columnar import ColumnarGraphStore
 
         print("Building columnar arrays (read-only backend)...")
         store = ColumnarGraphStore.from_store(store)
-    service = QueryService(
-        store,
-        max_concurrent=args.max_concurrent,
-        default_timeout=args.timeout,
-        default_max_rows=args.max_rows,
-        cache_size=args.cache_size,
-        metrics=metrics,
-        tracing=not args.no_trace,
-        slow_query_seconds=args.slow_query_threshold,
-        archive=archive,
-        snapshot_label=snapshot_label,
-    )
+    service = QueryService(store, metrics=metrics, archive=archive, **options)
     watcher = _start_watcher(args, service, archive)
     server = create_server(service, args.host, args.port)
     host, port = server.server_address[:2]
@@ -569,9 +569,7 @@ def _start_watcher(args: argparse.Namespace, service, archive):
     return watcher
 
 
-def _serve_pool(
-    args: argparse.Namespace, store, archive, snapshot_label: str | None
-) -> int:
+def _serve_pool(args: argparse.Namespace, store, archive, options: dict) -> int:
     """Multi-process serving: pack the graph into shared memory and
     pre-fork ``--workers`` query processes onto one listening socket.
 
@@ -601,15 +599,7 @@ def _serve_pool(
         host=args.host,
         port=args.port,
         workers=args.workers,
-        service_config={
-            "max_concurrent": args.max_concurrent,
-            "default_timeout": args.timeout,
-            "default_max_rows": args.max_rows,
-            "cache_size": args.cache_size,
-            "tracing": not args.no_trace,
-            "slow_query_seconds": args.slow_query_threshold,
-            "snapshot_label": snapshot_label,
-        },
+        service_config=options,
         archive=archive,
     )
     pool.start()

@@ -84,12 +84,6 @@ class _InheritedSocketServer:
                 conn.setblocking(True)
                 return conn, addr
 
-            def server_close(self) -> None:
-                # Close only this process's dup of the listener; skip
-                # IYPHTTPServer's slowlog dump (the pool logs per
-                # worker at stop instead).
-                socketserver.TCPServer.server_close(self)
-
         return Server()
 
 

@@ -368,6 +368,7 @@ class CypherEngine:
             else:
                 name = type(clause).__name__.replace("Clause", "")
                 with profiler.operator(name, self._clause_detail(clause)) as node:
+                    context.node = node
                     rows, columns = self._apply_clause(clause, rows, context)
                     node.rows = len(rows)
         if columns is None and clauses and isinstance(clauses[-1], ast.CallClause):
@@ -405,28 +406,8 @@ class CypherEngine:
         raise CypherRuntimeError(f"unsupported clause {clause!r}")
 
     def _clause_detail(self, clause: ast.Clause) -> str:
-        """The planner annotation shown next to a profiled operator."""
-        if isinstance(clause, ast.MatchClause):
-            kind = "optional " if clause.optional else ""
-            if not self.optimize:
-                described = "; ".join(
-                    self._matcher.describe_pattern(pattern, {})
-                    for pattern in clause.patterns
-                )
-                return f"{kind}{described}"
-            match_plan = self._plan_clause(clause, frozenset())
-            described = "; ".join(
-                self._matcher.describe_pattern(pattern, {})
-                for pattern in match_plan.patterns
-            )
-            detail = f"{kind}{described}"
-            if match_plan.reordered:
-                order = ",".join(str(i) for i in match_plan.order)
-                detail += f" join_order=[{order}]"
-            pushed = match_plan.pushed_count()
-            if pushed:
-                detail += f" pushed={pushed}"
-            return detail
+        """The annotation shown next to a profiled operator; a MATCH
+        writes its own from the plan it executes (:meth:`_apply_match`)."""
         if isinstance(clause, ast.MergeClause):
             return self._matcher.describe_pattern(clause.pattern, {})
         if isinstance(clause, ast.UnwindClause):
@@ -469,17 +450,30 @@ class CypherEngine:
     ) -> list[Row]:
         output: list[Row] = []
         new_variables = _pattern_variables(clause.patterns)
+        # Rows of one pipeline stage share a variable set, so one plan
+        # serves every row of the clause.
+        seed: Row = rows[0] if rows else {}
+        plan: MatchPlan | None = None
         if self.optimize:
-            # Rows of one pipeline stage share a variable set, so one
-            # plan serves every row of the clause.
-            bound = frozenset(rows[0]) if rows else frozenset()
-            plan = self._plan_clause(clause, bound)
+            plan = self._plan_clause(clause, frozenset(seed))
             patterns: tuple[ast.PathPattern, ...] = plan.patterns
             pushed = plan.pushed or None
             prefilters, residual = plan.prefilters, plan.residual
         else:
             patterns, pushed = clause.patterns, None
             prefilters, residual = (), clause.where
+        if context.node is not None:
+            # PROFILE describes the plan that is about to run: same
+            # bound variables, same join order, same pushdown.
+            detail = "optional " if clause.optional else ""
+            detail += "; ".join(
+                self._matcher.describe_pattern(pattern, seed) for pattern in patterns
+            )
+            if plan is not None and plan.reordered:
+                detail += f" join_order=[{','.join(map(str, plan.order))}]"
+            if plan is not None and plan.pushed_count():
+                detail += f" pushed={plan.pushed_count()}"
+            context.node.detail = detail
         for row in rows:
             context.row = row
             matched = False
@@ -1242,6 +1236,8 @@ class _Context:
         self.parameters = parameters
         self.stats = WriteStats()
         self.row: Row = {}
+        #: The profiler operator of the clause being applied, if any.
+        self.node: ProfileNode | None = None
 
 
 def _merge_stats(target: WriteStats, other: WriteStats) -> None:

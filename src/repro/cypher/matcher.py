@@ -345,11 +345,12 @@ class PatternMatcher:
             for lbl in node.labels
             for key, _ in node.properties
         )
-        access = (
-            "index seek"
-            if indexed
-            else ("label scan" if node.labels else "all-nodes scan")
-        )
+        if node.variable and node.variable in binding:
+            access = "bound"
+        elif indexed:
+            access = "index seek"
+        else:
+            access = "label scan" if node.labels else "all-nodes scan"
         return f"anchor={label} pos={anchor} access={access} est={cost}"
 
     def _choose_anchor(self, pattern: ast.PathPattern, binding: Binding) -> int:

@@ -218,18 +218,6 @@ class StatementRegistry:
             stats.observe(elapsed, rows, cached, error, counters)
             self.recorded_total += 1
 
-    def note_counter(self, fingerprint: str, kind: str, count: int) -> None:
-        """Add to one resource counter after the fact (e.g. the HTTP
-        layer reporting ``bytes_serialized`` once the response body is
-        actually encoded).  Unknown fingerprints (evicted, or stats
-        recorded by another path) are dropped silently."""
-        if count <= 0:
-            return
-        with self._lock:
-            stats = self._statements.get(fingerprint)
-            if stats is not None:
-                stats.counters[kind] = stats.counters.get(kind, 0) + count
-
     # -- reading ---------------------------------------------------------
 
     def get(self, fingerprint: str) -> StatementStats | None:

@@ -6,13 +6,17 @@ Keeping it transport-agnostic means tests (and the CLI) can exercise the
 full serving semantics — caching, invalidation, admission, structured
 errors — without opening a socket.
 
-Execution paths:
+One execution path (:meth:`QueryService.execute`), two lock modes:
 
 - **read queries** run under the store's shared read lock, so any number
   execute in parallel; results are memoized in the version-keyed cache;
 - **write queries** take the exclusive write lock for their whole
   execution, bump ``store.version`` (invalidating every cached result),
   and are never cached.
+
+Telemetry: each request fills one :class:`RequestRecord`, and whatever
+the outcome :meth:`QueryService._emit` feeds it to metrics, the SLO
+tracker, statement statistics and the slow log exactly once.
 
 Hot swap and time travel: the store, engine, and linter live together
 in one immutable :class:`ServingState` that every request captures once
@@ -29,8 +33,11 @@ runs the query there instead.
 
 from __future__ import annotations
 
+import json
+import logging
 import time
 from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.analytics import AnalyticsReport, compute_statistics
@@ -48,6 +55,7 @@ from repro.graphdb.errors import ConstraintViolationError, GraphError
 from repro.graphdb.store import GraphStore
 from repro.lint import QueryLinter, fails_strict
 from repro.obs import (
+    ProfileNode,
     Profiler,
     SLOTracker,
     SlowQueryLog,
@@ -61,6 +69,8 @@ from repro.server.admission import AdmissionController, ServerBusyError
 from repro.server.cache import ResultCache
 from repro.server.metrics import Metrics
 
+log = logging.getLogger("repro.server")
+
 
 class ServiceError(Exception):
     """An error with an HTTP status and a structured JSON body."""
@@ -68,12 +78,48 @@ class ServiceError(Exception):
     def __init__(self, status: int, code: str, message: str):
         self.status = status
         self.code = code
+        #: Trace id of the ``/query`` that failed, when it was traced.
+        self.trace_id: str | None = None
         super().__init__(message)
 
     def payload(self) -> dict[str, Any]:
         return {
             "error": {"code": self.code, "message": str(self), "status": self.status}
         }
+
+
+#: Ordered ``(exception type, HTTP status, error code)``: the first row
+#: an exception is an instance of decides how a failed query is answered,
+#: so subclasses precede their bases.  Anything no row matches is
+#: ``500 internal``.
+OUTCOMES: tuple[tuple[type[Exception], int, str], ...] = (
+    (ServerBusyError, 429, "busy"),
+    (QueryTimeoutError, 408, "timeout"),
+    (RowLimitError, 413, "row_limit"),
+    (CypherSyntaxError, 400, "syntax_error"),
+    (ConstraintViolationError, 409, "constraint_violation"),
+    (CypherError, 400, "query_error"),
+    (GraphError, 400, "query_error"),
+)
+
+#: Failures that enter the slow log whatever they took: the queries that
+#: *couldn't* finish are exactly the ones an operator most wants to see.
+SLOW_LOGGED = frozenset({"timeout", "row_limit", "internal"})
+
+
+def service_error(exc: Exception) -> ServiceError:
+    """Translate an execution failure through :data:`OUTCOMES`."""
+    for kind, status, code in OUTCOMES:
+        if isinstance(exc, kind):
+            return ServiceError(status, code, str(exc))
+    # The client gets a generic message; the text stays on this side.
+    log.exception("unexpected error while serving a query")
+    return ServiceError(500, "internal", "internal server error")
+
+
+def encode_json(payload: Any) -> bytes:
+    """The wire form of every JSON body this server sends."""
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
 def encode_value(value: Any) -> Any:
@@ -170,6 +216,45 @@ class ServingState:
         self.label = label
 
 
+@dataclass(slots=True)
+class RequestRecord:
+    """Everything one ``/query`` did.
+
+    :meth:`QueryService.execute` fills it in as the request advances and
+    hands it to :meth:`QueryService._emit` exactly once, however the
+    request ended; every telemetry view (metrics, SLO, statements, slow
+    log) reads from it and from nothing else.
+    """
+
+    query: str
+    parameters: dict[str, Any]
+    started: float = field(default_factory=time.monotonic)
+    trace_id: str | None = None
+    #: The serving state (generation, label, backend) the query was
+    #: validated against; None while it has not got that far.
+    state: ServingState | None = None
+    is_write: bool = False
+    #: ``(fingerprint, normalized text)`` when statements are kept.
+    statement: tuple[str, str] | None = None
+    elapsed: float = 0.0
+    rows: int = 0
+    cached: bool = False
+    #: Error code of the outcome; None is success.
+    code: str | None = None
+    #: Executed operator tree, whose root carries the query's resource
+    #: counters; None for cache hits and failures.
+    plan: ProfileNode | None = None
+    #: Size of the serialized response (HTTP only).
+    response_bytes: int = 0
+
+    def fail(self, error: ServiceError) -> ServiceError:
+        """Close the record on ``error`` and tie the error to its trace."""
+        self.code = error.code
+        self.elapsed = time.monotonic() - self.started
+        error.trace_id = self.trace_id
+        return error
+
+
 class QueryService:
     """Concurrent Cypher-over-JSON serving against one graph store."""
 
@@ -187,7 +272,6 @@ class QueryService:
         "cache": "frozen",
         "admission": "frozen",
         "metrics": "frozen",
-        "tracing": "frozen",
         "tracer": "frozen",
         "slowlog": "frozen",
         "statements": "frozen",
@@ -204,30 +288,24 @@ class QueryService:
         default_timeout: float | None = 30.0,
         default_max_rows: int | None = 100_000,
         cache_size: int = 256,
-        engine: CypherEngine | None = None,
         metrics: Metrics | None = None,
         tracing: bool = True,
         slow_query_seconds: float = 1.0,
-        slowlog_capacity: int = 128,
         archive: Any | None = None,
         snapshot_label: str | None = None,
-        historical_stores: int = 4,
         statement_stats: bool = True,
-        statement_capacity: int = 512,
-        slo: SLOTracker | None = None,
     ):
-        self._state = ServingState(
-            store,
-            engine or CypherEngine(store),
-            QueryLinter(store),
-            generation=0,
-            label=snapshot_label,
-        )
         #: Optional :class:`repro.archive.SnapshotArchive` backing the
         #: time-travel (``snapshot=``) selector and ``/admin/swap``.
         self.archive = archive
-        #: label -> ServingState for loaded historical snapshots.
-        self._historical: LRUCache = LRUCache(historical_stores)
+        #: With ``tracing`` off, spans and per-query profiling are both
+        #: disabled — the comparison baseline of the lifecycle
+        #: benchmark's ``obs.overhead_pct``.
+        self.tracer = Tracer(enabled=tracing)
+        self._state = self._build_state(store, 0, snapshot_label)
+        #: label -> ServingState for the four archived snapshots that
+        #: time travel used most recently.
+        self._historical: LRUCache = LRUCache(4)
         # Serializes hot swaps: the pointer install itself is atomic, but
         # generation arithmetic and the cache clears must not interleave.
         self._swap_lock = new_lock("QueryService._swap_lock")
@@ -244,27 +322,17 @@ class QueryService:
         #: (e.g. one the build pipeline already wrote crawler counters
         #: into).
         self.metrics = metrics or Metrics()
-        #: With ``tracing`` off, spans and per-query profiling are both
-        #: disabled — the comparison baseline of the lifecycle
-        #: benchmark's ``obs.overhead_pct``.
-        self.tracing = tracing
-        self.tracer = Tracer(enabled=tracing)
-        self.engine.tracer = self.tracer
-        self._attach_analytics(self.engine, store, snapshot_label)
-        self.slowlog = SlowQueryLog(
-            threshold_seconds=slow_query_seconds, capacity=slowlog_capacity
-        )
+        self.slowlog = SlowQueryLog(threshold_seconds=slow_query_seconds)
         #: pg_stat_statements-style per-fingerprint aggregates (None when
         #: disabled — the overhead-guard baseline).  With stats enabled a
         #: per-query profiler always runs, so resource counters (nodes
         #: scanned, binds attempted, ...) flow into the aggregates even
         #: when tracing is off.
         self.statements: StatementRegistry | None = (
-            StatementRegistry(statement_capacity) if statement_stats else None
+            StatementRegistry() if statement_stats else None
         )
-        #: Rolling-window latency/availability objectives; pass a
-        #: configured :class:`SLOTracker` to override the defaults.
-        self.slo = slo or SLOTracker()
+        #: Rolling-window latency/availability objectives.
+        self.slo = SLOTracker()
         #: Archive loads currently in flight; ``/readyz`` returns 503
         #: while this is non-zero (a swap's load phase can take seconds —
         #: a rollout orchestrator should not route new traffic here
@@ -445,25 +513,28 @@ class QueryService:
             with self._loading_lock:
                 self._loading -= 1
 
-    def _archive_entry(self, selector: str):
+    def _resolve(self, selector: str):
         if self.archive is None:
-            raise self._count_error(
-                ServiceError(400, "no_archive", "no snapshot archive attached")
-            )
+            raise ServiceError(400, "no_archive", "no snapshot archive attached")
         if not isinstance(selector, str) or not selector:
-            raise self._count_error(
-                ServiceError(400, "bad_request", "snapshot selector must be a string")
-            )
+            raise ServiceError(400, "bad_request", "snapshot selector must be a string")
         try:
             return self.archive.resolve(selector)
         except KeyError as exc:
-            raise self._count_error(
-                ServiceError(404, "unknown_snapshot", str(exc.args[0]))
-            ) from exc
+            raise ServiceError(404, "unknown_snapshot", str(exc.args[0])) from exc
+
+    def _archive_entry(self, selector: str):
+        """Resolve for an archive route, counting the failure here — a
+        ``/query`` that names a snapshot counts its own in :meth:`_emit`."""
+        try:
+            return self._resolve(selector)
+        except ServiceError as exc:
+            self.metrics.inc("query_errors_total", labels={"code": exc.code})
+            raise
 
     def _historical_state(self, selector: str) -> ServingState:
         """The (cached) read-only serving state for an archived snapshot."""
-        entry = self._archive_entry(selector)
+        entry = self._resolve(selector)
         state = self._historical.get(entry.label)
         if state is None:
             with self.tracer.span("archive_load", label=entry.label):
@@ -502,7 +573,8 @@ class QueryService:
         max_rows: int | None = None,
         profile: bool = False,
         snapshot: str | None = None,
-    ) -> dict[str, Any]:
+        wire: bool = False,
+    ) -> Any:
         """Run one query with admission control and caching.
 
         Returns the JSON-able response body; raises :class:`ServiceError`
@@ -511,250 +583,164 @@ class QueryService:
         the response carries the executed operator tree (``POST
         /profile``).  With ``snapshot`` the query runs read-only against
         the named archived dump (time travel) instead of the live store.
+        With ``wire`` (the HTTP handler) the body is serialized here, so
+        its size is on the record before the record is emitted, and
+        ``(payload bytes, trace id)`` is returned instead.
+
+        However the request ends, its :class:`RequestRecord` reaches
+        :meth:`_emit` exactly once.
         """
+        record = RequestRecord(query, dict(parameters or {}))
+        try:
+            with self.tracer.trace("request", profile=profile) as root:
+                if root is not None:
+                    record.trace_id = root.trace_id
+                body = self._run(record, timeout, max_rows, profile, snapshot)
+                state, plan = record.state, record.plan
+                meta: dict[str, Any] = {
+                    "cached": record.cached,
+                    "elapsed_ms": round(record.elapsed * 1000, 3),
+                    "store_version": state.store.version,
+                }
+                if record.statement is not None:
+                    meta["fingerprint"] = record.statement[0]
+                if snapshot is not None:
+                    meta["snapshot"] = state.label
+                warnings = self._lint_warnings(state, query)
+                if warnings:
+                    meta["warnings"] = warnings
+                if record.trace_id is not None:
+                    meta["trace_id"] = record.trace_id
+                response = {**body, "meta": meta}
+                if profile and plan is not None:
+                    response["profile"] = {
+                        "plan": plan.to_dict(),
+                        "render": plan.render().splitlines(),
+                    }
+                if not wire:
+                    return response
+                payload = encode_json(response)
+                record.response_bytes = len(payload)
+                return payload, record.trace_id
+        except ServiceError as exc:
+            record.fail(exc)
+            raise
+        except Exception as exc:
+            raise record.fail(service_error(exc)) from exc
+        finally:
+            self._emit(record)
+
+    def _run(
+        self,
+        record: RequestRecord,
+        timeout: float | None,
+        max_rows: int | None,
+        profile: bool,
+        snapshot: str | None,
+    ) -> dict[str, Any]:
+        """Validate, admit and execute ``record.query``; the encoded
+        result body.  Reads and writes differ only in the store lock they
+        hold and in whether the result cache is consulted."""
+        query, params = record.query, record.parameters
         if not isinstance(query, str) or not query.strip():
-            raise self._count_error(ServiceError(400, "bad_request", "empty query"))
-        params = dict(parameters or {})
-        with self.tracer.trace("request", profile=profile) as root:
-            trace_id = root.trace_id if root is not None else None
-            started = time.monotonic()
-            # Capture one serving state for the whole request: a hot
-            # swap concurrent with this query must not mix stores.
-            state = self._state if snapshot is None else self._historical_state(snapshot)
-            try:
-                is_write = state.engine.is_write_query(query)
-            except CypherSyntaxError as exc:
-                raise self._count_error(
-                    ServiceError(400, "syntax_error", str(exc))
-                ) from exc
-            if is_write and snapshot is not None:
-                raise self._count_error(
-                    ServiceError(
-                        403, "read_only_snapshot",
-                        f"archived snapshot {state.label!r} is read-only",
-                    )
-                )
-            try:
-                with ExitStack() as stack:
-                    with self.tracer.span("admission"):
-                        stack.enter_context(self.admission.slot())
-                    if is_write:
-                        body, cached, plan = self._execute_write(
-                            state, query, params, timeout, max_rows, profile
-                        )
-                    else:
-                        body, cached, plan = self._execute_read(
-                            state, query, params, timeout, max_rows, profile
-                        )
-            except ServerBusyError as exc:
-                self._observe_failure(state, query, started, "busy")
-                raise self._count_error(
-                    ServiceError(429, "busy", str(exc))
-                ) from exc
-            except QueryTimeoutError as exc:
-                self._log_aborted(state, query, params, trace_id, started, "timeout")
-                raise self._count_error(
-                    ServiceError(408, "timeout", str(exc))
-                ) from exc
-            except RowLimitError as exc:
-                self._log_aborted(state, query, params, trace_id, started, "row_limit")
-                raise self._count_error(
-                    ServiceError(413, "row_limit", str(exc))
-                ) from exc
-            except CypherSyntaxError as exc:
-                self._observe_failure(state, query, started, "syntax_error")
-                raise self._count_error(
-                    ServiceError(400, "syntax_error", str(exc))
-                ) from exc
-            except ConstraintViolationError as exc:
-                self._observe_failure(state, query, started, "constraint_violation")
-                raise self._count_error(
-                    ServiceError(409, "constraint_violation", str(exc))
-                ) from exc
-            except (CypherError, GraphError) as exc:
-                self._observe_failure(state, query, started, "query_error")
-                raise self._count_error(
-                    ServiceError(400, "query_error", str(exc))
-                ) from exc
-            elapsed = time.monotonic() - started
-        self.metrics.observe("query_latency_seconds", elapsed)
-        self.metrics.inc(
-            "queries_total",
-            labels={"kind": "write" if is_write else "read",
-                    "cache": "hit" if cached else "miss"},
-        )
-        self.slo.observe(elapsed)
+            raise ServiceError(400, "bad_request", "empty query")
+        # Capture one serving state for the whole request: a hot swap
+        # concurrent with this query must not mix stores.
+        state = self._state if snapshot is None else self._historical_state(snapshot)
+        is_write = state.engine.is_write_query(query)
+        if is_write and snapshot is not None:
+            raise ServiceError(
+                403, "read_only_snapshot",
+                f"archived snapshot {state.label!r} is read-only",
+            )
+        record.state, record.is_write = state, is_write
+        if self.statements is not None:
+            record.statement = state.engine.fingerprint(query)
+        cacheable = not (is_write or profile)
+        with ExitStack() as stack:
+            with self.tracer.span("admission"):
+                stack.enter_context(self.admission.slot())
+            # The lock spans version read + cache lookup + execution, so
+            # a cached entry is guaranteed to describe the version it is
+            # keyed on — a writer cannot slip in halfway through.  The
+            # state's generation joins the cache key: results computed on
+            # a pre-swap store (or an archived one) can never answer for
+            # the live store even when version counters coincide.
+            store = state.store
+            stack.enter_context(store.write_lock() if is_write else store.read_lock())
+            version = (state.generation, store.version)
+            body = None
+            if cacheable:
+                with self.tracer.span("cache_lookup"):
+                    body = self.cache.get(query, params, version)
+            if body is not None:
+                record.cached = True
+            else:
+                # Profiled whenever someone will read the plan: the slow
+                # log (tracing on), the statement counters, or the caller.
+                observed = profile or self.tracer.enabled or self.statements is not None
+                profiler = Profiler() if observed else None
+                guard = self.admission.guard(timeout, max_rows)
+                result = state.engine.run(query, params, guard=guard, profiler=profiler)
+                body = encode_result(result)
+                if cacheable:
+                    self.cache.put(query, params, version, body)
+                if profiler is not None:
+                    record.plan = profiler.root
+        record.rows = body.get("row_count", 0)
+        record.elapsed = time.monotonic() - record.started
+        return body
+
+    def _emit(self, record: RequestRecord) -> None:
+        """Feed one finished request to every telemetry view — the only
+        place query telemetry is written."""
+        metrics, code, elapsed = self.metrics, record.code, record.elapsed
+        if code is None:
+            metrics.observe("query_latency_seconds", elapsed)
+            metrics.inc(
+                "queries_total",
+                labels={"kind": "write" if record.is_write else "read",
+                        "cache": "hit" if record.cached else "miss"},
+            )
+        else:
+            metrics.inc("query_errors_total", labels={"code": code})
+        if record.state is None:
+            return  # turned away before it named a runnable query
+        self.slo.observe(elapsed, code)
         # Whole-query resource counters (nodes scanned, rels expanded,
         # binds attempted, ...) aggregated by the profiler; cache hits
-        # executed nothing and carry none.
-        counters = dict(plan.hits) if plan is not None else None
+        # executed nothing and carry only the bytes sent.
+        plan = record.plan
+        counters = dict(plan.hits) if plan is not None else {}
+        if record.response_bytes:
+            metrics.inc("response_bytes_total", record.response_bytes)
+            counters["bytes_serialized"] = record.response_bytes
         fingerprint = None
-        if self.statements is not None:
-            identity = self._fingerprint_of(state, query)
-            if identity is not None:
-                fingerprint = identity[0]
-                self.statements.record(
-                    identity[0],
-                    identity[1],
-                    elapsed=elapsed,
-                    rows=body.get("row_count", 0),
-                    cached=cached,
-                    counters=counters,
-                )
-        if plan is not None and self.slowlog.should_record(elapsed):
-            self.metrics.inc("slow_queries_total")
-            if fingerprint is None:
-                identity = self._fingerprint_of(state, query)
-                fingerprint = identity[0] if identity is not None else None
+        if record.statement is not None:  # set only when statements are kept
+            fingerprint, normalized = record.statement
+            self.statements.record(
+                fingerprint,
+                normalized,
+                elapsed=elapsed,
+                rows=record.rows,
+                cached=record.cached,
+                error=code,
+                counters=counters,
+            )
+        if code in SLOW_LOGGED or (
+            plan is not None and self.slowlog.should_record(elapsed)
+        ):
+            metrics.inc("slow_queries_total")
             self.slowlog.record(
-                query,
+                record.query,
                 elapsed,
-                parameters=params,
-                trace_id=trace_id,
-                plan=plan.to_dict(),
+                parameters=record.parameters,
+                trace_id=record.trace_id,
+                plan=plan.to_dict() if plan is not None else None,
+                error=code,
                 fingerprint=fingerprint,
                 counters=counters,
             )
-        response = {
-            **body,
-            "meta": {
-                "cached": cached,
-                "elapsed_ms": round(elapsed * 1000, 3),
-                "store_version": state.store.version,
-            },
-        }
-        if fingerprint is not None:
-            response["meta"]["fingerprint"] = fingerprint
-        if snapshot is not None:
-            response["meta"]["snapshot"] = state.label
-        warnings = self._lint_warnings(state, query)
-        if warnings:
-            response["meta"]["warnings"] = warnings
-        if trace_id is not None:
-            response["meta"]["trace_id"] = trace_id
-        if profile and plan is not None:
-            response["profile"] = {
-                "plan": plan.to_dict(),
-                "render": plan.render().splitlines(),
-            }
-        return response
-
-    def profile(
-        self,
-        query: str,
-        parameters: Mapping[str, Any] | None = None,
-        timeout: float | None = None,
-        max_rows: int | None = None,
-        snapshot: str | None = None,
-    ) -> dict[str, Any]:
-        """``POST /profile``: execute for real, return rows + plan tree."""
-        return self.execute(
-            query, parameters, timeout, max_rows, profile=True, snapshot=snapshot
-        )
-
-    def _profiler(self, profile: bool) -> Profiler | None:
-        """Per-query profiler: always on while tracing is enabled (the
-        slow-query log wants a plan for any query that turns out slow)
-        or statement statistics are collecting (resource accounting rides
-        on the profiler's collector), and forced for explicit PROFILE
-        requests."""
-        if profile or self.tracing or self.statements is not None:
-            return Profiler()
-        return None
-
-    def _fingerprint_of(self, state: ServingState, query: str) -> tuple[str, str] | None:
-        """``(fingerprint, normalized)`` for a query, None when it cannot
-        be parsed — statement stats must never fail a request."""
-        try:
-            return state.engine.fingerprint(query)
-        except (CypherError, GraphError):
-            return None
-
-    def _observe_failure(
-        self, state: ServingState, query: str, started: float, code: str
-    ) -> float:
-        """Fold one failed query into SLO and statement aggregates."""
-        elapsed = time.monotonic() - started
-        self.slo.observe(elapsed, code)
-        if self.statements is not None:
-            identity = self._fingerprint_of(state, query)
-            if identity is not None:
-                self.statements.record(
-                    identity[0], identity[1], elapsed=elapsed, error=code
-                )
-        return elapsed
-
-    def _execute_read(
-        self,
-        state: ServingState,
-        query: str,
-        params: dict[str, Any],
-        timeout: float | None,
-        max_rows: int | None,
-        profile: bool,
-    ) -> tuple[dict[str, Any], bool, Any]:
-        # The read lock spans version read + cache lookup + execution, so
-        # the cached entry is guaranteed to describe the version it is
-        # keyed on — a writer cannot slip in halfway through.  The
-        # state's generation joins the cache key: results computed on a
-        # pre-swap store (or an archived one) can never answer for the
-        # live store even when version counters coincide.
-        with state.store.read_lock():
-            version = (state.generation, state.store.version)
-            if not profile:
-                with self.tracer.span("cache_lookup"):
-                    cached_body = self.cache.get(query, params, version)
-                if cached_body is not None:
-                    return cached_body, True, None
-            guard = self.admission.guard(timeout, max_rows)
-            profiler = self._profiler(profile)
-            result = state.engine.run(query, params, guard=guard, profiler=profiler)
-            body = encode_result(result)
-            if not profile:
-                self.cache.put(query, params, version, body)
-            return body, False, profiler.root if profiler else None
-
-    def _execute_write(
-        self,
-        state: ServingState,
-        query: str,
-        params: dict[str, Any],
-        timeout: float | None,
-        max_rows: int | None,
-        profile: bool,
-    ) -> tuple[dict[str, Any], bool, Any]:
-        guard = self.admission.guard(timeout, max_rows)
-        profiler = self._profiler(profile)
-        with state.store.write_lock():
-            result = state.engine.run(query, params, guard=guard, profiler=profiler)
-            body = encode_result(result)
-        return body, False, profiler.root if profiler else None
-
-    def _log_aborted(
-        self,
-        state: ServingState,
-        query: str,
-        params: dict[str, Any],
-        trace_id: str | None,
-        started: float,
-        error: str,
-    ) -> None:
-        """Aborted queries go to the slow log with their error code."""
-        elapsed = self._observe_failure(state, query, started, error)
-        self.metrics.inc("slow_queries_total")
-        identity = self._fingerprint_of(state, query)
-        self.slowlog.record(
-            query,
-            elapsed,
-            parameters=params,
-            trace_id=trace_id,
-            error=error,
-            fingerprint=identity[0] if identity is not None else None,
-        )
-
-    def _count_error(self, error: ServiceError) -> ServiceError:
-        self.metrics.inc("query_errors_total", labels={"code": error.code})
-        return error
 
     # ------------------------------------------------------------------
     # GET endpoints
@@ -780,7 +766,8 @@ class QueryService:
     def lint(self, query: str) -> dict[str, Any]:
         """``POST /lint``: static diagnostics for a query, no execution."""
         if not isinstance(query, str) or not query.strip():
-            raise self._count_error(ServiceError(400, "bad_request", "empty query"))
+            self.metrics.inc("query_errors_total", labels={"code": "bad_request"})
+            raise ServiceError(400, "bad_request", "empty query")
         findings = self.linter.lint(query)
         for finding in findings:
             self.metrics.inc(
@@ -855,14 +842,6 @@ class QueryService:
             return self.statements.snapshot(top=top, sort=sort)
         except ValueError as exc:
             raise ServiceError(400, "bad_request", str(exc)) from exc
-
-    def record_response_bytes(self, fingerprint: str | None, nbytes: int) -> None:
-        """Fold a serialized response size into the statement's resource
-        counters (called by the HTTP layer, which is where the bytes
-        actually exist) and the service-wide counter."""
-        self.metrics.inc("response_bytes_total", nbytes)
-        if self.statements is not None and fingerprint:
-            self.statements.note_counter(fingerprint, "bytes_serialized", nbytes)
 
     def ready(self) -> tuple[bool, dict[str, Any]]:
         """``GET /readyz``: readiness, distinct from liveness.

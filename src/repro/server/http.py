@@ -36,14 +36,64 @@ from __future__ import annotations
 import json
 import logging
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 from urllib.parse import parse_qs, urlsplit
 
-from repro.server.app import QueryService, ServiceError
+from repro.server.app import QueryService, ServiceError, encode_json, service_error
 
 log = logging.getLogger("repro.server")
 
 MAX_BODY_BYTES = 4 * 1024 * 1024  # a 4 MiB query is a client bug
+
+Params = dict[str, list[str]]
+
+
+def _required(params: Params, name: str, hint: str) -> str:
+    value = params.get(name, [""])[0]
+    if not value:
+        raise ServiceError(400, "bad_request", f"missing ?{name}=<{hint}>")
+    return value
+
+
+def _readyz(service: QueryService, params: Params) -> tuple[int, Any, None]:
+    ready, body = service.ready()
+    return (200 if ready else 503), body, None
+
+
+def _statements(service: QueryService, params: Params) -> Any:
+    top_raw = params.get("top", [""])[0]
+    try:
+        top = int(top_raw) if top_raw else None
+    except ValueError:
+        raise ServiceError(400, "bad_request", "top must be an integer") from None
+    sort = params.get("sort", ["total_seconds"])[0]
+    return service.statements_snapshot(top=top, sort=sort)
+
+
+#: GET route -> handler.  A handler returns the body (a ``str`` leaves as
+#: Prometheus text, anything else as JSON) or ``(status, body, trace id)``.
+GET_ROUTES: Mapping[str, Callable[[QueryService, Params], Any]] = MappingProxyType({
+    "/healthz": lambda service, params: service.health(),
+    "/readyz": _readyz,
+    "/quality": lambda service, params: service.quality_report(),
+    "/stats": lambda service, params: service.stats(),
+    "/ontology": lambda service, params: service.ontology(),
+    "/metrics": lambda service, params: service.metrics_text(),
+    "/explain": lambda service, params: service.explain(
+        _required(params, "q", "query")
+    ),
+    "/archive": lambda service, params: service.archive_listing(),
+    "/archive/info": lambda service, params: service.archive_info(
+        _required(params, "snapshot", "selector")
+    ),
+    "/debug/slowlog": lambda service, params: service.slowlog_snapshot(),
+    "/debug/statements": _statements,
+    "/debug/traces": lambda service, params: service.traces(),
+    "/debug/trace": lambda service, params: service.trace(
+        _required(params, "id", "trace_id")
+    ),
+})
 
 
 class IYPRequestHandler(BaseHTTPRequestHandler):
@@ -59,98 +109,60 @@ class IYPRequestHandler(BaseHTTPRequestHandler):
     # -- routing ---------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        url = urlsplit(self.path)
-        route = url.path.rstrip("/") or "/"
-        try:
-            if route == "/healthz":
-                self._send_json(200, self.service.health())
-            elif route == "/readyz":
-                ready, body = self.service.ready()
-                self._send_json(200 if ready else 503, body)
-            elif route == "/quality":
-                self._send_json(200, self.service.quality_report())
-            elif route == "/stats":
-                self._send_json(200, self.service.stats())
-            elif route == "/ontology":
-                self._send_json(200, self.service.ontology())
-            elif route == "/metrics":
-                self._send_text(200, self.service.metrics_text())
-            elif route == "/explain":
-                query = parse_qs(url.query).get("q", [""])[0]
-                if not query:
-                    raise ServiceError(400, "bad_request", "missing ?q=<query>")
-                self._send_json(200, self.service.explain(query))
-            elif route == "/archive":
-                self._send_json(200, self.service.archive_listing())
-            elif route == "/archive/info":
-                selector = parse_qs(url.query).get("snapshot", [""])[0]
-                if not selector:
-                    raise ServiceError(
-                        400, "bad_request", "missing ?snapshot=<selector>"
-                    )
-                self._send_json(200, self.service.archive_info(selector))
-            elif route == "/debug/slowlog":
-                self._send_json(200, self.service.slowlog_snapshot())
-            elif route == "/debug/statements":
-                params = parse_qs(url.query)
-                top_raw = params.get("top", [""])[0]
-                try:
-                    top = int(top_raw) if top_raw else None
-                except ValueError:
-                    raise ServiceError(
-                        400, "bad_request", "top must be an integer"
-                    ) from None
-                sort = params.get("sort", ["total_seconds"])[0]
-                self._send_json(
-                    200, self.service.statements_snapshot(top=top, sort=sort)
-                )
-            elif route == "/debug/traces":
-                self._send_json(200, self.service.traces())
-            elif route == "/debug/trace":
-                trace_id = parse_qs(url.query).get("id", [""])[0]
-                if not trace_id:
-                    raise ServiceError(400, "bad_request", "missing ?id=<trace_id>")
-                self._send_json(200, self.service.trace(trace_id))
-            else:
-                raise ServiceError(404, "not_found", f"no route {route!r}")
-        except ServiceError as exc:
-            self._send_json(exc.status, exc.payload())
+        self._respond(self._get)
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
+        self._respond(self._post)
+
+    def _get(self) -> Any:
+        url = urlsplit(self.path)
+        route = url.path.rstrip("/") or "/"
+        handler = GET_ROUTES.get(route)
+        if handler is None:
+            raise ServiceError(404, "not_found", f"no route {route!r}")
+        return handler(self.service, parse_qs(url.query))
+
+    def _post(self) -> Any:
         route = urlsplit(self.path).path.rstrip("/")
+        if route not in ("/query", "/profile", "/lint", "/admin/swap"):
+            raise ServiceError(404, "not_found", f"no route {route!r}")
+        request = self._read_json_body()
+        if route == "/lint":
+            return self.service.lint(request.get("query", ""))
+        if route == "/admin/swap":
+            return self.service.load_and_swap(request.get("snapshot", "latest"))
+        # Serialized inside the service, so the size is on the request
+        # record with everything else the request did.
+        payload, trace_id = self.service.execute(
+            request.get("query", ""),
+            parameters=request.get("parameters"),
+            timeout=request.get("timeout"),
+            max_rows=request.get("max_rows"),
+            profile=(route == "/profile"),
+            snapshot=request.get("snapshot"),
+            wire=True,
+        )
+        return 200, payload, trace_id
+
+    def _respond(self, produce: Callable[[], Any]) -> None:
+        """The one writer: an answer, a :class:`ServiceError` and an
+        unexpected exception all leave through here, as a response on a
+        connection that stays usable."""
         try:
-            if route == "/lint":
-                request = self._read_json_body()
-                self._send_json(200, self.service.lint(request.get("query", "")))
-                return
-            if route == "/admin/swap":
-                request = self._read_json_body()
-                self._send_json(
-                    200,
-                    self.service.load_and_swap(request.get("snapshot", "latest")),
-                )
-                return
-            if route not in ("/query", "/profile"):
-                raise ServiceError(404, "not_found", f"no route {route!r}")
-            request = self._read_json_body()
-            response = self.service.execute(
-                request.get("query", ""),
-                parameters=request.get("parameters"),
-                timeout=request.get("timeout"),
-                max_rows=request.get("max_rows"),
-                profile=(route == "/profile"),
-                snapshot=request.get("snapshot"),
+            result = produce()
+            status, body, trace_id = (
+                result if isinstance(result, tuple) else (200, result, None)
             )
-            # Serialize once here — the only place the response bytes
-            # exist — and report the size into the statement's resource
-            # counters (bytes_serialized) via its fingerprint.
-            payload = json.dumps(response, separators=(",", ":")).encode("utf-8")
-            self.service.record_response_bytes(
-                response.get("meta", {}).get("fingerprint"), len(payload)
-            )
-            self._send_bytes(200, payload, "application/json; charset=utf-8")
-        except ServiceError as exc:
-            self._send_json(exc.status, exc.payload())
+        except Exception as exc:
+            error = exc if isinstance(exc, ServiceError) else service_error(exc)
+            status, body, trace_id = error.status, error.payload(), error.trace_id
+        content_type = "application/json; charset=utf-8"
+        if isinstance(body, str):
+            body = body.encode("utf-8")
+            content_type = "text/plain; version=0.0.4; charset=utf-8"
+        elif not isinstance(body, bytes):
+            body = encode_json(body)
+        self._send_bytes(status, body, content_type, trace_id)
 
     # -- helpers ---------------------------------------------------------
 
@@ -174,22 +186,14 @@ class IYPRequestHandler(BaseHTTPRequestHandler):
             raise ServiceError(400, "bad_request", "parameters must be an object")
         return body
 
-    def _send_json(self, status: int, payload: Any) -> None:
-        self._send_bytes(
-            status,
-            json.dumps(payload, separators=(",", ":")).encode("utf-8"),
-            "application/json; charset=utf-8",
-        )
-
-    def _send_text(self, status: int, text: str) -> None:
-        self._send_bytes(
-            status, text.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8"
-        )
-
-    def _send_bytes(self, status: int, body: bytes, content_type: str) -> None:
+    def _send_bytes(
+        self, status: int, body: bytes, content_type: str, trace_id: str | None
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if trace_id is not None:
+            self.send_header("X-Trace-Id", trace_id)
         self.end_headers()
         self.wfile.write(body)
 
@@ -206,18 +210,6 @@ class IYPHTTPServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], service: QueryService):
         super().__init__(address, IYPRequestHandler)
         self.service = service
-
-    def server_close(self) -> None:
-        """On shutdown, leave the slow-query ring and the statement
-        aggregates in the server log."""
-        dump = self.service.slowlog.format_text()
-        if dump:
-            log.info("slow-query log at shutdown:\n%s", dump)
-        if self.service.statements is not None:
-            statements = self.service.statements.format_text()
-            if statements:
-                log.info("statement statistics at shutdown:\n%s", statements)
-        super().server_close()
 
 
 def create_server(

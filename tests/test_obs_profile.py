@@ -161,6 +161,38 @@ class TestEngineProfile:
                 "operator", "detail", "rows", "time_ms", "hits", "children",
             }
 
+    def test_match_is_planned_once_and_detail_is_the_executed_plan(
+        self, engine, monkeypatch
+    ):
+        import repro.cypher.engine as engine_module
+
+        bounds: list[frozenset] = []
+        real_plan_match = engine_module.plan_match
+
+        def counting_plan_match(patterns, where, store, bound=frozenset(), **kwargs):
+            bounds.append(bound)
+            return real_plan_match(patterns, where, store, bound, **kwargs)
+
+        monkeypatch.setattr(engine_module, "plan_match", counting_plan_match)
+        _, plan = engine.profile("MATCH (a:AS) MATCH (a)-[r]->(b) RETURN count(*)")
+        # One plan per MATCH, the second with ``a`` bound — under PROFILE
+        # exactly as without it.
+        assert bounds == [frozenset(), frozenset({"a"})]
+        bounds.clear()
+        engine.run("MATCH (a:AS) MATCH (a)-[r]->(b) RETURN count(*)")
+        assert bounds == [frozenset(), frozenset({"a"})]
+        _, second, _ = plan.children
+        assert "access=bound" in second.detail
+        # With ``a`` bound the planner starts from the connected pattern
+        # and ``a.asn = ...`` is a per-row prefilter, not a pushed seek.
+        _, plan = engine.profile(
+            "MATCH (a:AS) MATCH (p:Prefix), (a)-[r]->(b) "
+            "WHERE a.asn = 64500 RETURN count(*)"
+        )
+        _, second, _ = plan.children
+        assert "join_order=[1,0]" in second.detail
+        assert "pushed=" not in second.detail
+
     def test_unprofiled_run_collects_nothing(self, engine):
         result = engine.run("MATCH (a:AS) RETURN count(a)")
         assert result.value() == 10  # no profiler, no error, no state leak

@@ -56,16 +56,6 @@ class TestAggregation:
         assert row["counters"]["nodes_scanned"] == 15
         assert row["counters"]["bind_attempt"] == 4
 
-    def test_note_counter_joins_after_the_fact(self):
-        registry = StatementRegistry()
-        registry.record("abc", "Q", elapsed=0.01)
-        registry.note_counter("abc", "bytes_serialized", 1024)
-        registry.note_counter("abc", "bytes_serialized", 1024)
-        assert registry.get("abc").counters["bytes_serialized"] == 2048
-        # Unknown fingerprints (evicted or never seen) drop silently.
-        registry.note_counter("nope", "bytes_serialized", 1)
-        assert registry.get("nope") is None
-
 
 class TestBoundedness:
     def test_capacity_is_enforced_with_lru_eviction(self):

@@ -328,6 +328,72 @@ class TestAdmission:
         assert entries[-1]["error"] == "row_limit"
         assert entries[-1]["query"] == "MATCH (a:AS) RETURN a.asn"
 
+    def test_unexpected_exception_is_a_500_every_view_sees_once(
+        self, scratch_server, monkeypatch
+    ):
+        import http.client
+
+        base, service, _ = scratch_server
+
+        def broken_run(*args, **kwargs):
+            raise RuntimeError("procedure blew up: secret detail")
+
+        monkeypatch.setattr(service.engine, "run", broken_run)
+        query = "MATCH (a:AS) RETURN count(a)"
+        fingerprint, _ = service.engine.fingerprint(query)
+
+        def views():
+            return [
+                service.metrics.counter_value(
+                    "query_errors_total", {"code": "internal"}
+                ),
+                service.slo.snapshot()["queries_in_window"],
+                service.statements.recorded_total,
+                service.slowlog.recorded_total,
+            ]
+
+        before = views()
+        host, port = base.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            connection.request("POST", "/query", body=json.dumps({"query": query}))
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 500
+            assert body["error"]["code"] == "internal"
+            assert body["error"]["status"] == 500
+            assert "secret detail" not in body["error"]["message"]
+            # The same keep-alive connection answers the next request.
+            connection.request("GET", "/healthz")
+            alive = connection.getresponse()
+            assert alive.status == 200
+            assert json.loads(alive.read())["status"] == "ok"
+        finally:
+            connection.close()
+        moved = [b - a for a, b in zip(before, views(), strict=True)]
+        assert moved == [1, 1, 1, 1]
+        assert service.statements.get(fingerprint).errors == {"internal": 1}
+        assert service.slo.snapshot()["availability"]["compliance"] < 1.0
+        entry = service.slowlog.snapshot()["entries"][-1]
+        assert entry["error"] == "internal" and entry["fingerprint"] == fingerprint
+        # The exception text stays server-side: on the trace, not the wire.
+        spans = service.tracer.get_trace(entry["trace_id"])
+        assert any("secret detail" in s.attributes.get("error", "") for s in spans)
+
+    def test_unexpected_exception_outside_query_routes_is_a_500(
+        self, scratch_server, monkeypatch
+    ):
+        base, service, _ = scratch_server
+
+        def broken_ontology():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service, "ontology", broken_ontology)
+        status, body = _get(f"{base}/ontology")
+        assert status == 500
+        assert body["error"]["code"] == "internal"
+        assert _get(f"{base}/healthz")[0] == 200
+
     def test_parallel_readers_all_succeed(self, iyp_server):
         """Six clients sweeping distinct parameters (every request
         misses the cache) really do run inside the store together; the

@@ -10,9 +10,11 @@ machinery through real sockets.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import urllib.error
 import urllib.request
+from contextlib import ExitStack
 
 import pytest
 
@@ -51,6 +53,22 @@ def _store_with_ases(n: int) -> GraphStore:
     for asn in range(64500, 64500 + n):
         store.create_node({"AS"}, {"asn": asn})
     return store
+
+
+def _dense_store() -> GraphStore:
+    """Ten ASes under a uniqueness constraint plus a 10-clique whose
+    variable-length expansion can burn any time budget."""
+    store = _store_with_ases(10)
+    store.create_unique_constraint("AS", "asn")
+    dense = [store.create_node({"Dense"}, {"i": i}) for i in range(10)]
+    for a in dense:
+        for b in dense:
+            if a.id < b.id:
+                store.create_relationship(a.id, "LINK", b.id)
+    return store
+
+
+BURN = "MATCH (a:Dense)-[:LINK*1..9]-(b:Dense) RETURN count(*)"
 
 
 @pytest.fixture()
@@ -288,3 +306,295 @@ class TestSLOSurfacing:
         availability = service.slo.snapshot()["availability"]
         assert availability["compliance"] < 1.0
         assert availability["burn_rate"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the request record: every outcome reaches every view exactly once
+# ---------------------------------------------------------------------------
+
+COUNT = "MATCH (a:AS) RETURN count(a)"
+
+#: case id, query, execute() limits, slow-log threshold, error code (None
+#: is success), whether the outcome enters the slow log.
+OUTCOME_CASES = [
+    ("success-miss", COUNT, {}, 1.0, None, False),
+    ("success-hit", COUNT, {}, 1.0, None, False),
+    ("success-slow", COUNT, {}, 0.0, None, True),
+    ("busy", COUNT, {}, 1.0, "busy", False),
+    ("timeout", BURN, {"timeout": 0.05}, 1.0, "timeout", True),
+    ("row_limit", "MATCH (a:AS) RETURN a.asn", {"max_rows": 2}, 1.0, "row_limit", True),
+    ("syntax_error", "MATCH (", {}, 1.0, "syntax_error", False),
+    ("constraint_violation", "CREATE (a:AS {asn: 64500})", {}, 1.0,
+     "constraint_violation", False),
+    ("query_error", "RETURN nope(1)", {}, 1.0, "query_error", False),
+    ("internal", COUNT, {}, 1.0, "internal", True),
+]
+
+
+def _views(service: QueryService) -> dict[str, float]:
+    metrics = service.metrics
+    return {
+        "queries_total": metrics.counter_total("queries_total"),
+        "query_errors_total": metrics.counter_total("query_errors_total"),
+        "slow_queries_total": metrics.counter_total("slow_queries_total"),
+        "slo": service.slo.snapshot()["queries_in_window"],
+        "statements": service.statements.recorded_total,
+        "slowlog": service.slowlog.recorded_total,
+    }
+
+
+class TestRequestRecord:
+    @pytest.mark.parametrize(
+        "case, query, limits, threshold, code, slow",
+        OUTCOME_CASES,
+        ids=[case[0] for case in OUTCOME_CASES],
+    )
+    def test_each_outcome_moves_each_view_exactly_once(
+        self, case, query, limits, threshold, code, slow, monkeypatch
+    ):
+        service = QueryService(
+            _dense_store(), max_concurrent=1, slow_query_seconds=threshold
+        )
+        engine = service.engine
+        if case == "success-hit":
+            service.execute(query)
+        if case == "internal":
+            def broken_run(*args, **kwargs):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(engine, "run", broken_run)
+        lookups: list[str] = []
+        fingerprint_of = engine.fingerprint
+        monkeypatch.setattr(
+            engine, "fingerprint",
+            lambda text: lookups.append(text) or fingerprint_of(text),
+        )
+        before = _views(service)
+        with ExitStack() as stack:
+            if case == "busy":
+                stack.enter_context(service.admission.slot())
+            if code is None:
+                body = service.execute(query, **limits)
+                assert body["meta"]["cached"] is (case == "success-hit")
+            else:
+                with pytest.raises(ServiceError) as caught:
+                    service.execute(query, **limits)
+                assert (caught.value.code, caught.value.status >= 400) == (code, True)
+        delta = {key: value - before[key] for key, value in _views(service).items()}
+        # A query that does not parse names no statement and is turned
+        # away before it is a query the objectives are about.
+        ran = 0 if code == "syntax_error" else 1
+        assert delta == {
+            "queries_total": 1 if code is None else 0,
+            "query_errors_total": 0 if code is None else 1,
+            "slow_queries_total": 1 if slow else 0,
+            "slo": ran,
+            "statements": ran,
+            "slowlog": 1 if slow else 0,
+        }
+        assert len(lookups) <= 1
+        if code is not None:
+            assert service.metrics.counter_value(
+                "query_errors_total", {"code": code}
+            ) == 1
+        if ran:
+            row = service.statements.get(fingerprint_of(query)[0])
+            assert row.calls == (2 if case == "success-hit" else 1)
+            assert row.cache_hits == (1 if case == "success-hit" else 0)
+            assert row.errors == ({code: 1} if code else {})
+        if slow:
+            entry = service.slowlog.snapshot()["entries"][-1]
+            assert entry["error"] == code
+            assert (entry["plan"] is not None) == (code is None)
+
+    def test_one_hop_from_a_408_to_trace_slowlog_and_statement(self):
+        """An error body has no ``meta``; the ``X-Trace-Id`` header alone
+        must lead to the trace, the slow-log entry and the statement."""
+        service = QueryService(_dense_store(), slow_query_seconds=0.0)
+        server, base = _serve(service)
+        try:
+            request = urllib.request.Request(
+                f"{base}/query",
+                data=json.dumps({"query": BURN, "timeout": 0.05}).encode("utf-8"),
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request, timeout=30)
+            assert caught.value.code == 408
+            trace_id = caught.value.headers["X-Trace-Id"]
+            caught.value.close()
+            status, trace = _request("GET", f"{base}/debug/trace?id={trace_id}")
+            assert status == 200 and trace["spans"]["status"] == "error"
+            _, slowlog = _request("GET", f"{base}/debug/slowlog")
+            (entry,) = [e for e in slowlog["entries"] if e["trace_id"] == trace_id]
+            assert entry["error"] == "timeout"
+            _, statements = _request("GET", f"{base}/debug/statements")
+            (row,) = [
+                r for r in statements["statements"]
+                if r["fingerprint"] == entry["fingerprint"]
+            ]
+            assert row["errors"] == {"timeout": 1}
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_trace_header_matches_meta_and_follows_the_tracing_switch(self):
+        for tracing in (True, False):
+            service = QueryService(_store_with_ases(2), tracing=tracing)
+            server, base = _serve(service)
+            try:
+                request = urllib.request.Request(
+                    f"{base}/profile",
+                    data=json.dumps({"query": COUNT}).encode("utf-8"),
+                    method="POST",
+                )
+                with urllib.request.urlopen(request, timeout=30) as response:
+                    header = response.headers["X-Trace-Id"]
+                    meta = json.loads(response.read())["meta"]
+                assert header == meta.get("trace_id")
+                assert (header is not None) is tracing
+            finally:
+                server.shutdown()
+                server.server_close()
+
+
+# ---------------------------------------------------------------------------
+# the published surface: names and shapes other tools depend on
+# ---------------------------------------------------------------------------
+
+METRIC_SERIES = {
+    "repro_" + name
+    for name in (
+        "historical_stores_loaded", "lint_diagnostics_total",
+        "parse_cache_hit_rate", "parse_cache_hits_total",
+        "parse_cache_misses_total", "parse_cache_size", "queries_active",
+        "queries_peak_active", "queries_rejected_total", "queries_total",
+        "query_errors_total", "query_latency_seconds",
+        "query_latency_seconds_bucket", "query_latency_seconds_count",
+        "query_latency_seconds_sum", "response_bytes_total",
+        "result_cache_evictions_total", "result_cache_hit_rate",
+        "result_cache_hits_total", "result_cache_misses_total",
+        "result_cache_size", "serving_generation",
+        "slo_availability_budget_remaining", "slo_availability_burn_rate",
+        "slo_availability_compliance", "slo_availability_target",
+        "slo_latency_budget_remaining", "slo_latency_burn_rate",
+        "slo_latency_compliance", "slo_latency_target",
+        "slo_queries_in_window", "slo_window_seconds", "slow_queries_total",
+        "slowlog_entries", "slowlog_recorded_total",
+        "statements_evicted_total", "statements_recorded_total",
+        "statements_tracked", "store_nodes", "store_relationships",
+        "store_version", "traces_buffered", "uptime_seconds",
+    )
+}
+
+STATS_KEYS = {
+    "graph": {
+        "backend", "nodes", "relationships", "labels", "relationship_types",
+        "indexes", "constraints", "version", "generation", "snapshot",
+    },
+    "archive": {"attached", "swaps", "historical_loaded"},
+    "result_cache": {"size", "maxsize", "hits", "misses", "evictions", "hit_rate"},
+    "parse_cache": {"size", "maxsize", "hits", "misses", "evictions", "hit_rate"},
+    "admission": {
+        "max_concurrent", "active", "peak_active", "admitted", "rejected",
+        "default_timeout", "default_max_rows",
+    },
+    "tracer": {"enabled", "traces_buffered", "max_traces"},
+    "slowlog": {"threshold_seconds", "entries", "recorded_total"},
+    "statements": {
+        "capacity", "statements_tracked", "recorded_total", "evicted_total",
+    },
+    "slo": {"availability", "latency", "queries_in_window", "window_seconds"},
+    "metrics": {"counters", "latency_ms"},
+    "uptime_seconds": None,
+}
+
+
+class TestPublishedSurface:
+    def test_names_and_key_sets_are_pinned(self):
+        """One session touching every view; the names it publishes were
+        recorded before the request record replaced the hand-threaded
+        emission and must not drift."""
+        service = QueryService(_dense_store(), slow_query_seconds=0.0)
+        server, base = _serve(service)
+        try:
+            _, miss = _request("POST", f"{base}/query", {"query": COUNT})
+            _, hit = _request("POST", f"{base}/query", {"query": COUNT})
+            _, warned = _request(
+                "POST", f"{base}/query", {"query": "MATCH (a:Nope) RETURN a"}
+            )
+            _, profiled = _request("POST", f"{base}/profile", {"query": COUNT})
+            status, failed = _request(
+                "POST", f"{base}/query",
+                {"query": "MATCH (a:AS) RETURN a.asn", "max_rows": 2},
+            )
+            assert status == 413
+            base_meta = {
+                "cached", "elapsed_ms", "store_version", "fingerprint", "trace_id",
+            }
+            assert set(miss["meta"]) == set(hit["meta"]) == base_meta
+            assert set(warned["meta"]) == base_meta | {"warnings"}
+            assert set(miss) == {"columns", "rows", "row_count", "meta"}
+            assert set(profiled) == set(miss) | {"profile"}
+            assert set(profiled["profile"]) == {"plan", "render"}
+            assert set(failed) == {"error"}
+            assert set(failed["error"]) == {"code", "message", "status"}
+
+            _, stats = _request("GET", f"{base}/stats")
+            assert {
+                key: set(value) if isinstance(value, dict) else None
+                for key, value in stats.items()
+            } == STATS_KEYS
+            _, healthz = _request("GET", f"{base}/healthz")
+            assert set(healthz) == {
+                "status", "nodes", "relationships", "store_version",
+                "generation", "snapshot",
+            }
+            _, readyz = _request("GET", f"{base}/readyz")
+            assert set(readyz) == {
+                "status", "loads_in_flight", "generation", "snapshot",
+            }
+            _, slowlog = _request("GET", f"{base}/debug/slowlog")
+            assert set(slowlog) == {
+                "threshold_seconds", "capacity", "recorded_total", "entries",
+            }
+            assert {frozenset(entry) for entry in slowlog["entries"]} == {
+                frozenset({
+                    "time", "query", "params_hash", "trace_id", "fingerprint",
+                    "elapsed_ms", "counters", "plan", "error",
+                })
+            }
+            _, statements = _request("GET", f"{base}/debug/statements")
+            assert set(statements) == {
+                "capacity", "statements_tracked", "recorded_total",
+                "evicted_total", "sort", "statements",
+            }
+            assert set(statements["statements"][0]) == {
+                "fingerprint", "query", "calls", "rows", "errors", "cache_hits",
+                "cache_hit_rate", "total_seconds", "mean_ms", "min_ms", "max_ms",
+                "p50_ms", "p95_ms", "p99_ms", "counters", "first_seen",
+                "last_seen",
+            }
+            _, traces = _request("GET", f"{base}/debug/traces")
+            assert set(traces) == {
+                "trace_ids", "enabled", "traces_buffered", "max_traces",
+            }
+            _, trace = _request(
+                "GET", f"{base}/debug/trace?id={miss['meta']['trace_id']}"
+            )
+            assert set(trace) == {"trace_id", "spans"}
+            assert set(trace["spans"]) == {
+                "trace_id", "span_id", "parent_id", "name", "started_at",
+                "duration_ms", "attributes", "status", "children",
+            }
+            with urllib.request.urlopen(f"{base}/metrics", timeout=30) as response:
+                text = response.read().decode()
+            series = {
+                re.match(r"[A-Za-z_:][A-Za-z0-9_:]*", line).group(0)
+                for line in text.splitlines()
+                if line and not line.startswith("#")
+            }
+            assert series == METRIC_SERIES
+        finally:
+            server.shutdown()
+            server.server_close()
