@@ -101,6 +101,9 @@ class IYPRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-iyp/1.0"
     protocol_version = "HTTP/1.1"
+    #: Every response is one send, so Nagle has nothing to coalesce and
+    #: could only hold a segment back for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> QueryService:
@@ -126,7 +129,11 @@ class IYPRequestHandler(BaseHTTPRequestHandler):
         route = urlsplit(self.path).path.rstrip("/")
         if route not in ("/query", "/profile", "/lint", "/admin/swap"):
             raise ServiceError(404, "not_found", f"no route {route!r}")
-        request = self._read_json_body()
+        try:
+            request = self._read_json_body()
+        except ServiceError as exc:
+            self.service.metrics.inc("query_errors_total", labels={"code": exc.code})
+            raise
         if route == "/lint":
             return self.service.lint(request.get("query", ""))
         if route == "/admin/swap":
@@ -147,7 +154,12 @@ class IYPRequestHandler(BaseHTTPRequestHandler):
     def _respond(self, produce: Callable[[], Any]) -> None:
         """The one writer: an answer, a :class:`ServiceError` and an
         unexpected exception all leave through here, as a response on a
-        connection that stays usable."""
+        connection that stays usable — unless the request declared a
+        body nobody read, whose bytes would pass for the next request."""
+        self._body_unread = (
+            self.headers.get("Content-Length", "0") != "0"
+            or "Transfer-Encoding" in self.headers
+        )
         try:
             result = produce()
             status, body, trace_id = (
@@ -167,10 +179,14 @@ class IYPRequestHandler(BaseHTTPRequestHandler):
     # -- helpers ---------------------------------------------------------
 
     def _read_json_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise ServiceError(400, "bad_request", "malformed Content-Length")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise ServiceError(413, "body_too_large", "request body above 4 MiB")
         raw = self.rfile.read(length) if length else b""
+        self._body_unread = "Transfer-Encoding" in self.headers  # never decoded
         if not raw:
             raise ServiceError(400, "bad_request", "missing JSON body")
         try:
@@ -189,23 +205,34 @@ class IYPRequestHandler(BaseHTTPRequestHandler):
     def _send_bytes(
         self, status: int, body: bytes, content_type: str, trace_id: str | None
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        """One ``sendall`` per response: a second small write would wait
+        in the kernel for the client's (delayed) ACK of the first."""
+        self.log_request(status)
+        head = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+        ]
         if trace_id is not None:
-            self.send_header("X-Trace-Id", trace_id)
-        self.end_headers()
-        self.wfile.write(body)
+            head.append(f"X-Trace-Id: {trace_id}")
+        if self._body_unread:
+            head.append("Connection: close")
+            self.close_connection = True
+        self.wfile.write("\r\n".join([*head, "", ""]).encode("latin-1") + body)
 
     def log_message(self, format: str, *args: Any) -> None:
         """Route access logs through ``logging`` instead of stderr."""
-        log.debug("%s - %s", self.address_string(), format % args)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s - %s", self.address_string(), format % args)
 
 
 class IYPHTTPServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one :class:`QueryService`."""
 
     daemon_threads = True
+    request_queue_size = 128  # the accept backlog WorkerPool listens with
 
     def __init__(self, address: tuple[str, int], service: QueryService):
         super().__init__(address, IYPRequestHandler)

@@ -9,7 +9,9 @@ that mutates, times out, or trips limits.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -19,6 +21,7 @@ import pytest
 from repro.graphdb import GraphStore
 from repro.server import QueryService, create_server
 from repro.studies.queries import LISTING_1, LISTING_2
+from tests.conftest import KEEPALIVE_KINDS, LARGE_QUERY, SEEK_QUERY, fastest_keepalive_ms
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -45,6 +48,11 @@ def _get(url):
 
 def _post_query(base: str, query: str, **fields):
     return _request("POST", f"{base}/query", {"query": query, **fields})
+
+
+def _address(base: str) -> tuple[str, int]:
+    host, port = base.removeprefix("http://").split(":")
+    return host, int(port)
 
 
 def _serve(service: QueryService):
@@ -331,8 +339,6 @@ class TestAdmission:
     def test_unexpected_exception_is_a_500_every_view_sees_once(
         self, scratch_server, monkeypatch
     ):
-        import http.client
-
         base, service, _ = scratch_server
 
         def broken_run(*args, **kwargs):
@@ -353,8 +359,7 @@ class TestAdmission:
             ]
 
         before = views()
-        host, port = base.removeprefix("http://").split(":")
-        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        connection = http.client.HTTPConnection(*_address(base), timeout=30)
         try:
             connection.request("POST", "/query", body=json.dumps({"query": query}))
             response = connection.getresponse()
@@ -429,6 +434,134 @@ class TestAdmission:
         assert drive(asns[:1]) == [200] * 24
         assert service.cache.info()["hits"] > hits_before
         assert service.cache.info()["hit_rate"] > 0
+
+
+# ---------------------------------------------------------------------------
+# transport: one send per response, no Nagle, and when the server closes
+# ---------------------------------------------------------------------------
+
+
+def _until_closed(base: str, payload: bytes) -> bytes:
+    """Send raw bytes and read until the server closes the connection
+    (a server that keeps it open fails the test by timing out)."""
+    with socket.create_connection(_address(base), timeout=10) as sock:
+        sock.sendall(payload)
+        chunks = []
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass  # closed with bytes of ours still unread: a reset, not a FIN
+    return b"".join(chunks)
+
+
+PIPELINED_GET = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+class TestTransport:
+    @pytest.mark.parametrize(
+        ("method", "path", "body"), KEEPALIVE_KINDS, ids=["healthz", "seek", "large"]
+    )
+    def test_keepalive_requests_do_not_wait_for_a_delayed_ack(
+        self, scratch_server, method, path, body
+    ):
+        base, _, _ = scratch_server
+        fastest = fastest_keepalive_ms(*_address(base), method, path, body)
+        assert fastest < 20, f"fastest keep-alive {method} {path}: {fastest:.1f} ms"
+
+    def test_every_response_is_one_send_without_nagle(
+        self, scratch_server, socket_sends, monkeypatch
+    ):
+        base, service, _ = scratch_server
+        connection = http.client.HTTPConnection(*_address(base), timeout=30)
+
+        def exchange(method, path, body=None):
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            payload = response.read()
+            assert response.getheader("Connection") is None
+            return response.status, payload
+
+        def query(text):
+            return exchange("POST", "/query", json.dumps({"query": text}))
+
+        try:
+            sent = {
+                "small": exchange("GET", "/healthz"),
+                "seek": query(SEEK_QUERY),
+                "large": query(LARGE_QUERY),
+                "service_error": query("MATCH (x:AS RETURN"),
+            }
+            monkeypatch.setattr(service.engine, "run", lambda *a, **k: 1 / 0)
+            sent["internal"] = query("MATCH (a:AS) RETURN count(a)")
+        finally:
+            connection.close()
+        assert [status for status, _ in sent.values()] == [200, 200, 200, 400, 500]
+        assert len(sent["large"][1]) > 64 * 1024
+        sends = socket_sends()
+        # One send each, holding the headers and the whole body, on a
+        # socket that had TCP_NODELAY by the time it sent.
+        assert len(sends) == len(sent)
+        for (size, nodelay), (_, payload) in zip(sends, sent.values(), strict=True):
+            assert nodelay
+            assert len(payload) < size < len(payload) + 512
+
+    @pytest.mark.parametrize(
+        ("head", "status", "code"),
+        [
+            (b"POST /query HTTP/1.1\r\nContent-Length: 5000000", 413, "body_too_large"),
+            (b"POST /query HTTP/1.1\r\nContent-Length: abc", 400, "bad_request"),
+            (b"POST /query HTTP/1.1\r\nContent-Length: -5", 400, "bad_request"),
+            (b"POST /nowhere HTTP/1.1\r\nContent-Length: 2", 404, "not_found"),
+        ],
+        ids=["oversized", "non-numeric-length", "negative-length", "unknown-route"],
+    )
+    def test_reply_ahead_of_an_unread_body_closes_the_connection(
+        self, scratch_server, caplog, head, status, code
+    ):
+        """The bytes behind such a reply are body, not a request line: a
+        request pipelined after them must not be parsed out of them."""
+        base, service, _ = scratch_server
+
+        def views():
+            return [
+                service.metrics.counter_value("query_errors_total", {"code": code}),
+                service.slo.snapshot()["queries_in_window"],
+                service.statements.recorded_total,
+                service.slowlog.recorded_total,
+            ]
+
+        before = views()
+        with caplog.at_level("ERROR", logger="repro.server"):
+            reply = _until_closed(
+                base, head + b"\r\nHost: t\r\n\r\n{}" + PIPELINED_GET
+            )
+        assert reply.count(b"HTTP/1.1 ") == 1
+        headers, _, body = reply.partition(b"\r\n\r\n")
+        assert headers.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"\r\nConnection: close" in headers
+        assert json.loads(body)["error"]["code"] == code
+        assert not caplog.records  # a malformed length is no traceback
+        counted = 0 if status == 404 else 1  # body rejections are counted
+        assert [b - a for a, b in zip(before, views(), strict=True)] == [counted, 0, 0, 0]
+        # A new connection is served as if nothing had happened.
+        assert _post_query(base, SEEK_QUERY)[1]["rows"] == [[64501]]
+
+    def test_error_after_the_body_was_read_keeps_the_connection(self, scratch_server):
+        base, _, _ = scratch_server
+        connection = http.client.HTTPConnection(*_address(base), timeout=30)
+        try:
+            connection.request("POST", "/query", body="{not json")
+            response = connection.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read())["error"]["code"] == "bad_request"
+            assert response.getheader("Connection") is None
+            sock = connection.sock
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().status == 200
+            assert connection.sock is sock  # no reconnect in between
+        finally:
+            connection.close()
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.graphdb import (
     NoSuchNodeError,
     ReadOnlyStoreError,
 )
+from tests.conftest import KEEPALIVE_KINDS, fastest_keepalive_ms
 from tests.test_optimizer_equivalence import (
     EXPERIMENTS,
     PAPER_LISTINGS,
@@ -526,6 +527,24 @@ def test_watched_pool_survives_a_corrupt_entry_then_moves_on(
     finally:
         pool.stop()
     assert segment_registry().names() == []
+
+
+def test_pool_worker_answers_keepalive_requests_in_one_send_each(socket_sends):
+    """The transport of ``repro.server.http`` as a forked worker runs it:
+    no request on a reused connection waits out a delayed ACK, because
+    every reply is one send on a ``TCP_NODELAY`` socket."""
+    pool = WorkerPool(pack_store(GraphStore.from_records(NODES, RELS)), workers=1)
+    try:
+        pool.start()
+        for method, path, body in KEEPALIVE_KINDS:
+            fastest = fastest_keepalive_ms(*pool.address, method, path, body)
+            assert fastest < 20, f"fastest keep-alive {method} {path}: {fastest:.1f} ms"
+    finally:
+        pool.stop()
+    sends = socket_sends()
+    assert len(sends) == 8 * len(KEEPALIVE_KINDS)
+    assert all(nodelay for _, nodelay in sends)
+    assert sum(size > 64 * 1024 for size, _ in sends) == 8
 
 
 def test_stats_reports_backend_field(small_iyp):
