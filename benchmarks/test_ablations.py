@@ -63,7 +63,7 @@ def test_ablation_anchor_selection(benchmark, bench_iyp):
     style pattern whose selective element is in the middle."""
     import time
 
-    from repro.cypher.matcher import PatternMatcher
+    from repro.cypher import ast, planner
 
     query = (
         "MATCH (i:IP)-[:PART_OF]-(pfx:Prefix)-[:CATEGORIZED]-"
@@ -79,16 +79,19 @@ def test_ablation_anchor_selection(benchmark, bench_iyp):
     cost_based()
     smart_time = time.perf_counter() - start
 
-    original = PatternMatcher._choose_anchor
+    original = planner.choose_anchor
+
+    def leftmost(pattern, available, store):
+        head = ast.PathPattern(pattern.nodes[:1], ())
+        return original(head, available, store)
+
     try:
-        PatternMatcher._choose_anchor = lambda self, pattern, binding: 0
-        bench_iyp.engine._parse_cache.clear()
+        planner.choose_anchor = leftmost
         start = time.perf_counter()
         naive_result = bench_iyp.run(query).value()
         naive_time = time.perf_counter() - start
     finally:
-        PatternMatcher._choose_anchor = original
-        bench_iyp.engine._parse_cache.clear()
+        planner.choose_anchor = original
 
     assert naive_result == result
     record_comparison(
@@ -168,7 +171,7 @@ def test_ablation_parse_cache(benchmark, bench_iyp):
     parse_time = time.perf_counter() - start
     start = time.perf_counter()
     for _ in range(200):
-        bench_iyp.engine._parse_cache.get(query) or parse(query)
+        bench_iyp.engine.statement(query)
     cached_time = time.perf_counter() - start
     record_comparison(
         "Ablation 4 - parse cache (200 repeats of a study query)",

@@ -3,12 +3,21 @@
 The tree is produced by :mod:`repro.cypher.parser` and consumed by
 :mod:`repro.cypher.engine`.  All nodes are plain frozen dataclasses; the
 executor never mutates them, so parsed queries are safely cacheable.
+
+This module is the only place that knows the *shape* of the tree: every
+expression declares its sub-expressions (and the names it scopes for
+them) in :meth:`Expression.children`, a path pattern owns the variables
+it mentions, a query owns its UNION parts.  Every analysis — aggregate
+detection, free variables, the linter's scope walk — is a fold over
+:meth:`Expression.walk`, so a new node type is declared here and
+nowhere else (``tests/test_cypher_ast.py`` fails when a field holding an
+expression is not yielded by ``children()``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 # ---------------------------------------------------------------------------
 # Source spans
@@ -37,10 +46,37 @@ class Span:
 # ---------------------------------------------------------------------------
 
 
+#: A sub-expression together with the names its parent scopes for it
+#: (a comprehension's iteration variable, ``reduce``'s accumulator).
+Child = tuple["Expression", tuple[str, ...]]
+
+
 class Expression:
-    """Marker base class for expression nodes."""
+    """Base class for expression nodes."""
 
     __slots__ = ()
+
+    def children(self) -> Iterator[Child]:
+        """Each direct sub-expression, in source order, with the names
+        this node brings into scope for it.  Leaves yield nothing."""
+        return iter(())
+
+    def walk(
+        self, scoped: frozenset[str] = frozenset()
+    ) -> Iterator[tuple["Expression", frozenset[str]]]:
+        """Pre-order traversal: every node of the tree together with the
+        locally scoped names in force at it."""
+        yield self, scoped
+        for child, names in self.children():
+            yield from child.walk(scoped.union(names) if names else scoped)
+
+
+def _outer(*expressions: Expression | None) -> Iterator[Child]:
+    """Children evaluated in the parent's own scope; ``None`` (an absent
+    optional part) is skipped."""
+    for expression in expressions:
+        if expression is not None:
+            yield expression, ()
 
 
 @dataclass(frozen=True)
@@ -66,6 +102,9 @@ class PropertyAccess(Expression):
     key: str
     key_span: Span | None = field(default=None, compare=False)
 
+    def children(self) -> Iterator[Child]:
+        return _outer(self.subject)
+
 
 @dataclass(frozen=True)
 class FunctionCall(Expression):
@@ -74,19 +113,47 @@ class FunctionCall(Expression):
     distinct: bool = False
     star: bool = False  # count(*)
 
+    def children(self) -> Iterator[Child]:
+        return _outer(*self.args)
+
 
 @dataclass(frozen=True)
 class UnaryOp(Expression):
     op: str  # 'not' | '-' | '+'
     operand: Expression
 
+    def children(self) -> Iterator[Child]:
+        return _outer(self.operand)
+
+
+#: ``BinaryOp.op`` -> its source spelling; the arithmetic operators
+#: (``+ - * / % ^``) are their own name.
+OPERATOR_SYMBOLS = {
+    "and": "AND",
+    "or": "OR",
+    "xor": "XOR",
+    "eq": "=",
+    "neq": "<>",
+    "lt": "<",
+    "le": "<=",
+    "gt": ">",
+    "ge": ">=",
+    "in": "IN",
+    "starts_with": "STARTS WITH",
+    "ends_with": "ENDS WITH",
+    "contains": "CONTAINS",
+    "regex": "=~",
+}
+
 
 @dataclass(frozen=True)
 class BinaryOp(Expression):
-    op: str  # and, or, xor, =, <>, <, <=, >, >=, +, -, *, /, %, ^,
-    # in, starts_with, ends_with, contains, regex
+    op: str  # a key of OPERATOR_SYMBOLS, or an arithmetic operator
     left: Expression
     right: Expression
+
+    def children(self) -> Iterator[Child]:
+        return _outer(self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -94,15 +161,24 @@ class IsNull(Expression):
     operand: Expression
     negated: bool
 
+    def children(self) -> Iterator[Child]:
+        return _outer(self.operand)
+
 
 @dataclass(frozen=True)
 class ListLiteral(Expression):
     items: tuple[Expression, ...]
 
+    def children(self) -> Iterator[Child]:
+        return _outer(*self.items)
+
 
 @dataclass(frozen=True)
 class MapLiteral(Expression):
     items: tuple[tuple[str, Expression], ...]
+
+    def children(self) -> Iterator[Child]:
+        return _outer(*(value for _, value in self.items))
 
 
 @dataclass(frozen=True)
@@ -114,6 +190,9 @@ class IndexAccess(Expression):
     end: Expression | None = None
     is_slice: bool = False
 
+    def children(self) -> Iterator[Child]:
+        return _outer(self.subject, self.index, self.end)
+
 
 @dataclass(frozen=True)
 class CaseExpression(Expression):
@@ -122,6 +201,10 @@ class CaseExpression(Expression):
     operand: Expression | None
     whens: tuple[tuple[Expression, Expression], ...]
     default: Expression | None
+
+    def children(self) -> Iterator[Child]:
+        branches = (part for when in self.whens for part in when)
+        return _outer(self.operand, *branches, self.default)
 
 
 @dataclass(frozen=True)
@@ -133,6 +216,12 @@ class ListComprehension(Expression):
     predicate: Expression | None
     projection: Expression | None
 
+    def children(self) -> Iterator[Child]:
+        yield self.source, ()
+        for inner in (self.predicate, self.projection):
+            if inner is not None:
+                yield inner, (self.variable,)
+
 
 @dataclass(frozen=True)
 class ListPredicate(Expression):
@@ -142,6 +231,10 @@ class ListPredicate(Expression):
     variable: str
     source: Expression
     predicate: Expression
+
+    def children(self) -> Iterator[Child]:
+        yield self.source, ()
+        yield self.predicate, (self.variable,)
 
 
 @dataclass(frozen=True)
@@ -154,6 +247,11 @@ class Reduce(Expression):
     source: Expression
     expression: Expression
 
+    def children(self) -> Iterator[Child]:
+        yield self.init, ()
+        yield self.source, ()
+        yield self.expression, (self.accumulator, self.variable)
+
 
 @dataclass(frozen=True)
 class PatternPredicate(Expression):
@@ -161,6 +259,9 @@ class PatternPredicate(Expression):
     or wrapped in ``EXISTS { ... }`` / ``exists((a)-[:X]-(b))``."""
 
     pattern: "PathPattern"
+
+    def children(self) -> Iterator[Child]:
+        return _outer(*self.pattern.property_values())
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +308,20 @@ class PathPattern:
     def __post_init__(self) -> None:
         if len(self.nodes) != len(self.relationships) + 1:
             raise ValueError("path must alternate nodes and relationships")
+
+    def variables(self) -> frozenset[str]:
+        """Every variable the pattern mentions (path variable included)."""
+        names = {node.variable for node in self.nodes if node.variable}
+        names.update(rel.variable for rel in self.relationships if rel.variable)
+        if self.path_variable:
+            names.add(self.path_variable)
+        return frozenset(names)
+
+    def property_values(self) -> Iterator[Expression]:
+        """The value expressions of every inline property map."""
+        for element in (*self.nodes, *self.relationships):
+            for _, value in element.properties:
+                yield value
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +456,10 @@ class Query:
     # UNION support: each part is a full clause list; rows are concatenated.
     union_parts: tuple["Query", ...] = ()
     union_all: bool = False
+
+    def parts(self) -> tuple[tuple[Clause, ...], ...]:
+        """The clause list of every UNION part, the main one first."""
+        return (self.clauses, *(part.clauses for part in self.union_parts))
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ lists).  Each clause consumes the rows from the previous clause:
                   DISTINCT, ORDER BY, SKIP, LIMIT
     CREATE/MERGE/SET/REMOVE/DELETE -> mutations, rows pass through
 
-Parsed queries are cached per engine in a bounded LRU, so re-running the
-paper's study queries on fresh snapshots costs no re-parsing while an
-adversarial stream of distinct queries cannot grow memory without bound.
+Each distinct query text is parsed once into a :class:`Statement` (tree,
+read/write class, lazily its fingerprint) held in one bounded LRU, so
+re-running the paper's study queries on fresh snapshots costs no
+re-parsing while an adversarial stream of distinct queries cannot grow
+memory without bound.
 
 MATCH clauses execute through the cost-based planner
 (:mod:`repro.cypher.planner`): WHERE conjuncts are pushed to bind time,
@@ -32,7 +34,8 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterable
+from functools import cached_property
+from typing import Any, Callable, Iterable
 
 from repro.analytics.registry import ProcedureContext, get_procedure, suggest
 from repro.cypher import ast
@@ -40,22 +43,15 @@ from repro.cypher.errors import CypherRuntimeError
 from repro.cypher.fingerprint import fingerprint_query
 from repro.cypher.functions import (
     AGGREGATE_NAMES,
+    AGGREGATES,
+    PERCENTILE_AGGREGATES,
     SCALAR_FUNCTIONS,
-    agg_avg,
-    agg_collect,
-    agg_count,
-    agg_max,
-    agg_min,
-    agg_percentile_cont,
-    agg_percentile_disc,
-    agg_stdev,
-    agg_sum,
 )
 from repro.cypher.guard import QueryGuard
 from repro.cypher.lru import LRUCache
 from repro.cypher.matcher import PatternMatcher
 from repro.cypher.parser import parse
-from repro.cypher.planner import MatchPlan, plan_match
+from repro.cypher.planner import MatchPlan, describe_pattern, plan_match
 from repro.cypher.result import QueryResult, WriteStats
 from repro.cypher.values import (
     compare,
@@ -91,6 +87,22 @@ _WRITE_CLAUSES = (
 DEFAULT_PARSE_CACHE_SIZE = 512
 
 
+@dataclass
+class Statement:
+    """What the engine keeps per distinct query text."""
+
+    tree: ast.Query
+    #: Any mutating clause in any UNION part: decides the store lock the
+    #: query service takes and whether the result cache is consulted.
+    is_write: bool
+
+    @cached_property
+    def identity(self) -> tuple[str, str]:
+        """``(fingerprint, normalized text)``, rendered on first use —
+        only the statement-statistics path ever asks."""
+        return fingerprint_query(self.tree)
+
+
 @dataclass(frozen=True)
 class Explanation:
     """EXPLAIN output: the plan lines plus static lint diagnostics."""
@@ -116,11 +128,8 @@ class CypherEngine:
         #: join order, no pushdown) — the equivalence-testing baseline.
         self.optimize = optimize
         self._matcher = PatternMatcher(store, self._evaluate, self._tick)
-        self._parse_cache: LRUCache = LRUCache(parse_cache_size)
-        #: query text -> (fingerprint, normalized text).  Keyed by the
-        #: raw text like the parse cache, so the statement-statistics
-        #: path never re-walks the AST for a repeated query.
-        self._fingerprint_cache: LRUCache = LRUCache(parse_cache_size)
+        #: query text -> :class:`Statement` (the parse cache).
+        self._statements: LRUCache = LRUCache(parse_cache_size)
         self._tls = threading.local()
         #: Span tracer; the query service swaps in its own so engine
         #: spans (parse, execute) nest under the request's trace.
@@ -143,20 +152,24 @@ class CypherEngine:
 
     def run(
         self,
-        query: str,
+        query: str | Statement,
         parameters: dict[str, Any] | None = None,
         guard: QueryGuard | None = None,
         profiler: Profiler | None = None,
     ) -> QueryResult:
-        """Parse (with caching) and execute a query.
+        """Parse (with caching) and execute a query; a caller that
+        already resolved the text with :meth:`statement` passes that.
 
         ``guard`` imposes a cooperative time budget and a result row
         limit; see :class:`repro.cypher.guard.QueryGuard`.  ``profiler``
         collects the executed operator tree (rows, store hits, wall
         time per clause) — see :meth:`profile` for the one-call form.
         """
-        with self.tracer.span("parse", query_chars=len(query)):
-            tree = self._parsed(query)
+        if isinstance(query, Statement):
+            tree = query.tree
+        else:
+            with self.tracer.span("parse", query_chars=len(query)):
+                tree = self.statement(query).tree
         self._tls.guard = guard
         try:
             with self.tracer.span("execute") as span:
@@ -192,45 +205,38 @@ class CypherEngine:
         result = self.run(query, parameters, guard, profiler=profiler)
         return result, profiler.root
 
-    def is_write_query(self, query: str) -> bool:
-        """True when the query contains any mutating clause.
+    def statement(self, query: str) -> Statement:
+        """The cached :class:`Statement` for a query text (parsing it on
+        first sight)."""
+        cached = self._statements.get(query)
+        if cached is None:
+            tree = parse(query)
+            is_write = any(
+                isinstance(clause, _WRITE_CLAUSES)
+                for clauses in tree.parts()
+                for clause in clauses
+            )
+            cached = Statement(tree, is_write)
+            self._statements.put(query, cached)
+        return cached
 
-        The query service uses this to decide between the store's shared
-        read lock and its exclusive write lock, and to bypass the result
-        cache for writes.
-        """
-        tree = self._parsed(query)
-        parts = (tree, *tree.union_parts)
-        return any(
-            isinstance(clause, _WRITE_CLAUSES)
-            for part in parts
-            for clause in part.clauses
-        )
+    def is_write_query(self, query: str) -> bool:
+        """True when the query contains any mutating clause."""
+        return self.statement(query).is_write
 
     def parse_cache_info(self) -> dict[str, Any]:
-        """Size and hit-rate of the bounded parse cache (for /metrics)."""
-        return self._parse_cache.info()
+        """Size and hit-rate of the bounded statement cache (for /metrics)."""
+        return self._statements.info()
 
     def fingerprint(self, query: str) -> tuple[str, str]:
         """``(fingerprint, normalized text)`` for a query — the stable
         statement identity used by :mod:`repro.obs.statements`.  Two
         queries differing only in literals, parameter names, whitespace,
         or keyword case share a fingerprint (see
-        :mod:`repro.cypher.fingerprint`).  Cached alongside the parse
-        cache, so the steady-state cost is one LRU lookup.
+        :mod:`repro.cypher.fingerprint`).  Cached on the statement, so
+        the steady-state cost is one LRU lookup.
         """
-        cached = self._fingerprint_cache.get(query)
-        if cached is None:
-            cached = fingerprint_query(self._parsed(query))
-            self._fingerprint_cache.put(query, cached)
-        return cached
-
-    def _parsed(self, query: str) -> ast.Query:
-        tree = self._parse_cache.get(query)
-        if tree is None:
-            tree = parse(query)
-            self._parse_cache.put(query, tree)
-        return tree
+        return self.statement(query).identity
 
     def explain(self, query: str) -> "Explanation":
         """Describe how each MATCH would be executed (plan introspection).
@@ -248,15 +254,19 @@ class CypherEngine:
         # module-level import would be circular.
         from repro.lint import QueryLinter
 
-        tree = self._parsed(query)
+        tree = self.statement(query).tree
         plan: list[str] = []
-        for clause in tree.clauses:
-            if isinstance(clause, ast.MatchClause):
-                plan.extend(self._explain_match(clause))
-            elif isinstance(clause, ast.CallClause):
-                plan.append(self._explain_call(clause))
-            else:
-                plan.append(type(clause).__name__.replace("Clause", "").upper())
+        parts = tree.parts()
+        for index, clauses in enumerate(parts, start=1):
+            if len(parts) > 1:
+                plan.append(f"UNION PART {index}/{len(parts)}")
+            for clause in clauses:
+                if isinstance(clause, ast.MatchClause):
+                    plan.extend(self._explain_match(clause))
+                elif isinstance(clause, ast.CallClause):
+                    plan.append(self._explain_call(clause))
+                else:
+                    plan.append(type(clause).__name__.replace("Clause", "").upper())
         warnings = QueryLinter(self.store).lint_tree(tree)
         return Explanation(plan, warnings)
 
@@ -267,7 +277,7 @@ class CypherEngine:
         kind = "OPTIONAL MATCH" if clause.optional else "MATCH"
         if not self.optimize:
             return [
-                f"{kind} {self._matcher.describe_pattern(pattern, {})}"
+                f"{kind} {describe_pattern(pattern, (), self.store)}"
                 for pattern in clause.patterns
             ]
         match_plan = self._plan_clause(clause, frozenset())
@@ -276,7 +286,7 @@ class CypherEngine:
         for rank, (source, pattern) in enumerate(
             zip(match_plan.order, match_plan.patterns, strict=True)
         ):
-            line = f"{kind} {self._matcher.describe_pattern(pattern, {})}"
+            line = f"{kind} {describe_pattern(pattern, (), self.store)}"
             if total > 1:
                 line += f" join={rank + 1}/{total} pattern={source}"
             if match_plan.estimates is not None:
@@ -313,9 +323,10 @@ class CypherEngine:
         profiler: Profiler | None = None,
     ) -> QueryResult:
         self._tls.parameters = parameters
-        result = self._execute_union_part(query.clauses, parameters, profiler, 0, query)
-        for index, part in enumerate(query.union_parts, start=1):
-            other = self._execute_union_part(part.clauses, parameters, profiler, index, query)
+        main, *rest = query.parts()
+        result = self._execute_union_part(main, profiler, 0, query)
+        for index, clauses in enumerate(rest, start=1):
+            other = self._execute_union_part(clauses, profiler, index, query)
             if other.columns != result.columns:
                 raise CypherRuntimeError(
                     f"UNION column mismatch: {result.columns} vs {other.columns}"
@@ -323,20 +334,15 @@ class CypherEngine:
             result.records.extend(other.records)
             _merge_stats(result.stats, other.stats)
         if query.union_parts and not query.union_all:
-            seen: set[Any] = set()
-            unique: list[Row] = []
-            for record in result.records:
-                key = tuple(hash_key(record[col]) for col in result.columns)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(record)
-            result.records = unique
+            result.records = _unique(
+                result.records,
+                lambda record: tuple(hash_key(record[col]) for col in result.columns),
+            )
         return result
 
     def _execute_union_part(
         self,
         clauses: tuple[ast.Clause, ...],
-        parameters: dict[str, Any],
         profiler: Profiler | None,
         index: int,
         query: ast.Query,
@@ -344,20 +350,19 @@ class CypherEngine:
         """One UNION part, wrapped in its own profile operator when the
         query actually has UNION parts."""
         if profiler is None or not query.union_parts:
-            return self._execute_part(clauses, parameters, profiler)
+            return self._execute_part(clauses, profiler)
         total = len(query.union_parts) + 1
         with profiler.operator("UnionPart", f"{index + 1}/{total}") as node:
-            result = self._execute_part(clauses, parameters, profiler)
+            result = self._execute_part(clauses, profiler)
             node.rows = len(result.records)
         return result
 
     def _execute_part(
         self,
         clauses: tuple[ast.Clause, ...],
-        parameters: dict[str, Any],
         profiler: Profiler | None = None,
     ) -> QueryResult:
-        context = _Context(parameters)
+        context = _Context()
         rows: list[Row] = [{}]
         columns: list[str] | None = None
         for clause in clauses:
@@ -374,7 +379,7 @@ class CypherEngine:
         if columns is None and clauses and isinstance(clauses[-1], ast.CallClause):
             # A standalone CALL (no trailing RETURN) yields its
             # procedure columns directly, like Neo4j.
-            columns = [item.alias for item in self._effective_yields(clauses[-1])]
+            columns = [item.alias for item in self._resolve_call(clauses[-1])[1]]
         if columns is None:
             return QueryResult([], [], context.stats)
         return QueryResult(columns, rows, context.stats)
@@ -409,7 +414,7 @@ class CypherEngine:
         """The annotation shown next to a profiled operator; a MATCH
         writes its own from the plan it executes (:meth:`_apply_match`)."""
         if isinstance(clause, ast.MergeClause):
-            return self._matcher.describe_pattern(clause.pattern, {})
+            return describe_pattern(clause.pattern, (), self.store)
         if isinstance(clause, ast.UnwindClause):
             return f"AS {clause.alias}"
         if isinstance(clause, (ast.WithClause, ast.ReturnClause)):
@@ -449,7 +454,9 @@ class CypherEngine:
         self, clause: ast.MatchClause, rows: list[Row], context: "_Context"
     ) -> list[Row]:
         output: list[Row] = []
-        new_variables = _pattern_variables(clause.patterns)
+        new_variables = frozenset().union(
+            *(pattern.variables() for pattern in clause.patterns)
+        )
         # Rows of one pipeline stage share a variable set, so one plan
         # serves every row of the clause.
         seed: Row = rows[0] if rows else {}
@@ -457,17 +464,17 @@ class CypherEngine:
         if self.optimize:
             plan = self._plan_clause(clause, frozenset(seed))
             patterns: tuple[ast.PathPattern, ...] = plan.patterns
-            pushed = plan.pushed or None
+            pushed, anchors = plan.pushed or None, plan.anchors
             prefilters, residual = plan.prefilters, plan.residual
         else:
-            patterns, pushed = clause.patterns, None
+            patterns, pushed, anchors = clause.patterns, None, None
             prefilters, residual = (), clause.where
         if context.node is not None:
             # PROFILE describes the plan that is about to run: same
             # bound variables, same join order, same pushdown.
             detail = "optional " if clause.optional else ""
             detail += "; ".join(
-                self._matcher.describe_pattern(pattern, seed) for pattern in patterns
+                describe_pattern(pattern, seed, self.store) for pattern in patterns
             )
             if plan is not None and plan.reordered:
                 detail += f" join_order=[{','.join(map(str, plan.order))}]"
@@ -475,13 +482,13 @@ class CypherEngine:
                 detail += f" pushed={plan.pushed_count()}"
             context.node.detail = detail
         for row in rows:
-            context.row = row
             matched = False
             if all(is_truthy(self._evaluate(p, row)) for p in prefilters):
-                for binding in self._matcher.match_patterns(patterns, row, pushed):
+                for binding in self._matcher.match_patterns(
+                    patterns, row, pushed, anchors
+                ):
                     self._tick()
                     if residual is not None:
-                        context.row = binding
                         if not is_truthy(self._evaluate(residual, binding)):
                             continue
                     matched = True
@@ -498,7 +505,6 @@ class CypherEngine:
     ) -> list[Row]:
         output: list[Row] = []
         for row in rows:
-            context.row = row
             value = self._evaluate(clause.expression, row)
             if value is None:
                 continue
@@ -510,18 +516,17 @@ class CypherEngine:
                 output.append(extended)
         return output
 
-    def _effective_yields(
+    def _resolve_call(
         self, clause: ast.CallClause
-    ) -> tuple[ast.YieldItem, ...]:
-        """The YIELD projection, defaulting to every procedure column."""
-        if clause.yields:
-            return clause.yields
+    ) -> tuple[Any, tuple[ast.YieldItem, ...]]:
+        """The procedure a CALL names and its YIELD projection (every
+        procedure column when none is written)."""
         spec = get_procedure(clause.procedure)
         if spec is None:
-            raise CypherRuntimeError(
-                _unknown_procedure_message(clause.procedure)
-            )
-        return tuple(ast.YieldItem(column, column) for column in spec.columns)
+            raise CypherRuntimeError(_unknown_procedure_message(clause.procedure))
+        return spec, clause.yields or tuple(
+            ast.YieldItem(column, column) for column in spec.columns
+        )
 
     def _apply_call(
         self, clause: ast.CallClause, rows: list[Row], context: "_Context"
@@ -535,14 +540,7 @@ class CypherEngine:
         served from the engine's precomputed analytics when the cached
         generation matches the store.
         """
-        spec = get_procedure(clause.procedure)
-        if spec is None:
-            raise CypherRuntimeError(
-                _unknown_procedure_message(clause.procedure)
-            )
-        yields = clause.yields or tuple(
-            ast.YieldItem(column, column) for column in spec.columns
-        )
+        spec, yields = self._resolve_call(clause)
         for item in yields:
             if item.column not in spec.columns:
                 raise CypherRuntimeError(
@@ -551,7 +549,6 @@ class CypherEngine:
                 )
         output: list[Row] = []
         for row in rows:
-            context.row = row
             args = [self._evaluate(arg, row) for arg in clause.args]
             for record in self._procedure_rows(spec, args):
                 self._tick()
@@ -573,11 +570,7 @@ class CypherEngine:
                 return cached
         try:
             return spec.run(ProcedureContext(self.store, self.statistics), *args)
-        except TypeError as exc:
-            raise CypherRuntimeError(
-                f"bad arguments for {spec.name}{spec.signature}: {exc}"
-            ) from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise CypherRuntimeError(
                 f"bad arguments for {spec.name}{spec.signature}: {exc}"
             ) from exc
@@ -585,16 +578,7 @@ class CypherEngine:
     def _apply_with(
         self, clause: ast.WithClause, rows: list[Row], context: "_Context"
     ) -> list[Row]:
-        projected = self._project(
-            rows,
-            clause.items,
-            clause.distinct,
-            clause.star,
-            clause.order_by,
-            clause.skip,
-            clause.limit,
-            context,
-        )
+        projected = self._project(rows, clause, clause.items, clause.star)
         if clause.where is None:
             return projected
         return [
@@ -613,32 +597,21 @@ class CypherEngine:
             )
         else:
             items = clause.items
-        projected = self._project(
-            rows,
-            items,
-            clause.distinct,
-            False,
-            clause.order_by,
-            clause.skip,
-            clause.limit,
-            context,
-        )
+        projected = self._project(rows, clause, items, star=False)
         return projected, [item.alias for item in items]
 
     def _project(
         self,
         rows: list[Row],
+        clause: ast.WithClause | ast.ReturnClause,
         items: tuple[ast.ProjectionItem, ...],
-        distinct: bool,
         star: bool,
-        order_by: tuple[ast.SortItem, ...],
-        skip: ast.Expression | None,
-        limit: ast.Expression | None,
-        context: "_Context",
     ) -> list[Row]:
+        """Project ``items`` (``star``: keep every binding), then apply
+        the clause's DISTINCT, ORDER BY, SKIP and LIMIT."""
         if star:
             projected = [dict(row) for row in rows]
-        elif any(_has_aggregate(item.expression) for item in items):
+        elif any(has_aggregate(item.expression) for item in items):
             projected = self._project_grouped(rows, items)
         else:
             projected = []
@@ -651,43 +624,32 @@ class CypherEngine:
                 # non-projected expressions, under a side channel.
                 out["__source__"] = row
                 projected.append(out)
-        if distinct:
-            seen: set[Any] = set()
-            unique: list[Row] = []
-            for row in projected:
-                key = tuple(
-                    hash_key(row[item.alias]) for item in items
-                ) if not star else tuple(
-                    (name, hash_key(value)) for name, value in sorted(
-                        row.items()
-                    ) if name != "__source__"
-                )
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(row)
-            projected = unique
-        if order_by:
-            def key_of(row: Row) -> tuple:
-                keys = []
-                for sort_item in order_by:
-                    value = self._evaluate_sort(sort_item.expression, row)
-                    key = sort_key(value)
-                    keys.append(key)
-                return tuple(keys)
-
-            # Stable multi-key sort honouring per-key direction.
-            for sort_item in reversed(order_by):
-                projected.sort(
-                    key=lambda row, si=sort_item: sort_key(
-                        self._evaluate_sort(si.expression, row)
-                    ),
-                    reverse=sort_item.descending,
-                )
-        start = int(self._evaluate(skip, {})) if skip is not None else 0
-        if start:
-            projected = projected[start:]
-        if limit is not None:
-            projected = projected[: int(self._evaluate(limit, {}))]
+        if clause.distinct and star:
+            projected = _unique(
+                projected,
+                lambda row: tuple(
+                    (name, hash_key(value))
+                    for name, value in sorted(row.items())
+                    if name != "__source__"
+                ),
+            )
+        elif clause.distinct:
+            projected = _unique(
+                projected,
+                lambda row: tuple(hash_key(row[item.alias]) for item in items),
+            )
+        # Stable multi-key sort honouring per-key direction.
+        for sort_item in reversed(clause.order_by):
+            projected.sort(
+                key=lambda row, si=sort_item: sort_key(
+                    self._evaluate_sort(si.expression, row)
+                ),
+                reverse=sort_item.descending,
+            )
+        if clause.skip is not None:
+            projected = projected[int(self._evaluate(clause.skip, {})) :]
+        if clause.limit is not None:
+            projected = projected[: int(self._evaluate(clause.limit, {}))]
         for row in projected:
             row.pop("__source__", None)
         return projected
@@ -703,7 +665,7 @@ class CypherEngine:
         self, rows: list[Row], items: tuple[ast.ProjectionItem, ...]
     ) -> list[Row]:
         group_items = [
-            item for item in items if not _has_aggregate(item.expression)
+            item for item in items if not has_aggregate(item.expression)
         ]
         groups: dict[tuple, tuple[Row, list[Row]]] = {}
         order: list[tuple] = []
@@ -1052,34 +1014,11 @@ class CypherEngine:
             if value is not None:
                 values.append(value)
         if call.distinct:
-            seen: set[Any] = set()
-            unique = []
-            for value in values:
-                key = hash_key(value)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(value)
-            values = unique
-        if call.name == "count":
-            return agg_count(values)
-        if call.name == "collect":
-            return agg_collect(values)
-        if call.name == "sum":
-            return agg_sum(values)
-        if call.name == "avg":
-            return agg_avg(values)
-        if call.name == "min":
-            return agg_min(values)
-        if call.name == "max":
-            return agg_max(values)
-        if call.name == "stdev":
-            return agg_stdev(values)
-        if call.name in ("percentilecont", "percentiledisc"):
-            percentile = self._evaluate(call.args[1], rows[0] if rows else {})
-            if call.name == "percentilecont":
-                return agg_percentile_cont(values, percentile)
-            return agg_percentile_disc(values, percentile)
-        raise CypherRuntimeError(f"unknown aggregate {call.name}()")
+            values = _unique(values, hash_key)
+        if call.name in AGGREGATES:
+            return AGGREGATES[call.name](values)
+        percentile = self._evaluate(call.args[1], rows[0] if rows else {})
+        return PERCENTILE_AGGREGATES[call.name](values, percentile)
 
     def _evaluate_unary(
         self, expression: ast.UnaryOp, row: Row, group_rows: list[Row] | None
@@ -1119,24 +1058,16 @@ class CypherEngine:
             return compare(left, right, op)
         if op == "in":
             return list_membership(left, right)
-        if op == "starts_with":
-            if left is None or right is None:
-                return None
-            return left.startswith(right)
-        if op == "ends_with":
-            if left is None or right is None:
-                return None
-            return left.endswith(right)
-        if op == "contains":
-            if left is None or right is None:
-                return None
-            return right in left
-        if op == "regex":
-            if left is None or right is None:
-                return None
-            return re.fullmatch(right, left) is not None
         if left is None or right is None:
             return None
+        if op == "starts_with":
+            return left.startswith(right)
+        if op == "ends_with":
+            return left.endswith(right)
+        if op == "contains":
+            return right in left
+        if op == "regex":
+            return re.fullmatch(right, left) is not None
         if op == "+":
             if isinstance(left, list) or isinstance(right, list):
                 left_list = left if isinstance(left, list) else [left]
@@ -1172,16 +1103,9 @@ class CypherEngine:
         if subject is None:
             return None
         if expression.is_slice:
-            start = (
-                self._evaluate(expression.index, row, group_rows)
-                if expression.index is not None
-                else None
-            )
-            end = (
-                self._evaluate(expression.end, row, group_rows)
-                if expression.end is not None
-                else None
-            )
+            # An open end is an absent sub-expression, which evaluates to None.
+            start = self._evaluate(expression.index, row, group_rows)
+            end = self._evaluate(expression.end, row, group_rows)
             return subject[start:end]
         index = self._evaluate(expression.index, row, group_rows)
         if isinstance(subject, dict):
@@ -1230,14 +1154,25 @@ class CypherEngine:
 
 
 class _Context:
-    """Per-execution mutable state: parameters, stats, current row."""
+    """Per-execution mutable state: write stats and the profiled clause."""
 
-    def __init__(self, parameters: dict[str, Any]):
-        self.parameters = parameters
+    def __init__(self) -> None:
         self.stats = WriteStats()
-        self.row: Row = {}
         #: The profiler operator of the clause being applied, if any.
         self.node: ProfileNode | None = None
+
+
+def _unique(items: list[Any], key: Callable[[Any], Any]) -> list[Any]:
+    """``items`` minus later duplicates under ``key``, order kept —
+    DISTINCT for projections, aggregates and UNION alike."""
+    seen: set[Any] = set()
+    unique = []
+    for item in items:
+        identity = key(item)
+        if identity not in seen:
+            seen.add(identity)
+            unique.append(item)
+    return unique
 
 
 def _merge_stats(target: WriteStats, other: WriteStats) -> None:
@@ -1249,68 +1184,12 @@ def _merge_stats(target: WriteStats, other: WriteStats) -> None:
     target.labels_added += other.labels_added
 
 
-def _has_aggregate(expression: ast.Expression) -> bool:
-    """Walk an expression tree looking for aggregate function calls."""
-    if isinstance(expression, ast.FunctionCall):
-        if expression.name in AGGREGATE_NAMES:
-            return True
-        return any(_has_aggregate(arg) for arg in expression.args)
-    if isinstance(expression, ast.UnaryOp):
-        return _has_aggregate(expression.operand)
-    if isinstance(expression, ast.BinaryOp):
-        return _has_aggregate(expression.left) or _has_aggregate(expression.right)
-    if isinstance(expression, ast.IsNull):
-        return _has_aggregate(expression.operand)
-    if isinstance(expression, ast.PropertyAccess):
-        return _has_aggregate(expression.subject)
-    if isinstance(expression, ast.ListLiteral):
-        return any(_has_aggregate(item) for item in expression.items)
-    if isinstance(expression, ast.MapLiteral):
-        return any(_has_aggregate(value) for _, value in expression.items)
-    if isinstance(expression, ast.IndexAccess):
-        targets = [expression.subject, expression.index, expression.end]
-        return any(_has_aggregate(t) for t in targets if t is not None)
-    if isinstance(expression, ast.CaseExpression):
-        parts: list[ast.Expression] = []
-        if expression.operand is not None:
-            parts.append(expression.operand)
-        for condition, value in expression.whens:
-            parts.extend((condition, value))
-        if expression.default is not None:
-            parts.append(expression.default)
-        return any(_has_aggregate(part) for part in parts)
-    if isinstance(expression, ast.ListComprehension):
-        parts = [expression.source]
-        if expression.predicate is not None:
-            parts.append(expression.predicate)
-        if expression.projection is not None:
-            parts.append(expression.projection)
-        return any(_has_aggregate(part) for part in parts)
-    if isinstance(expression, ast.ListPredicate):
-        return _has_aggregate(expression.source) or _has_aggregate(
-            expression.predicate
-        )
-    if isinstance(expression, ast.Reduce):
-        return any(
-            _has_aggregate(part)
-            for part in (expression.init, expression.source, expression.expression)
-        )
-    return False
-
-
-def _pattern_variables(patterns: tuple[ast.PathPattern, ...]) -> list[str]:
-    """All variable names introduced by a set of patterns."""
-    names: list[str] = []
-    for pattern in patterns:
-        if pattern.path_variable:
-            names.append(pattern.path_variable)
-        for node in pattern.nodes:
-            if node.variable:
-                names.append(node.variable)
-        for rel in pattern.relationships:
-            if rel.variable:
-                names.append(rel.variable)
-    return names
+def has_aggregate(expression: ast.Expression) -> bool:
+    """True when an aggregate function call appears anywhere in the tree."""
+    return any(
+        isinstance(node, ast.FunctionCall) and node.name in AGGREGATE_NAMES
+        for node, _ in expression.walk()
+    )
 
 
 def _unknown_procedure_message(name: str) -> str:

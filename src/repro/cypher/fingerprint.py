@@ -30,27 +30,11 @@ from __future__ import annotations
 import hashlib
 
 from repro.cypher import ast
+from repro.cypher.render import MASKED
 
 #: Hex chars of SHA-256 kept as the fingerprint (48 bits: collision-safe
 #: for any realistic statement population, short enough to eyeball).
 FINGERPRINT_HEX_CHARS = 12
-
-_BINARY_SYMBOLS = {
-    "and": "AND",
-    "or": "OR",
-    "xor": "XOR",
-    "eq": "=",
-    "neq": "<>",
-    "lt": "<",
-    "le": "<=",
-    "gt": ">",
-    "ge": ">=",
-    "in": "IN",
-    "starts_with": "STARTS WITH",
-    "ends_with": "ENDS WITH",
-    "contains": "CONTAINS",
-    "regex": "=~",
-}
 
 
 def fingerprint_query(tree: ast.Query) -> tuple[str, str]:
@@ -62,241 +46,4 @@ def fingerprint_query(tree: ast.Query) -> tuple[str, str]:
 
 def normalize_query(tree: ast.Query) -> str:
     """Render a parsed query canonically with literals/params masked."""
-    parts = [_render_clauses(tree.clauses)]
-    for part in tree.union_parts:
-        keyword = "UNION ALL" if tree.union_all else "UNION"
-        parts.append(keyword)
-        parts.append(_render_clauses(part.clauses))
-    return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Clauses
-# ---------------------------------------------------------------------------
-
-
-def _render_clauses(clauses: tuple[ast.Clause, ...]) -> str:
-    return " ".join(_render_clause(clause) for clause in clauses)
-
-
-def _render_clause(clause: ast.Clause) -> str:
-    if isinstance(clause, ast.MatchClause):
-        head = "OPTIONAL MATCH" if clause.optional else "MATCH"
-        body = ", ".join(_render_path(p) for p in clause.patterns)
-        if clause.where is not None:
-            body += f" WHERE {_expr(clause.where)}"
-        return f"{head} {body}"
-    if isinstance(clause, ast.UnwindClause):
-        return f"UNWIND {_expr(clause.expression)} AS {clause.alias}"
-    if isinstance(clause, ast.WithClause):
-        return "WITH " + _render_projection(clause, with_where=True)
-    if isinstance(clause, ast.ReturnClause):
-        return "RETURN " + _render_projection(clause, with_where=False)
-    if isinstance(clause, ast.CreateClause):
-        return "CREATE " + ", ".join(_render_path(p) for p in clause.patterns)
-    if isinstance(clause, ast.MergeClause):
-        text = "MERGE " + _render_path(clause.pattern)
-        if clause.on_create:
-            text += " ON CREATE SET " + ", ".join(
-                _render_set_item(item) for item in clause.on_create
-            )
-        if clause.on_match:
-            text += " ON MATCH SET " + ", ".join(
-                _render_set_item(item) for item in clause.on_match
-            )
-        return text
-    if isinstance(clause, ast.SetClause):
-        return "SET " + ", ".join(_render_set_item(item) for item in clause.items)
-    if isinstance(clause, ast.RemoveClause):
-        return "REMOVE " + ", ".join(
-            _render_set_item(item) for item in clause.items
-        )
-    if isinstance(clause, ast.DeleteClause):
-        head = "DETACH DELETE" if clause.detach else "DELETE"
-        return f"{head} " + ", ".join(_expr(e) for e in clause.expressions)
-    if isinstance(clause, ast.CallClause):
-        text = f"CALL {clause.procedure}"
-        text += "(" + ", ".join(_expr(arg) for arg in clause.args) + ")"
-        if clause.yields:
-            text += " YIELD " + ", ".join(
-                item.column if item.column == item.alias
-                else f"{item.column} AS {item.alias}"
-                for item in clause.yields
-            )
-        return text
-    if isinstance(clause, ast.EmptyReturn):
-        return ""
-    return type(clause).__name__
-
-
-def _render_projection(
-    clause: "ast.WithClause | ast.ReturnClause", with_where: bool
-) -> str:
-    parts: list[str] = []
-    flags = "DISTINCT " if clause.distinct else ""
-    if clause.star:
-        parts.append(f"{flags}*")
-    else:
-        parts.append(
-            flags
-            + ", ".join(
-                f"{_expr(item.expression)} AS {item.alias}"
-                for item in clause.items
-            )
-        )
-    if with_where and clause.where is not None:
-        parts.append(f"WHERE {_expr(clause.where)}")
-    if clause.order_by:
-        parts.append(
-            "ORDER BY "
-            + ", ".join(
-                _expr(item.expression) + (" DESC" if item.descending else "")
-                for item in clause.order_by
-            )
-        )
-    if clause.skip is not None:
-        parts.append(f"SKIP {_expr(clause.skip)}")
-    if clause.limit is not None:
-        parts.append(f"LIMIT {_expr(clause.limit)}")
-    return " ".join(parts)
-
-
-def _render_set_item(item: ast.SetItem) -> str:
-    if item.kind == "label":
-        return _expr(item.subject) + "".join(f":{label}" for label in item.labels)
-    if item.kind == "property":
-        value = "" if item.value is None else f" = {_expr(item.value)}"
-        return f"{_expr(item.subject)}.{item.key}{value}"
-    op = "+=" if item.kind == "merge_map" else "="
-    return f"{_expr(item.subject)} {op} {_expr(item.value)}"
-
-
-# ---------------------------------------------------------------------------
-# Patterns
-# ---------------------------------------------------------------------------
-
-
-def _render_path(pattern: ast.PathPattern) -> str:
-    body: list[str] = [_render_node(pattern.nodes[0])]
-    for rel, node in zip(pattern.relationships, pattern.nodes[1:], strict=True):
-        body.append(_render_rel(rel))
-        body.append(_render_node(node))
-    text = "".join(body)
-    if pattern.shortest:
-        text = f"shortestPath({text})"
-    if pattern.path_variable:
-        text = f"{pattern.path_variable} = {text}"
-    return text
-
-
-def _render_node(node: ast.NodePattern) -> str:
-    inner = node.variable or ""
-    inner += "".join(f":{label}" for label in node.labels)
-    if node.properties:
-        inner += " " + _render_properties(node.properties)
-    return f"({inner})"
-
-
-def _render_rel(rel: ast.RelPattern) -> str:
-    inner = rel.variable or ""
-    if rel.types:
-        inner += ":" + "|".join(rel.types)
-    if rel.is_variable_length:
-        inner += "*"
-        if rel.min_hops != 1 or rel.max_hops != -1:
-            inner += f"{rel.min_hops}.."
-            if rel.max_hops != -1:
-                inner += str(rel.max_hops)
-    if rel.properties:
-        inner += " " + _render_properties(rel.properties)
-    body = f"[{inner}]" if inner else ""
-    if rel.direction == "out":
-        return f"-{body}->"
-    if rel.direction == "in":
-        return f"<-{body}-"
-    return f"-{body}-"
-
-
-def _render_properties(
-    properties: tuple[tuple[str, ast.Expression], ...]
-) -> str:
-    return (
-        "{" + ", ".join(f"{key}: {_expr(value)}" for key, value in properties) + "}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Expressions
-# ---------------------------------------------------------------------------
-
-
-def _expr(expression: ast.Expression | None) -> str:
-    if expression is None:
-        return "?"
-    if isinstance(expression, ast.Literal):
-        return "?"
-    if isinstance(expression, ast.Parameter):
-        return "$?"
-    if isinstance(expression, ast.Variable):
-        return expression.name
-    if isinstance(expression, ast.PropertyAccess):
-        return f"{_expr(expression.subject)}.{expression.key}"
-    if isinstance(expression, ast.FunctionCall):
-        if expression.star:
-            return f"{expression.name}(*)"
-        flags = "DISTINCT " if expression.distinct else ""
-        args = ", ".join(_expr(arg) for arg in expression.args)
-        return f"{expression.name}({flags}{args})"
-    if isinstance(expression, ast.UnaryOp):
-        if expression.op == "not":
-            return f"NOT {_expr(expression.operand)}"
-        return f"{expression.op}{_expr(expression.operand)}"
-    if isinstance(expression, ast.BinaryOp):
-        symbol = _BINARY_SYMBOLS.get(expression.op, expression.op)
-        return f"({_expr(expression.left)} {symbol} {_expr(expression.right)})"
-    if isinstance(expression, ast.IsNull):
-        verb = "IS NOT NULL" if expression.negated else "IS NULL"
-        return f"{_expr(expression.operand)} {verb}"
-    if isinstance(expression, ast.ListLiteral):
-        return "[" + ", ".join(_expr(item) for item in expression.items) + "]"
-    if isinstance(expression, ast.MapLiteral):
-        body = ", ".join(f"{key}: {_expr(value)}" for key, value in expression.items)
-        return "{" + body + "}"
-    if isinstance(expression, ast.IndexAccess):
-        subject = _expr(expression.subject)
-        if expression.is_slice:
-            start = _expr(expression.index) if expression.index is not None else ""
-            end = _expr(expression.end) if expression.end is not None else ""
-            return f"{subject}[{start}..{end}]"
-        return f"{subject}[{_expr(expression.index)}]"
-    if isinstance(expression, ast.CaseExpression):
-        parts = ["CASE"]
-        if expression.operand is not None:
-            parts.append(_expr(expression.operand))
-        for condition, value in expression.whens:
-            parts.append(f"WHEN {_expr(condition)} THEN {_expr(value)}")
-        if expression.default is not None:
-            parts.append(f"ELSE {_expr(expression.default)}")
-        parts.append("END")
-        return " ".join(parts)
-    if isinstance(expression, ast.ListComprehension):
-        body = f"{expression.variable} IN {_expr(expression.source)}"
-        if expression.predicate is not None:
-            body += f" WHERE {_expr(expression.predicate)}"
-        if expression.projection is not None:
-            body += f" | {_expr(expression.projection)}"
-        return f"[{body}]"
-    if isinstance(expression, ast.ListPredicate):
-        return (
-            f"{expression.kind}({expression.variable} IN "
-            f"{_expr(expression.source)} WHERE {_expr(expression.predicate)})"
-        )
-    if isinstance(expression, ast.Reduce):
-        return (
-            f"reduce({expression.accumulator} = {_expr(expression.init)}, "
-            f"{expression.variable} IN {_expr(expression.source)} | "
-            f"{_expr(expression.expression)})"
-        )
-    if isinstance(expression, ast.PatternPredicate):
-        return f"EXISTS {_render_path(expression.pattern)}"
-    return type(expression).__name__
+    return MASKED.query(tree)

@@ -15,14 +15,6 @@ from repro.cypher.errors import CypherRuntimeError
 from repro.cypher.values import sort_key
 from repro.graphdb.model import Node, Relationship
 
-AGGREGATE_NAMES = frozenset(
-    {
-        "count", "collect", "sum", "avg", "min", "max",
-        "percentilecont", "percentiledisc", "stdev",
-    }
-)
-
-
 def _null_safe(func: Callable[..., Any]) -> Callable[..., Any]:
     """Wrap a scalar function to return null when its first arg is null."""
 
@@ -272,3 +264,22 @@ def agg_percentile_disc(values: list[Any], percentile: float) -> Any:
     ordered = sorted(values)
     rank = int(math.ceil(percentile * len(ordered)))
     return ordered[max(rank - 1, 0)]
+
+
+#: Aggregates over the collected values alone, and those taking a second
+#: (percentile) argument; together they are every name the engine treats
+#: as an aggregate call.
+AGGREGATES: dict[str, Callable[[list[Any]], Any]] = {
+    "count": agg_count,
+    "collect": agg_collect,
+    "sum": agg_sum,
+    "avg": agg_avg,
+    "min": agg_min,
+    "max": agg_max,
+    "stdev": agg_stdev,
+}
+PERCENTILE_AGGREGATES: dict[str, Callable[[list[Any], float], Any]] = {
+    "percentilecont": agg_percentile_cont,
+    "percentiledisc": agg_percentile_disc,
+}
+AGGREGATE_NAMES = frozenset(AGGREGATES) | frozenset(PERCENTILE_AGGREGATES)

@@ -1,8 +1,11 @@
 """Graph pattern matching for MATCH / MERGE / pattern predicates.
 
-For each path pattern the matcher picks the cheapest anchor element
-(a bound variable, an indexed label+property seek, or the smallest label
-scan), then expands rightward and leftward with backtracking.  Cypher's
+Each path pattern is walked from an anchor element (a bound variable, an
+indexed label+property seek, or the smallest label scan), expanding
+rightward and leftward with backtracking.  The anchor is the planner's
+decision (:func:`repro.cypher.planner.choose_anchor`): a planned MATCH
+hands the matcher the anchors its plan recorded, every other caller has
+the same function choose one against its binding.  Cypher's
 relationship isomorphism is enforced: within one MATCH clause a
 relationship is traversed at most once, which is what makes the paper's
 MOAS query (Listing 2) return genuinely distinct origin links.
@@ -22,10 +25,12 @@ Two optimizer hooks plug into the walk (see
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.cypher import ast
 from repro.cypher.errors import CypherRuntimeError
+from repro.cypher.planner import Anchor, choose_anchor
 from repro.cypher.values import equals, is_truthy
 from repro.graphdb.model import Direction, Node, Relationship
 from repro.graphdb.store import GraphStore
@@ -70,9 +75,16 @@ class PatternMatcher:
         patterns: tuple[ast.PathPattern, ...],
         binding: Binding,
         pushed: Pushed | None = None,
+        anchors: tuple[Anchor, ...] | None = None,
     ) -> Iterator[Binding]:
-        """Yield bindings satisfying *all* patterns (one MATCH clause)."""
-        yield from self._match_rest(list(patterns), binding, frozenset(), pushed)
+        """Yield bindings satisfying *all* patterns (one MATCH clause).
+
+        ``anchors`` are the plan's per-pattern anchors; without a plan
+        each pattern's anchor is chosen against the binding it meets."""
+        steps = tuple(
+            zip(patterns, anchors or (None,) * len(patterns), strict=True)
+        )
+        yield from self._match_rest(steps, binding, frozenset(), pushed)
 
     def match_single(
         self, pattern: ast.PathPattern, binding: Binding
@@ -93,17 +105,21 @@ class PatternMatcher:
 
     def _match_rest(
         self,
-        patterns: list[ast.PathPattern],
+        steps: tuple[tuple[ast.PathPattern, Anchor | None], ...],
         binding: Binding,
         used_rels: frozenset[int],
         pushed: Pushed | None,
     ) -> Iterator[Binding]:
-        if not patterns:
+        if not steps:
             yield binding
             return
-        head, tail = patterns[0], patterns[1:]
-        for extended, rels in self._match_path(head, binding, used_rels, pushed):
-            yield from self._match_rest(tail, extended, used_rels | rels, pushed)
+        pattern, anchor = steps[0]
+        for extended, rels in self._match_path(
+            pattern, binding, used_rels, pushed, anchor
+        ):
+            yield from self._match_rest(
+                steps[1:], extended, used_rels | rels, pushed
+            )
 
     # ------------------------------------------------------------------
     # Single path
@@ -115,11 +131,15 @@ class PatternMatcher:
         binding: Binding,
         used_rels: frozenset[int],
         pushed: Pushed | None,
+        planned: Anchor | None = None,
     ) -> Iterator[tuple[Binding, frozenset[int]]]:
+        chosen = planned or choose_anchor(pattern, binding, self._store)
         if pattern.shortest:
-            yield from self._match_shortest(pattern, binding, used_rels, pushed)
+            yield from self._match_shortest(
+                pattern, binding, used_rels, pushed, chosen
+            )
             return
-        anchor = self._choose_anchor(pattern, binding)
+        anchor = chosen.position  # the walk's fixed point in pattern.nodes
         # One working dict per path; the walk mutates it in place and
         # unwinds its own additions when backtracking.
         work = dict(binding)
@@ -131,7 +151,9 @@ class PatternMatcher:
         # by the store's expand / rels_expanded counters.
         binds = 0
         try:
-            for candidate in self._anchor_candidates(pattern.nodes[anchor], work):
+            for candidate in self._anchor_candidates(
+                pattern.nodes[anchor], chosen, work
+            ):
                 self._tick()
                 binds += 1
                 trail: list[str] = []
@@ -253,6 +275,7 @@ class PatternMatcher:
         binding: Binding,
         used_rels: frozenset[int],
         pushed: Pushed | None,
+        anchor: Anchor,
     ) -> Iterator[tuple[Binding, frozenset[int]]]:
         """BFS from each start candidate; one shortest path per end node."""
         if len(pattern.relationships) != 1:
@@ -265,22 +288,16 @@ class PatternMatcher:
         # Anchor the BFS at the cheaper end (BFS explores the same ball
         # either way; starting from the selective end avoids one scan
         # per anchor candidate).
-        if self._node_cost(end_pattern, binding) < self._node_cost(
-            start_pattern, binding
-        ):
+        if anchor.position == 1:
             start_pattern, end_pattern = end_pattern, start_pattern
             if rel_pattern.direction != "both":
-                rel_pattern = ast.RelPattern(
-                    rel_pattern.variable,
-                    rel_pattern.types,
-                    rel_pattern.properties,
-                    "in" if rel_pattern.direction == "out" else "out",
-                    rel_pattern.min_hops,
-                    rel_pattern.max_hops,
+                rel_pattern = replace(
+                    rel_pattern,
+                    direction="in" if rel_pattern.direction == "out" else "out",
                 )
             flipped = True
         limit = 10**9 if rel_pattern.max_hops == -1 else max(rel_pattern.max_hops, 1)
-        for start_node in self._anchor_candidates(start_pattern, binding):
+        for start_node in self._anchor_candidates(start_pattern, anchor, binding):
             record_access("bind_attempt")
             base = dict(binding)
             if not self._bind_node(start_pattern, start_node, base, None, pushed):
@@ -330,78 +347,30 @@ class PatternMatcher:
                 frontier = next_frontier
 
     # ------------------------------------------------------------------
-    # Anchor selection
+    # Anchor candidates
     # ------------------------------------------------------------------
 
-    def describe_pattern(self, pattern: ast.PathPattern, binding: Binding) -> str:
-        """The planner's choice for one pattern, for EXPLAIN and PROFILE:
-        anchor element, access path, and estimated cardinality."""
-        anchor = self._choose_anchor(pattern, binding)
-        node = pattern.nodes[anchor]
-        cost = self._node_cost(node, binding)
-        label = f":{node.labels[0]}" if node.labels else "(any)"
-        indexed = any(
-            node.labels and self._store.has_index(lbl, key)
-            for lbl in node.labels
-            for key, _ in node.properties
-        )
-        if node.variable and node.variable in binding:
-            access = "bound"
-        elif indexed:
-            access = "index seek"
-        else:
-            access = "label scan" if node.labels else "all-nodes scan"
-        return f"anchor={label} pos={anchor} access={access} est={cost}"
-
-    def _choose_anchor(self, pattern: ast.PathPattern, binding: Binding) -> int:
-        best_index, best_cost = 0, None
-        for index, node in enumerate(pattern.nodes):
-            cost = self._node_cost(node, binding)
-            if best_cost is None or cost < best_cost:
-                best_index, best_cost = index, cost
-        return best_index
-
-    def _node_cost(self, node: ast.NodePattern, binding: Binding) -> int:
-        if node.variable and node.variable in binding:
-            return 0
-        if node.labels:
-            best = None
-            for label in node.labels:
-                # label_count probes the index size without materializing
-                # nodes (or counting as a label scan in profiles).
-                count = self._store.label_count(label)
-                for key, _ in node.properties:
-                    if self._store.has_index(label, key):
-                        count = min(count, 2)  # index seek: near-constant
-                        break
-                if best is None or count < best:
-                    best = count
-            return best + 1
-        return self._store.node_count + 2
-
     def _anchor_candidates(
-        self, node: ast.NodePattern, binding: Binding
+        self, node: ast.NodePattern, anchor: Anchor, binding: Binding
     ) -> Iterator[Node]:
-        if node.variable and node.variable in binding:
+        """The nodes ``anchor`` says to try for its ``node`` pattern."""
+        if anchor.access == "bound":
             value = binding[node.variable]
             if value is None:
                 return
             if not isinstance(value, Node):
                 raise CypherRuntimeError(f"variable {node.variable!r} is not a node")
             yield value
-            return
-        if node.labels:
-            label = min(node.labels, key=self._store.label_count)
-            for key, value_expr in node.properties:
-                if self._store.has_index(label, key):
-                    value = self._evaluate(value_expr, binding)
-                    yield from self._store.find_nodes(label, key, value)
-                    return
-            yield from self._store.nodes_with_label(label)
-            return
-        # Stream the full scan: clauses drain the matcher before any
-        # mutation clause runs, so the store cannot change mid-iteration.
-        yield from self._store.iter_nodes()
+        elif anchor.seek is not None:
+            key, value_expr = anchor.seek
+            value = self._evaluate(value_expr, binding)
+            yield from self._store.find_nodes(anchor.label, key, value)
+        elif anchor.label is not None:
+            yield from self._store.nodes_with_label(anchor.label)
+        else:
+            # Stream the full scan: clauses drain the matcher before any
+            # mutation clause runs, so the store cannot change mid-iteration.
+            yield from self._store.iter_nodes()
 
     # ------------------------------------------------------------------
     # Single step (fixed- and variable-length relationships)

@@ -28,7 +28,13 @@ from repro.cypher import ast
 from repro.cypher.errors import CypherSyntaxError
 from repro.cypher.lexer import Token, TokenType, tokenize
 
-_COMPARISON_PUNCT = {"=", "<>", "<", "<=", ">", ">=", "=~"}
+#: Punctuation comparison operator -> ``BinaryOp.op`` (the keyword
+#: operators are parsed by name below).
+_COMPARISON_PUNCT = {
+    symbol: op
+    for op, symbol in ast.OPERATOR_SYMBOLS.items()
+    if not symbol[0].isalpha()
+}
 
 
 def parse(text: str) -> ast.Query:
@@ -517,11 +523,8 @@ class _Parser:
         while True:
             token = self._current
             if token.type is TokenType.PUNCT and token.value in _COMPARISON_PUNCT:
-                op = self._advance().value
-                right = self._parse_additive()
-                name = {"=": "eq", "<>": "neq", "<": "lt", "<=": "le",
-                        ">": "gt", ">=": "ge", "=~": "regex"}[op]
-                left = ast.BinaryOp(name, left, right)
+                op = _COMPARISON_PUNCT[self._advance().value]
+                left = ast.BinaryOp(op, left, self._parse_additive())
                 continue
             if token.is_keyword("IN"):
                 self._advance()

@@ -37,19 +37,25 @@ evaluated exactly where the naive executor evaluated the full WHERE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Collection, Mapping, NamedTuple, TypeVar
 
 from repro.cypher import ast
+from repro.cypher.render import PLAIN
 from repro.graphdb.store import GraphStore
 
 __all__ = [
+    "Anchor",
     "MatchPlan",
+    "choose_anchor",
+    "describe_pattern",
     "plan_match",
     "split_conjuncts",
     "free_variables",
     "render_expression",
 ]
+
+_Element = TypeVar("_Element", ast.NodePattern, ast.RelPattern)
 
 
 # ---------------------------------------------------------------------------
@@ -86,98 +92,15 @@ def free_variables(expression: ast.Expression | None) -> frozenset[str]:
     conjunct out of the pushdown set, never produces a wrong plan.
     """
     names: set[str] = set()
-    _collect_free(expression, frozenset(), names)
-    return frozenset(names)
-
-
-def _collect_free(
-    expression: ast.Expression | None, scoped: frozenset[str], names: set[str]
-) -> None:
     if expression is None:
-        return
-    if isinstance(expression, ast.Variable):
-        if expression.name not in scoped:
-            names.add(expression.name)
-    elif isinstance(expression, (ast.Literal, ast.Parameter)):
-        return
-    elif isinstance(expression, ast.PropertyAccess):
-        _collect_free(expression.subject, scoped, names)
-    elif isinstance(expression, ast.FunctionCall):
-        for arg in expression.args:
-            _collect_free(arg, scoped, names)
-    elif isinstance(expression, ast.UnaryOp):
-        _collect_free(expression.operand, scoped, names)
-    elif isinstance(expression, ast.BinaryOp):
-        _collect_free(expression.left, scoped, names)
-        _collect_free(expression.right, scoped, names)
-    elif isinstance(expression, ast.IsNull):
-        _collect_free(expression.operand, scoped, names)
-    elif isinstance(expression, ast.ListLiteral):
-        for item in expression.items:
-            _collect_free(item, scoped, names)
-    elif isinstance(expression, ast.MapLiteral):
-        for _, value in expression.items:
-            _collect_free(value, scoped, names)
-    elif isinstance(expression, ast.IndexAccess):
-        for part in (expression.subject, expression.index, expression.end):
-            _collect_free(part, scoped, names)
-    elif isinstance(expression, ast.CaseExpression):
-        _collect_free(expression.operand, scoped, names)
-        for condition, value in expression.whens:
-            _collect_free(condition, scoped, names)
-            _collect_free(value, scoped, names)
-        _collect_free(expression.default, scoped, names)
-    elif isinstance(expression, ast.ListComprehension):
-        _collect_free(expression.source, scoped, names)
-        inner = scoped | {expression.variable}
-        _collect_free(expression.predicate, inner, names)
-        _collect_free(expression.projection, inner, names)
-    elif isinstance(expression, ast.ListPredicate):
-        _collect_free(expression.source, scoped, names)
-        _collect_free(expression.predicate, scoped | {expression.variable}, names)
-    elif isinstance(expression, ast.Reduce):
-        _collect_free(expression.init, scoped, names)
-        _collect_free(expression.source, scoped, names)
-        inner = scoped | {expression.accumulator, expression.variable}
-        _collect_free(expression.expression, inner, names)
-    elif isinstance(expression, ast.PatternPredicate):
-        for name in _pattern_variables(expression.pattern):
-            if name not in scoped:
-                names.add(name)
-        for node in expression.pattern.nodes:
-            for _, value in node.properties:
-                _collect_free(value, scoped, names)
-        for rel in expression.pattern.relationships:
-            for _, value in rel.properties:
-                _collect_free(value, scoped, names)
-
-
-def _pattern_variables(pattern: ast.PathPattern) -> set[str]:
-    """Every variable a single path pattern mentions (incl. path var)."""
-    names: set[str] = set()
-    if pattern.path_variable:
-        names.add(pattern.path_variable)
-    for node in pattern.nodes:
-        if node.variable:
-            names.add(node.variable)
-    for rel in pattern.relationships:
-        if rel.variable:
-            names.add(rel.variable)
-    return names
-
-
-def _bindable_variables(patterns: Iterable[ast.PathPattern]) -> set[str]:
-    """Node and relationship variables (pushdown targets); path variables
-    bind only after a full path materializes, so they are excluded."""
-    names: set[str] = set()
-    for pattern in patterns:
-        for node in pattern.nodes:
-            if node.variable:
-                names.add(node.variable)
-        for rel in pattern.relationships:
-            if rel.variable:
-                names.add(rel.variable)
-    return names
+        return frozenset()
+    for node, scoped in expression.walk():
+        if isinstance(node, ast.Variable):
+            if node.name not in scoped:
+                names.add(node.name)
+        elif isinstance(node, ast.PatternPredicate):
+            names.update(node.pattern.variables() - scoped)
+    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +117,10 @@ class MatchPlan:
     patterns: tuple[ast.PathPattern, ...]
     #: ``order[i]`` is the textual index of ``patterns[i]``.
     order: tuple[int, ...]
+    #: ``anchors[i]`` is where the walk of ``patterns[i]`` starts, chosen
+    #: against the incoming variables plus everything ``patterns[:i]``
+    #: bind — the matcher executes it as given.
+    anchors: tuple[Anchor, ...]
     #: Bind-time predicates, keyed by the variable that triggers them.
     pushed: dict[str, tuple[ast.Expression, ...]] = field(default_factory=dict)
     #: Promoted equalities per variable, for EXPLAIN: (key, value expr).
@@ -257,7 +184,14 @@ def plan_match(
     the per-pattern estimates are recorded on the plan for EXPLAIN.
     Without it, planning is byte-identical to the uniform-cost model.
     """
-    bindable = _bindable_variables(patterns)
+    # Pushdown targets: node and relationship variables.  A path
+    # variable binds only after its whole path materializes.
+    bindable = {
+        name
+        for pattern in patterns
+        for name in pattern.variables()
+        if name != pattern.path_variable
+    }
     prefilters: list[ast.Expression] = []
     pushed: dict[str, list[ast.Expression]] = {}
     promotions: dict[str, list[tuple[str, ast.Expression]]] = {}
@@ -278,10 +212,11 @@ def plan_match(
         else:
             pushed.setdefault(variable, []).append(conjunct)
     rewritten = tuple(_apply_promotions(p, promotions) for p in patterns)
-    order, estimates = _order_patterns(rewritten, store, bound, statistics)
+    order, anchors, estimates = _order_patterns(rewritten, store, bound, statistics)
     return MatchPlan(
         patterns=tuple(rewritten[i] for i in order),
         order=order,
+        anchors=anchors,
         pushed={var: tuple(preds) for var, preds in pushed.items()},
         promoted={var: tuple(pairs) for var, pairs in promotions.items()},
         prefilters=tuple(prefilters),
@@ -315,52 +250,19 @@ def _apply_promotions(
     """Fold promoted equalities into the pattern's inline property maps."""
     if not promotions:
         return pattern
-    nodes = []
-    changed = False
-    for node in pattern.nodes:
-        extra = promotions.get(node.variable or "")
-        if extra:
-            additions = tuple(
-                (key, value) for key, value in extra if (key, value) not in node.properties
-            )
-            if additions:
-                node = ast.NodePattern(
-                    node.variable,
-                    node.labels,
-                    node.properties + additions,
-                    span=node.span,
-                    label_spans=node.label_spans,
-                )
-                changed = True
-        nodes.append(node)
-    relationships = []
-    for rel in pattern.relationships:
-        extra = promotions.get(rel.variable or "")
-        if extra:
-            additions = tuple(
-                (key, value) for key, value in extra if (key, value) not in rel.properties
-            )
-            if additions:
-                rel = ast.RelPattern(
-                    rel.variable,
-                    rel.types,
-                    rel.properties + additions,
-                    rel.direction,
-                    rel.min_hops,
-                    rel.max_hops,
-                    span=rel.span,
-                    type_spans=rel.type_spans,
-                )
-                changed = True
-        relationships.append(rel)
-    if not changed:
+
+    def promoted(element: _Element) -> _Element:
+        extra = promotions.get(element.variable or "", ())
+        additions = tuple(pair for pair in extra if pair not in element.properties)
+        if not additions:
+            return element
+        return replace(element, properties=element.properties + additions)
+
+    nodes = tuple(promoted(node) for node in pattern.nodes)
+    relationships = tuple(promoted(rel) for rel in pattern.relationships)
+    if nodes == pattern.nodes and relationships == pattern.relationships:
         return pattern
-    return ast.PathPattern(
-        tuple(nodes),
-        tuple(relationships),
-        path_variable=pattern.path_variable,
-        shortest=pattern.shortest,
-    )
+    return replace(pattern, nodes=nodes, relationships=relationships)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +275,7 @@ def _order_patterns(
     store: GraphStore,
     bound: frozenset[str],
     statistics=None,
-) -> tuple[tuple[int, ...], tuple[float, ...] | None]:
+) -> tuple[tuple[int, ...], tuple[Anchor, ...], tuple[float, ...] | None]:
     """Greedy join order: cheapest anchor first, then always prefer
     patterns connected (by a shared variable) to what is already bound,
     cheapest connected pattern next.  Disconnected patterns — genuine
@@ -383,40 +285,33 @@ def _order_patterns(
     With ``statistics``, "cheapest" means smallest *estimated result
     cardinality* (anchor population times measured per-hop fan-out)
     rather than smallest anchor, and the estimate per chosen pattern is
-    returned alongside the order.
+    returned alongside the order.  The anchor each pattern was costed
+    with — against exactly the variables bound when it runs — is
+    returned too, so the matcher never re-derives it.
     """
-    if len(patterns) <= 1:
-        order = tuple(range(len(patterns)))
-        if statistics is None:
-            return order, None
-        estimates = tuple(
-            _pattern_estimate(patterns[i], set(bound), store, statistics)
-            for i in order
-        )
-        return order, estimates
     remaining = set(range(len(patterns)))
     available = set(bound)
     order: list[int] = []
+    anchors: list[Anchor] = []
     estimates: list[float] = []
-    variables = [_pattern_variables(p) for p in patterns]
+    variables = [pattern.variables() for pattern in patterns]
     while remaining:
         connected = [i for i in remaining if variables[i] & available]
-        pool = connected or sorted(remaining)
-        best = min(
-            pool,
-            key=lambda i: (
-                _pattern_cost(patterns[i], available, store, statistics),
-                i,
-            ),
-        )
+        ranked = [
+            (_pattern_cost(patterns[i], available, store, statistics), i)
+            for i in connected or sorted(remaining)
+        ]
+        (cost, anchor), best = min(ranked, key=lambda entry: (entry[0][0], entry[1]))
         order.append(best)
-        if statistics is not None:
-            estimates.append(
-                _pattern_estimate(patterns[best], available, store, statistics)
-            )
+        anchors.append(anchor)
+        estimates.append(cost)
         remaining.discard(best)
         available |= variables[best]
-    return tuple(order), (tuple(estimates) if statistics is not None else None)
+    return (
+        tuple(order),
+        tuple(anchors),
+        tuple(estimates) if statistics is not None else None,
+    )
 
 
 def _pattern_cost(
@@ -424,57 +319,33 @@ def _pattern_cost(
     available: set[str],
     store: GraphStore,
     statistics=None,
-) -> float:
-    """Estimated anchor cardinality; mirrors the matcher's anchor
-    heuristic (bound variable < index seek < smallest label scan <
-    all-nodes scan) against a set of available variables.  With
-    ``statistics`` the cost is the full cardinality estimate including
-    expansion fan-out, not just the anchor."""
-    if statistics is not None:
-        return _pattern_estimate(pattern, available, store, statistics)
-    best: int | None = None
-    for node in pattern.nodes:
-        cost = _node_cost(node, available, store)
-        if best is None or cost < best:
-            best = cost
-    return best if best is not None else 0
-
-
-def _pattern_estimate(
-    pattern: ast.PathPattern,
-    available: set[str],
-    store: GraphStore,
-    statistics,
-) -> float:
-    """Estimated rows a pattern produces: the cheapest anchor's
-    population multiplied by the measured mean fan-out of each expansion
-    hop walking away from that anchor.
+) -> tuple[float, Anchor]:
+    """What running ``pattern`` next would cost, and the anchor that
+    cost assumes.  Without ``statistics`` the cost is the anchor's
+    estimated cardinality alone; with them it is the estimated rows the
+    pattern produces: the anchor's population multiplied by the measured
+    mean fan-out of each expansion hop walking away from it.
 
     Fan-out for a hop is :meth:`GraphStatistics.expansion` for the
     source node's label (smallest-population label when several),
     summed over the relationship's admissible types; a hop traversed
     against its arrow flips the direction it asks for.
     """
-    best_cost: int | None = None
-    anchor = 0
-    for index, node in enumerate(pattern.nodes):
-        cost = _node_cost(node, available, store)
-        if best_cost is None or cost < best_cost:
-            best_cost, anchor = cost, index
-    if best_cost is None:
-        return 0.0
-    estimate = float(best_cost)
+    anchor = choose_anchor(pattern, available, store)
+    if statistics is None:
+        return anchor.cost, anchor
+    estimate = float(anchor.cost)
     # Expand rightward from the anchor, then leftward; each hop
     # multiplies by the measured fan-out of its source node.
-    for hop in range(anchor, len(pattern.relationships)):
+    for hop in range(anchor.position, len(pattern.relationships)):
         estimate *= _hop_fanout(
             pattern.nodes[hop], pattern.relationships[hop], statistics, False
         )
-    for hop in range(anchor - 1, -1, -1):
+    for hop in range(anchor.position - 1, -1, -1):
         estimate *= _hop_fanout(
             pattern.nodes[hop + 1], pattern.relationships[hop], statistics, True
         )
-    return estimate
+    return estimate, anchor
 
 
 def _hop_fanout(
@@ -513,71 +384,78 @@ def _hop_fanout(
     return fanout
 
 
-def _node_cost(node: ast.NodePattern, available: set[str], store: GraphStore) -> int:
+# ---------------------------------------------------------------------------
+# Anchor selection — the one cost model, shared by planned and un-planned
+# matching (the naive oracle, MERGE, pattern predicates)
+# ---------------------------------------------------------------------------
+
+
+class Anchor(NamedTuple):
+    """Where one pattern's walk starts and how its candidates are
+    produced; the matcher executes it without consulting the store's
+    statistics again."""
+
+    #: Index into ``pattern.nodes``.
+    position: int
+    #: Estimated candidate count (the cost model's input).
+    cost: int
+    #: ``bound`` | ``index seek`` | ``label scan`` | ``all-nodes scan``.
+    access: str
+    #: The label scanned or seeked (None for bound / all-nodes).
+    label: str | None
+    #: ``(key, value expression)`` of the inline property to seek on.
+    seek: tuple[str, ast.Expression] | None
+
+
+def _node_cost(
+    node: ast.NodePattern, available: Collection[str], store: GraphStore
+) -> tuple[int, str, str | None, tuple[str, ast.Expression] | None]:
+    """``(cost, access, label, seek)`` of the cheapest way to produce one
+    node pattern's candidates: bound variable < index seek < smallest
+    label scan < all-nodes scan."""
     if node.variable and node.variable in available:
-        return 0
-    if node.labels:
-        best: int | None = None
-        for label in node.labels:
-            count = store.label_count(label)
-            for key, _ in node.properties:
-                if store.has_index(label, key):
-                    count = min(count, 2)  # index seek: near-constant
-                    break
-            if best is None or count < best:
-                best = count
-        return (best or 0) + 1
-    return store.node_count + 2
+        return 0, "bound", None, None
+    best: tuple[int, str, str | None, tuple[str, ast.Expression] | None] | None = None
+    for label in node.labels:
+        # label_count probes the index size without materializing nodes
+        # (or counting as a label scan in profiles).
+        count = store.label_count(label)
+        seek = next(
+            (pair for pair in node.properties if store.has_index(label, pair[0])),
+            None,
+        )
+        access = "label scan"
+        if seek is not None:
+            count, access = min(count, 2), "index seek"  # near-constant
+        if best is None or count + 1 < best[0]:
+            best = (count + 1, access, label, seek)
+    return best or (store.node_count + 2, "all-nodes scan", None, None)
 
 
-# ---------------------------------------------------------------------------
-# Expression rendering (EXPLAIN)
-# ---------------------------------------------------------------------------
+def choose_anchor(
+    pattern: ast.PathPattern, available: Collection[str], store: GraphStore
+) -> Anchor:
+    """The cheapest node of ``pattern`` to start from (leftmost on
+    ties), given the names already bound when the pattern runs."""
+    costs = [_node_cost(node, available, store) for node in pattern.nodes]
+    position = min(range(len(costs)), key=lambda index: costs[index][0])
+    return Anchor(position, *costs[position])
 
-_OPERATOR_TEXT = {
-    "and": "AND", "or": "OR", "xor": "XOR",
-    "eq": "=", "neq": "<>", "lt": "<", "le": "<=", "gt": ">", "ge": ">=",
-    "in": "IN", "starts_with": "STARTS WITH", "ends_with": "ENDS WITH",
-    "contains": "CONTAINS", "regex": "=~",
-}
+
+def describe_pattern(
+    pattern: ast.PathPattern, available: Collection[str], store: GraphStore
+) -> str:
+    """One pattern's anchor for EXPLAIN and PROFILE: anchor element,
+    access path, and estimated cardinality."""
+    anchor = choose_anchor(pattern, available, store)
+    node = pattern.nodes[anchor.position]
+    label = f":{node.labels[0]}" if node.labels else "(any)"
+    return (
+        f"anchor={label} pos={anchor.position} "
+        f"access={anchor.access} est={anchor.cost}"
+    )
 
 
 def render_expression(expression: ast.Expression | None) -> str:
-    """A compact, human-readable form of an expression for plan output.
-
-    Best effort: uncommon shapes fall back to a placeholder rather than
-    failing the EXPLAIN."""
-    if expression is None:
-        return "<none>"
-    if isinstance(expression, ast.Literal):
-        return repr(expression.value)
-    if isinstance(expression, ast.Parameter):
-        return f"${expression.name}"
-    if isinstance(expression, ast.Variable):
-        return expression.name
-    if isinstance(expression, ast.PropertyAccess):
-        return f"{render_expression(expression.subject)}.{expression.key}"
-    if isinstance(expression, ast.BinaryOp):
-        op = _OPERATOR_TEXT.get(expression.op, expression.op)
-        return (
-            f"{render_expression(expression.left)} {op} "
-            f"{render_expression(expression.right)}"
-        )
-    if isinstance(expression, ast.UnaryOp):
-        if expression.op == "not":
-            return f"NOT {render_expression(expression.operand)}"
-        return f"{expression.op}{render_expression(expression.operand)}"
-    if isinstance(expression, ast.IsNull):
-        suffix = "IS NOT NULL" if expression.negated else "IS NULL"
-        return f"{render_expression(expression.operand)} {suffix}"
-    if isinstance(expression, ast.FunctionCall):
-        args = ", ".join(render_expression(arg) for arg in expression.args)
-        if expression.star:
-            args = "*"
-        return f"{expression.name}({args})"
-    if isinstance(expression, ast.ListLiteral):
-        return "[" + ", ".join(render_expression(i) for i in expression.items) + "]"
-    if isinstance(expression, ast.PatternPredicate):
-        names = sorted(_pattern_variables(expression.pattern))
-        return f"exists(pattern over {', '.join(names) or 'anonymous'})"
-    return f"<{type(expression).__name__}>"
+    """The EXPLAIN text of an expression (:data:`repro.cypher.render.PLAIN`)."""
+    return "<none>" if expression is None else PLAIN.expression(expression)

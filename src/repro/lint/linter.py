@@ -43,12 +43,13 @@ clauses, mirroring how the paper's Listing 3 reuses ``pfx``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.analytics.registry import get_procedure, suggest
 from repro.cypher import ast
 from repro.cypher.errors import CypherSyntaxError
 from repro.cypher.parser import parse
+from repro.cypher.render import PLAIN
 from repro.lint.diagnostics import Diagnostic, diagnostic
 from repro.ontology import (
     ENTITIES,
@@ -88,8 +89,8 @@ class QueryLinter:
 
     def lint_tree(self, tree: ast.Query) -> list[Diagnostic]:
         findings: list[Diagnostic] = []
-        for part in (tree, *tree.union_parts):
-            _PartLinter(self._store, findings).run(part.clauses)
+        for clauses in tree.parts():
+            _PartLinter(self._store, findings).run(clauses)
         seen: set[tuple] = set()
         unique: list[Diagnostic] = []
         for item in findings:
@@ -286,22 +287,18 @@ class _PartLinter:
         labels = self._effective_node_labels(node)
         known = [label for label in labels if label in ENTITIES]
         for index, (key, value) in enumerate(node.properties):
-            self._expr(value)
+            if not local_only:
+                # A pattern predicate's values are reached (with its
+                # local names in force) by the walk that found it.
+                self._expr(value)
             span = (
                 node.property_spans[index]
                 if index < len(node.property_spans)
                 else None
             )
-            if known and not any(key in NODE_PROPERTIES[label] for label in known):
-                names = "/".join(f":{label}" for label in sorted(known))
-                self._emit(
-                    "LNT004",
-                    f"property `{key}` is not produced for {names} nodes",
-                    span,
-                )
-            elif known:
+            if self._check_produced(key, known, NODE_PROPERTIES, span):
                 self._check_kind_against_literal(
-                    self._node_property_kinds(known, key), key, value, span
+                    _property_kinds(NODE_PROPERTIES, known, key), key, value, span
                 )
 
     def _walk_rel(
@@ -329,25 +326,14 @@ class _PartLinter:
                 known_types.append((rel_type, span))
         self._check_endpoints(rel, left, right, known_types)
         for index, (key, value) in enumerate(rel.properties):
-            self._expr(value)
+            if not local_only:
+                self._expr(value)
             span = (
                 rel.property_spans[index] if index < len(rel.property_spans) else None
             )
             types = [t for t, _ in known_types]
-            if types and not any(
-                key in RELATIONSHIP_PROPERTIES[t] for t in types
-            ):
-                names = "/".join(f":{t}" for t in sorted(types))
-                self._emit(
-                    "LNT004",
-                    f"property `{key}` is not produced on {names} relationships",
-                    span,
-                )
-            elif types:
-                kinds = {
-                    RELATIONSHIP_PROPERTIES[t].get(key)
-                    for t in types
-                } - {None}
+            if self._check_produced(key, types, RELATIONSHIP_PROPERTIES, span):
+                kinds = _property_kinds(RELATIONSHIP_PROPERTIES, types, key)
                 self._check_kind_against_literal(kinds, key, value, span)
 
     def _check_endpoints(
@@ -397,7 +383,7 @@ class _PartLinter:
             return
         components: list[tuple[set[str], ast.Span | None]] = []
         for pattern in clause.patterns:
-            names = _pattern_variable_names(pattern)
+            names = pattern.variables()
             span = pattern.nodes[0].span
             merged_names, merged_span = set(names), span
             rest: list[tuple[set[str], ast.Span | None]] = []
@@ -459,112 +445,69 @@ class _PartLinter:
 
     # -- expressions -----------------------------------------------------
 
-    def _expr(self, expr: ast.Expression, local: frozenset[str] = frozenset()) -> None:
-        if isinstance(expr, ast.Variable):
-            if expr.name in self._scope:
-                self._used.add(expr.name)
-            elif expr.name not in local:
-                self._emit(
-                    "LNT007",
-                    f"variable `{expr.name}` is used but never bound",
-                    expr.span,
+    def _expr(self, expr: ast.Expression) -> None:
+        """Scope-check every variable the expression reads and run the
+        per-node checks; the traversal itself is ``ast``'s."""
+        for node, local in expr.walk():
+            if isinstance(node, ast.Variable):
+                if node.name in self._scope:
+                    self._used.add(node.name)
+                elif node.name not in local:
+                    self._emit(
+                        "LNT007",
+                        f"variable `{node.name}` is used but never bound",
+                        node.span,
+                    )
+            elif isinstance(node, ast.PropertyAccess):
+                self._check_property_access(node)
+            elif isinstance(node, ast.BinaryOp):
+                self._check_comparison(node)
+            elif isinstance(node, ast.PatternPredicate):
+                # Pattern predicates reference bound variables and may
+                # name fresh ones locally; lint labels/types/endpoints
+                # but do not bind into the outer scope.
+                self._used.update(node.pattern.variables() & self._scope.keys())
+                self._walk_pattern(
+                    node.pattern, register_binds=False, local_only=True
                 )
-            return
-        if isinstance(expr, ast.PropertyAccess):
-            self._expr(expr.subject, local)
-            self._check_property_access(expr)
-            return
-        if isinstance(expr, ast.BinaryOp):
-            self._expr(expr.left, local)
-            self._expr(expr.right, local)
-            self._check_comparison(expr)
-            return
-        if isinstance(expr, ast.UnaryOp):
-            self._expr(expr.operand, local)
-        elif isinstance(expr, ast.IsNull):
-            self._expr(expr.operand, local)
-        elif isinstance(expr, ast.ListLiteral):
-            for item in expr.items:
-                self._expr(item, local)
-        elif isinstance(expr, ast.MapLiteral):
-            for _, value in expr.items:
-                self._expr(value, local)
-        elif isinstance(expr, ast.IndexAccess):
-            self._expr(expr.subject, local)
-            if expr.index is not None:
-                self._expr(expr.index, local)
-            if expr.end is not None:
-                self._expr(expr.end, local)
-        elif isinstance(expr, ast.CaseExpression):
-            if expr.operand is not None:
-                self._expr(expr.operand, local)
-            for condition, value in expr.whens:
-                self._expr(condition, local)
-                self._expr(value, local)
-            if expr.default is not None:
-                self._expr(expr.default, local)
-        elif isinstance(expr, ast.FunctionCall):
-            for arg in expr.args:
-                self._expr(arg, local)
-        elif isinstance(expr, ast.ListComprehension):
-            self._expr(expr.source, local)
-            inner = local | {expr.variable}
-            if expr.predicate is not None:
-                self._expr(expr.predicate, inner)
-            if expr.projection is not None:
-                self._expr(expr.projection, inner)
-        elif isinstance(expr, ast.ListPredicate):
-            self._expr(expr.source, local)
-            self._expr(expr.predicate, local | {expr.variable})
-        elif isinstance(expr, ast.Reduce):
-            self._expr(expr.init, local)
-            self._expr(
-                expr.expression, local | {expr.accumulator, expr.variable}
-            )
-        elif isinstance(expr, ast.PatternPredicate):
-            # Pattern predicates reference bound variables and may name
-            # fresh ones locally; lint labels/types/endpoints but do not
-            # bind into the outer scope.
-            for node in expr.pattern.nodes:
-                if node.variable and node.variable in self._scope:
-                    self._used.add(node.variable)
-            for rel in expr.pattern.relationships:
-                if rel.variable and rel.variable in self._scope:
-                    self._used.add(rel.variable)
-            self._walk_pattern(expr.pattern, register_binds=False, local_only=True)
+
+    def _catalogued(
+        self, name: str
+    ) -> tuple[list[str], Mapping[str, Mapping[str, str]]]:
+        """The ontology labels known for a variable with the node
+        catalogue, else its known relationship types with theirs."""
+        labels = [x for x in self._node_labels.get(name, ()) if x in ENTITIES]
+        if labels:
+            return labels, NODE_PROPERTIES
+        types = [x for x in self._rel_types.get(name, ()) if x in RELATIONSHIPS]
+        return types, RELATIONSHIP_PROPERTIES
+
+    def _check_produced(
+        self,
+        key: str,
+        owners: list[str],
+        catalogue: Mapping[str, Mapping[str, str]],
+        span: ast.Span | None,
+    ) -> bool:
+        """True when some known label / type produces ``key``; LNT004
+        when ``owners`` are known and none does."""
+        if not owners:
+            return False
+        if any(key in catalogue[owner] for owner in owners):
+            return True
+        names = "/".join(f":{owner}" for owner in sorted(owners))
+        where = (
+            f"for {names} nodes"
+            if catalogue is NODE_PROPERTIES
+            else f"on {names} relationships"
+        )
+        self._emit("LNT004", f"property `{key}` is not produced {where}", span)
+        return False
 
     def _check_property_access(self, expr: ast.PropertyAccess) -> None:
-        if not isinstance(expr.subject, ast.Variable):
-            return
-        name = expr.subject.name
-        labels = [
-            label
-            for label in self._node_labels.get(name, ())
-            if label in ENTITIES
-        ]
-        if labels:
-            if not any(expr.key in NODE_PROPERTIES[label] for label in labels):
-                names = "/".join(f":{label}" for label in sorted(labels))
-                self._emit(
-                    "LNT004",
-                    f"property `{expr.key}` is not produced for {names} nodes",
-                    expr.key_span,
-                )
-            return
-        types = [
-            rel_type
-            for rel_type in self._rel_types.get(name, ())
-            if rel_type in RELATIONSHIPS
-        ]
-        if types and not any(
-            expr.key in RELATIONSHIP_PROPERTIES[t] for t in types
-        ):
-            names = "/".join(f":{t}" for t in sorted(types))
-            self._emit(
-                "LNT004",
-                f"property `{expr.key}` is not produced on {names} relationships",
-                expr.key_span,
-            )
+        if isinstance(expr.subject, ast.Variable):
+            owners, catalogue = self._catalogued(expr.subject.name)
+            self._check_produced(expr.key, owners, catalogue, expr.key_span)
 
     def _check_comparison(self, expr: ast.BinaryOp) -> None:
         if expr.op in _STRING_OPS:
@@ -573,7 +516,7 @@ class _PartLinter:
                 self._emit(
                     "LNT009",
                     f"string operator on numeric property "
-                    f"`{_describe(expr.left)}`",
+                    f"`{PLAIN.expression(expr.left)}`",
                     _expr_span(expr.left),
                 )
             return
@@ -593,7 +536,7 @@ class _PartLinter:
                 kind = "/".join(sorted(kinds))
                 self._emit(
                     "LNT009",
-                    f"comparing {kind} property `{_describe(prop)}` to "
+                    f"comparing {kind} property `{PLAIN.expression(prop)}` to "
                     f"{literal_kind} literal {literal.value!r}",
                     literal.span or _expr_span(prop),
                 )
@@ -606,26 +549,8 @@ class _PartLinter:
             and isinstance(expr.subject, ast.Variable)
         ):
             return set()
-        name = expr.subject.name
-        labels = [
-            label
-            for label in self._node_labels.get(name, ())
-            if label in ENTITIES
-        ]
-        if labels:
-            return self._node_property_kinds(labels, expr.key)
-        types = [
-            rel_type
-            for rel_type in self._rel_types.get(name, ())
-            if rel_type in RELATIONSHIPS
-        ]
-        return {
-            RELATIONSHIP_PROPERTIES[t].get(expr.key) for t in types
-        } - {None}
-
-    @staticmethod
-    def _node_property_kinds(labels: Iterable[str], key: str) -> set[str]:
-        return {NODE_PROPERTIES[label].get(key) for label in labels} - {None}
+        owners, catalogue = self._catalogued(expr.subject.name)
+        return _property_kinds(catalogue, owners, expr.key)
 
     def _check_kind_against_literal(
         self,
@@ -664,12 +589,11 @@ def _permitted(
     )
 
 
-def _pattern_variable_names(pattern: ast.PathPattern) -> set[str]:
-    names = {n.variable for n in pattern.nodes if n.variable}
-    names |= {r.variable for r in pattern.relationships if r.variable}
-    if pattern.path_variable:
-        names.add(pattern.path_variable)
-    return names
+def _property_kinds(
+    catalogue: Mapping[str, Mapping[str, str]], owners: Iterable[str], key: str
+) -> set[str]:
+    """The catalogued kinds ``key`` has across labels / types."""
+    return {catalogue[owner][key] for owner in owners if key in catalogue[owner]}
 
 
 def _literal_kind(value: object) -> str | None:
@@ -690,14 +614,6 @@ def _compatible(kind: str, literal_kind: str) -> bool:
     if kind == literal_kind:
         return True
     return kind in _NUMERIC_KINDS and literal_kind in _NUMERIC_KINDS
-
-
-def _describe(expr: ast.Expression) -> str:
-    if isinstance(expr, ast.PropertyAccess):
-        return f"{_describe(expr.subject)}.{expr.key}"
-    if isinstance(expr, ast.Variable):
-        return expr.name
-    return "expr"
 
 
 def _expr_span(expr: ast.Expression) -> ast.Span | None:

@@ -647,7 +647,11 @@ class QueryService:
         # Capture one serving state for the whole request: a hot swap
         # concurrent with this query must not mix stores.
         state = self._state if snapshot is None else self._historical_state(snapshot)
-        is_write = state.engine.is_write_query(query)
+        # One statement-cache lookup serves the read/write routing, the
+        # statement identity and the execution below.
+        with self.tracer.span("parse", query_chars=len(query)):
+            statement = state.engine.statement(query)
+        is_write = statement.is_write
         if is_write and snapshot is not None:
             raise ServiceError(
                 403, "read_only_snapshot",
@@ -655,7 +659,7 @@ class QueryService:
             )
         record.state, record.is_write = state, is_write
         if self.statements is not None:
-            record.statement = state.engine.fingerprint(query)
+            record.statement = statement.identity
         cacheable = not (is_write or profile)
         with ExitStack() as stack:
             with self.tracer.span("admission"):
@@ -681,7 +685,9 @@ class QueryService:
                 observed = profile or self.tracer.enabled or self.statements is not None
                 profiler = Profiler() if observed else None
                 guard = self.admission.guard(timeout, max_rows)
-                result = state.engine.run(query, params, guard=guard, profiler=profiler)
+                result = state.engine.run(
+                    statement, params, guard=guard, profiler=profiler
+                )
                 body = encode_result(result)
                 if cacheable:
                     self.cache.put(query, params, version, body)

@@ -8,7 +8,9 @@ projections) must split them.
 
 from __future__ import annotations
 
+import json
 import string
+from pathlib import Path
 
 from repro.cypher import CypherEngine
 from repro.cypher.fingerprint import (
@@ -18,6 +20,10 @@ from repro.cypher.fingerprint import (
 )
 from repro.cypher.parser import parse
 from repro.graphdb import GraphStore
+from repro.lint.extract import extract_queries
+from repro.studies import queries as listings
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fp(query: str) -> str:
@@ -105,3 +111,32 @@ class TestEngineCache:
         again = engine.fingerprint("MATCH (a:AS) WHERE a.asn = 1 RETURN a")
         assert first == again
         assert first[0] == fp("MATCH (a:AS) WHERE a.asn = 1 RETURN a")
+
+
+class TestGoldenFingerprints:
+    """Statement identities are a published surface (``/debug/statements``,
+    ``repro top``, slow-log joins): the paper listings and every
+    ``cypher`` fence of EXPERIMENTS.md keep, byte for byte, the
+    normalized text and fingerprint recorded in ``golden/fingerprints.json``
+    before the fingerprint and EXPLAIN renderers were merged."""
+
+    def test_published_queries_keep_their_identity(self):
+        sources = [
+            (name, getattr(listings, name))
+            for name in sorted(dir(listings))
+            if name.startswith("LISTING_")
+        ]
+        sources += [
+            (f"EXPERIMENTS.md fence {index}", query)
+            for index, (_, query) in enumerate(
+                extract_queries(ROOT / "EXPERIMENTS.md"), start=1
+            )
+        ]
+        current = []
+        for name, query in sources:
+            fingerprint, text = fingerprint_query(parse(query))
+            current.append(
+                {"source": name, "fingerprint": fingerprint, "normalized": text}
+            )
+        golden = json.loads((ROOT / "tests/golden/fingerprints.json").read_text())
+        assert current == golden

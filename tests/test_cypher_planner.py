@@ -215,6 +215,54 @@ class TestRenderExpression:
     def test_none_renders_placeholder(self):
         assert render_expression(None) == "<none>"
 
+    @pytest.mark.parametrize(
+        "source, rendered",
+        [
+            # Grouping the parser's precedence would otherwise undo.
+            ("NOT (x.asn = 1 OR x.asn = 2)", "NOT (x.asn = 1 OR x.asn = 2)"),
+            ("(x.asn + 1) * 2 = 4", "(x.asn + 1) * 2 = 4"),
+            ("x.a - (y.b - 1) > 0", "x.a - (y.b - 1) > 0"),
+            ("(x.a OR y.b) AND x.c", "(x.a OR y.b) AND x.c"),
+            ("(x.a = 1) IS NULL", "(x.a = 1) IS NULL"),
+            ("(x.a = 1) = (y.b IS NULL)", "(x.a = 1) = (y.b IS NULL)"),
+            ("-(x.a + 1) > 2 ^ (3 ^ 2) ^ 2", "-(x.a + 1) > 2 ^ (3 ^ 2) ^ 2"),
+            # ... and none it would not.
+            ("(x.a = 1) AND ((y.b = 2) OR x.c)", "x.a = 1 AND (y.b = 2 OR x.c)"),
+            ("(x.a * 2) + 1 > (0)", "x.a * 2 + 1 > 0"),
+            # Every shape renders as itself, never as ``<TypeName>``.
+            ("x.tags[0] = 'a'", "x.tags[0] = 'a'"),
+            ("x.tags[1..] = x.tags[..y.n]", "x.tags[1..] = x.tags[..y.n]"),
+            (
+                "CASE x.af WHEN 4 THEN 'v4' ELSE 'v6' END = y.name",
+                "CASE x.af WHEN 4 THEN 'v4' ELSE 'v6' END = y.name",
+            ),
+            (
+                "size([m IN x.members WHERE m > y.cut | m * 2]) > 0",
+                "size([m IN x.members WHERE m > y.cut | m * 2]) > 0",
+            ),
+            (
+                "any(m IN x.members WHERE m = y.asn)",
+                "any(m IN x.members WHERE m = y.asn)",
+            ),
+            (
+                "reduce(acc = 0, m IN x.members | acc + m) > y.total",
+                "reduce(acc = 0, m IN x.members | acc + m) > y.total",
+            ),
+            ("{k: x.a, j: [y.b]}.k = 1", "{k: x.a, j: [y.b]}.k = 1"),
+            ("count(DISTINCT x.a) > 1", "count(DISTINCT x.a) > 1"),
+            (
+                "NOT (x)-[:MEMBER_OF]->(:IXP {name: 'DE-CIX'})",
+                "NOT EXISTS (x)-[:MEMBER_OF]->(:IXP {name: 'DE-CIX'})",
+            ),
+        ],
+    )
+    def test_keeps_grouping_and_renders_every_shape(self, source, rendered):
+        expression = where_expr(source)
+        assert render_expression(expression) == rendered
+        if "EXISTS" not in rendered:
+            # The text means what the tree means: it parses back to it.
+            assert where_expr(rendered) == expression
+
 
 class TestExplainSurface:
     @pytest.fixture()
@@ -260,6 +308,34 @@ class TestExplainSurface:
             )
         )
         assert any("residual: a.asn < b.asn" in line for line in lines)
+
+    def test_explain_predicates_keep_grouping(self, engine):
+        lines = list(
+            engine.explain(
+                "MATCH (a:AS)-[:ORIGINATE]->(p) "
+                "WHERE NOT (a.asn = 1 OR a.asn = 2) AND (a.asn + 1) * 2 = 4 "
+                "AND size([c IN p.prefix WHERE c = a.name]) > 0 RETURN p"
+            )
+        )
+        assert "  pushed filter [a]: NOT (a.asn = 1 OR a.asn = 2)" in lines
+        assert "  pushed filter [a]: (a.asn + 1) * 2 = 4" in lines
+        assert "  residual: size([c IN p.prefix WHERE c = a.name]) > 0" in lines
+
+    def test_explain_shows_every_union_part(self, engine):
+        lines = list(
+            engine.explain(
+                "MATCH (x:AS) RETURN x.asn AS v "
+                "UNION MATCH (p:Prefix) RETURN p.prefix AS v"
+            )
+        )
+        assert lines == [
+            "UNION PART 1/2",
+            "MATCH anchor=:AS pos=0 access=label scan est=51",
+            "RETURN",
+            "UNION PART 2/2",
+            "MATCH anchor=:Prefix pos=0 access=label scan est=51",
+            "RETURN",
+        ]
 
     def test_explain_without_optimizer_has_no_plan_lines(self, engine):
         naive = CypherEngine(engine.store, optimize=False)

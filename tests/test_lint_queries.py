@@ -106,6 +106,32 @@ class TestFlowChecks:
         )
         assert "LNT007" in codes(findings)
 
+    def test_reduce_source_is_scope_checked(self):
+        findings = lint_query("RETURN reduce(s = 0, x IN nope | s + x)")
+        assert codes(findings) == ["LNT007"]
+        assert "`nope`" in findings[0].message
+
+    def test_reduce_source_counts_as_a_use(self):
+        findings = lint_query(
+            "MATCH p = (a:AS)-[:PEERS_WITH]-(:AS) "
+            "RETURN reduce(s = 0, n IN nodes(p) | s + 1)"
+        )
+        unused = [f.message for f in findings if f.code == "LNT006"]
+        assert unused == ["variable `a` is bound but never used"]
+
+    def test_inline_property_values_see_the_pattern_so_far(self):
+        bound = "MATCH (a:AS)-[:PEERS_WITH]-(b:AS {asn: a.asn}) RETURN a, b"
+        assert "LNT007" not in codes(lint_query(bound))
+        ahead = "MATCH (a:AS {asn: b.asn})-[:PEERS_WITH]-(b:AS) RETURN a, b"
+        assert "LNT007" in codes(lint_query(ahead))
+
+    def test_pattern_predicate_values_see_local_names(self):
+        findings = lint_query(
+            "MATCH (a:AS) "
+            "RETURN [x IN [1, 2] WHERE (a)-[:PEERS_WITH]-(:AS {asn: x}) | x]"
+        )
+        assert "LNT007" not in codes(findings)
+
 
 class TestTypeChecks:
     def test_string_literal_against_int_property_is_lnt009(self):

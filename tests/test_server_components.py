@@ -193,6 +193,29 @@ class TestEngineParseCache:
         assert info["hits"] >= 1
         assert info["hit_rate"] > 0
 
+    def test_one_statement_per_query_text(self):
+        engine = self._engine(8)
+        query = "MATCH (n:N) RETURN n.i"
+        statement = engine.statement(query)
+        assert engine.statement(query) is statement
+        assert not statement.is_write
+        assert statement.identity == engine.fingerprint(query)
+        assert engine.is_write_query(query) is False
+        assert engine.run(statement).value() == engine.run(query).value() == 1
+        info = engine.parse_cache_info()
+        # Tree, read/write class and fingerprint all live on the one
+        # entry; a resolved statement runs without another lookup.
+        assert (info["size"], info["misses"], info["hits"]) == (1, 1, 4)
+
+    def test_service_resolves_each_request_once(self):
+        from repro.server import QueryService
+
+        service = QueryService(self._engine(8).store)
+        for _ in range(3):
+            service.execute("MATCH (n:N) RETURN n.i")
+        info = service.engine.parse_cache_info()
+        assert info["misses"] + info["hits"] == 3
+
     def test_is_write_query_classification(self):
         engine = self._engine(8)
         assert not engine.is_write_query("MATCH (n) RETURN n")
