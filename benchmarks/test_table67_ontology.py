@@ -1,11 +1,12 @@
 """Tables 6 & 7 — the ontology, and full-graph schema validation."""
 
 from benchmarks.conftest import record_comparison
-from repro.ontology import ENTITIES, RELATIONSHIPS, SchemaValidator
+from repro.lint import GraphValidator
+from repro.ontology import ENTITIES, RELATIONSHIPS
 
 
 def test_table67_ontology_validation(benchmark, bench_iyp):
-    validator = SchemaValidator()
+    validator = GraphValidator()
     report = benchmark.pedantic(
         validator.validate, args=(bench_iyp.store,), rounds=1, iterations=1
     )

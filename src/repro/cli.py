@@ -379,8 +379,7 @@ def cmd_ontology(_args: argparse.Namespace) -> int:
     """List entities and relationships (Tables 6 and 7)."""
     print(f"{len(ENTITIES)} entities:")
     for definition in ENTITIES.values():
-        keys = ", ".join(definition.key_properties)
-        print(f"  :{definition.label:<26} key: {keys}")
+        print(f"  :{definition.label:<26} key: {definition.key}")
     print(f"\n{len(RELATIONSHIPS)} relationships:")
     for definition in RELATIONSHIPS.values():
         endpoints = ", ".join(f"{s}->{e}" for s, e in definition.endpoints[:3])

@@ -15,12 +15,13 @@ renamed" from "this AS appeared".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from collections import Counter
+from dataclasses import dataclass, field, fields
+from typing import Any, Iterable
 
 from repro.graphdb.model import Node
 from repro.graphdb.store import GraphStore
-from repro.ontology import ENTITIES
+from repro.ontology import node_identity, rel_identity
 
 NodeKey = tuple[str, Any]  # (label, identifying value)
 RelKey = tuple[NodeKey, str, NodeKey, str]  # start, type, end, dataset
@@ -44,53 +45,24 @@ class GraphDiff:
 
     @property
     def unchanged(self) -> bool:
-        return not (
-            self.nodes_added
-            or self.nodes_removed
-            or self.relationships_added
-            or self.relationships_removed
-            or self.nodes_modified
-            or self.relationships_modified
-        )
+        return not any(getattr(self, change.name) for change in fields(self))
 
     def summary(self) -> dict[str, dict[str, int]]:
         """Counts per label / relationship type."""
 
-        def count_by(keys, index):
-            counts: dict[str, int] = {}
-            for key in keys:
-                token = key[index] if index is not None else key
-                counts[token] = counts.get(token, 0) + 1
-            return dict(sorted(counts.items()))
+        def count(keys: Iterable[tuple], index: int) -> dict[str, int]:
+            return dict(sorted(Counter(key[index] for key in keys).items()))
 
         return {
-            "nodes_added": count_by(self.nodes_added, 0),
-            "nodes_removed": count_by(self.nodes_removed, 0),
-            "nodes_modified": count_by(
-                [key for key, _ in self.nodes_modified], 0
-            ),
-            "relationships_added": count_by(
-                [key[1] for key in self.relationships_added], None
-            ),
-            "relationships_removed": count_by(
-                [key[1] for key in self.relationships_removed], None
-            ),
-            "relationships_modified": count_by(
-                [key[1] for key, _ in self.relationships_modified], None
+            "nodes_added": count(self.nodes_added, 0),
+            "nodes_removed": count(self.nodes_removed, 0),
+            "nodes_modified": count((key for key, _ in self.nodes_modified), 0),
+            "relationships_added": count(self.relationships_added, 1),
+            "relationships_removed": count(self.relationships_removed, 1),
+            "relationships_modified": count(
+                (key for key, _ in self.relationships_modified), 1
             ),
         }
-
-
-def node_identity(node: Node) -> NodeKey | None:
-    """The (label, value) identity of a node, or None if unidentifiable."""
-    for label in sorted(node.labels):
-        definition = ENTITIES.get(label)
-        if definition is None:
-            continue
-        value = node.properties.get(definition.key_properties[0])
-        if value is not None:
-            return (label, value)
-    return None
 
 
 def property_changes(
@@ -110,62 +82,44 @@ def property_changes(
     return changes
 
 
-def _node_keys(store: GraphStore) -> dict[int, NodeKey]:
-    keys: dict[int, NodeKey] = {}
+def identity_index(
+    store: GraphStore,
+) -> tuple[dict[NodeKey, Node], dict[RelKey, dict[str, Any]]]:
+    """A store's nodes and relationship properties by ontology identity
+    (first holder of an identity wins; unidentifiable elements drop out)."""
+    ids: dict[int, NodeKey] = {}
+    nodes: dict[NodeKey, Node] = {}
     for node in store.iter_nodes():
-        identity = node_identity(node)
+        identity = node_identity(node.labels, node.properties)
         if identity is not None:
-            keys[node.id] = identity
-    return keys
-
-
-def _nodes_by_key(store: GraphStore, node_keys: dict[int, NodeKey]
-                  ) -> dict[NodeKey, Node]:
-    by_key: dict[NodeKey, Node] = {}
-    for node in store.iter_nodes():
-        key = node_keys.get(node.id)
-        if key is not None and key not in by_key:
-            by_key[key] = node
-    return by_key
-
-
-def _rel_keys(store: GraphStore, node_keys: dict[int, NodeKey]
-              ) -> dict[RelKey, dict[str, Any]]:
-    keys: dict[RelKey, dict[str, Any]] = {}
+            ids[node.id] = identity
+            nodes.setdefault(identity, node)
+    rels: dict[RelKey, dict[str, Any]] = {}
     for rel in store.iter_relationships():
-        start = node_keys.get(rel.start_id)
-        end = node_keys.get(rel.end_id)
-        if start is None or end is None:
-            continue
-        dataset = rel.properties.get("reference_name", "")
-        keys.setdefault((start, rel.type, end, dataset), rel.properties)
-    return keys
+        start, end = ids.get(rel.start_id), ids.get(rel.end_id)
+        if start is not None and end is not None:
+            rels.setdefault(
+                rel_identity(start, rel.type, end, rel.properties), rel.properties
+            )
+    return nodes, rels
 
 
 def snapshot_diff(old: GraphStore, new: GraphStore) -> GraphDiff:
     """Compare two snapshots by entity identity."""
-    old_nodes = _node_keys(old)
-    new_nodes = _node_keys(new)
-    old_set = set(old_nodes.values())
-    new_set = set(new_nodes.values())
+    old_nodes, old_rels = identity_index(old)
+    new_nodes, new_rels = identity_index(new)
     diff = GraphDiff(
-        nodes_added=sorted(new_set - old_set, key=repr),
-        nodes_removed=sorted(old_set - new_set, key=repr),
+        nodes_added=sorted(new_nodes.keys() - old_nodes.keys(), key=repr),
+        nodes_removed=sorted(old_nodes.keys() - new_nodes.keys(), key=repr),
+        relationships_added=sorted(new_rels.keys() - old_rels.keys(), key=repr),
+        relationships_removed=sorted(old_rels.keys() - new_rels.keys(), key=repr),
     )
-    old_by_key = _nodes_by_key(old, old_nodes)
-    new_by_key = _nodes_by_key(new, new_nodes)
-    for key in sorted(old_set & new_set, key=repr):
-        changes = property_changes(
-            old_by_key[key].properties, new_by_key[key].properties
-        )
+    for key in sorted(old_nodes.keys() & new_nodes.keys(), key=repr):
+        changes = property_changes(old_nodes[key].properties, new_nodes[key].properties)
         if changes:
             diff.nodes_modified.append((key, changes))
-    old_rels = _rel_keys(old, old_nodes)
-    new_rels = _rel_keys(new, new_nodes)
-    diff.relationships_added = sorted(new_rels.keys() - old_rels.keys(), key=repr)
-    diff.relationships_removed = sorted(old_rels.keys() - new_rels.keys(), key=repr)
-    for key in sorted(old_rels.keys() & new_rels.keys(), key=repr):
-        changes = property_changes(old_rels[key], new_rels[key])
+    for rkey in sorted(old_rels.keys() & new_rels.keys(), key=repr):
+        changes = property_changes(old_rels[rkey], new_rels[rkey])
         if changes:
-            diff.relationships_modified.append((key, changes))
+            diff.relationships_modified.append((rkey, changes))
     return diff

@@ -16,14 +16,7 @@ from typing import Any, Mapping
 
 from repro.cypher import CypherEngine, QueryResult
 from repro.graphdb import GraphStore, Node
-from repro.nettypes import (
-    canonical_ip,
-    canonical_prefix,
-    normalize_name,
-    normalize_url,
-    parse_asn,
-)
-from repro.ontology import ENTITIES
+from repro.ontology import DATASET_PROPERTY, ENTITIES, PROVENANCE
 
 
 @dataclass(frozen=True)
@@ -39,36 +32,12 @@ class Reference:
 
     def properties(self) -> dict[str, str]:
         """Relationship properties carrying this provenance."""
-        props = {
-            "reference_org": self.organization,
-            "reference_name": self.dataset_name,
-        }
-        if self.url_info:
-            props["reference_url_info"] = self.url_info
-        if self.url_data:
-            props["reference_url_data"] = self.url_data
-        if self.time_modification:
-            props["reference_time_modification"] = self.time_modification
-        if self.time_fetch:
-            props["reference_time_fetch"] = self.time_fetch
+        props = {}
+        for name, field, required in PROVENANCE:
+            value = getattr(self, field)
+            if value or required:
+                props[name] = value
         return props
-
-
-# Canonicalization applied per (label, key property) before node lookup.
-def _canonical_country(value: str) -> str:
-    return value.strip().upper()
-
-
-_CANONICALIZERS = {
-    ("AS", "asn"): parse_asn,
-    ("Prefix", "prefix"): canonical_prefix,
-    ("IP", "ip"): canonical_ip,
-    ("Country", "country_code"): _canonical_country,
-    ("HostName", "name"): normalize_name,
-    ("DomainName", "name"): normalize_name,
-    ("AuthoritativeNameServer", "name"): normalize_name,
-    ("URL", "url"): normalize_url,
-}
 
 
 class IYP:
@@ -89,15 +58,10 @@ class IYP:
         self._ensure_indexes()
 
     def _ensure_indexes(self) -> None:
+        # Loose entities are identified via EXTERNAL_ID; a plain index
+        # still accelerates their name lookups.
         for definition in ENTITIES.values():
-            if definition.loose:
-                # Loose entities are identified via EXTERNAL_ID; a plain
-                # index still accelerates name lookups.
-                for prop in definition.key_properties:
-                    self.store.create_index(definition.label, prop)
-                continue
-            for prop in definition.key_properties:
-                self.store.create_index(definition.label, prop)
+            self.store.create_index(definition.label, definition.key)
 
     # ------------------------------------------------------------------
     # Node access
@@ -114,12 +78,12 @@ class IYP:
         definition = ENTITIES.get(label)
         if definition is None:
             raise KeyError(f"unknown entity label {label!r}")
-        key_prop = definition.key_properties[0]
+        key_prop = definition.key
         if key_prop not in key_props:
             raise TypeError(
                 f":{label} requires its identifying property {key_prop!r}"
             )
-        value = self.canonicalize(label, key_prop, key_props[key_prop])
+        value = definition.canonical(key_props[key_prop])
         extras = dict(properties or {})
         for prop, extra_value in key_props.items():
             if prop != key_prop:
@@ -141,8 +105,10 @@ class IYP:
     @staticmethod
     def canonicalize(label: str, key_prop: str, value: Any) -> Any:
         """Translate an identifier to canonical form (Section 2.3)."""
-        canonicalizer = _CANONICALIZERS.get((label, key_prop))
-        return canonicalizer(value) if canonicalizer else value
+        definition = ENTITIES.get(label)
+        if definition is None or key_prop != definition.key:
+            return value
+        return definition.canonical(value)
 
     # ------------------------------------------------------------------
     # Link creation
@@ -163,16 +129,14 @@ class IYP:
         datasets can be selected, discarded, or compared after the fact.
         """
         props = dict(properties or {})
-        match_props = None
-        if reference is not None:
-            props.update(reference.properties())
-            match_props = {"reference_name": reference.dataset_name}
+        if reference is None:
             return self.store.merge_relationship(
-                start.id, rel_type, end.id,
-                properties=props, match_props=match_props,
+                start.id, rel_type, end.id, properties=props
             )
+        props.update(reference.properties())
         return self.store.merge_relationship(
-            start.id, rel_type, end.id, properties=props
+            start.id, rel_type, end.id, properties=props,
+            match_props={DATASET_PROPERTY: reference.dataset_name},
         )
 
     def add_links(

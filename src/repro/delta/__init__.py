@@ -21,7 +21,7 @@ side is ``repro serve --watch`` (:mod:`repro.archive.watcher`).
 """
 
 from repro.delta.apply import DeltaApplyError, DeltaApplyResult, apply_delta
-from repro.delta.extract import delta_from_changelog, delta_from_diff, identify
+from repro.delta.extract import delta_from_changelog, delta_from_diff
 from repro.delta.format import (
     DELTA_MAGIC,
     delta_to_json,
@@ -43,7 +43,6 @@ __all__ = [
     "delta_from_changelog",
     "delta_from_diff",
     "delta_to_json",
-    "identify",
     "is_delta_file",
     "load_delta",
     "read_delta_meta",

@@ -28,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from repro.delta.records import DeltaBatch, validate_record
+from repro.delta.records import DeltaBatch, node_token, rel_token, validate_record
 from repro.graphdb.errors import GraphError
 from repro.graphdb.model import Node, Relationship
 from repro.graphdb.store import GraphStore
+from repro.ontology import DATASET_PROPERTY
 
 
 class DeltaApplyError(RuntimeError):
@@ -81,18 +82,9 @@ def _resolve_rel(store: GraphStore, key: Mapping[str, Any]) -> Relationship | No
         return None
     dataset = key["dataset"]
     for rel in store.relationships_between(start.id, end.id, key["type"]):
-        if str(rel.properties.get("reference_name", "")) == dataset:
+        if str(rel.properties.get(DATASET_PROPERTY, "")) == dataset:
             return rel
     return None
-
-
-def _node_token(key: Mapping[str, Any]) -> tuple[str, str, Any]:
-    return (key["label"], key["prop"], key["value"])
-
-
-def _rel_token(key: Mapping[str, Any]) -> tuple[Any, str, Any, str]:
-    return (_node_token(key["start"]), key["type"], _node_token(key["end"]),
-            key["dataset"])
 
 
 def _prevalidate(store: GraphStore, records: Iterable[Mapping[str, Any]]) -> None:
@@ -105,13 +97,13 @@ def _prevalidate(store: GraphStore, records: Iterable[Mapping[str, Any]]) -> Non
     rel_alive: dict[tuple[Any, str, Any, str], bool] = {}
 
     def check_node(key: Mapping[str, Any]) -> bool:
-        token = _node_token(key)
+        token = node_token(key)
         if token in node_alive:
             return node_alive[token]
         return _resolve_node(store, key) is not None
 
     def check_rel(key: Mapping[str, Any]) -> bool:
-        token = _rel_token(key)
+        token = rel_token(key)
         if token in rel_alive:
             return rel_alive[token]
         return _resolve_rel(store, key) is not None
@@ -121,7 +113,7 @@ def _prevalidate(store: GraphStore, records: Iterable[Mapping[str, Any]]) -> Non
         op, entity, key = record["op"], record["entity"], record["key"]
         where = f"record {position} ({op} {entity})"
         if entity == "node":
-            token = _node_token(key)
+            token = node_token(key)
             if op == "create":
                 if check_node(key):
                     raise DeltaApplyError(f"{where}: node already exists: {key!r}")
@@ -131,13 +123,13 @@ def _prevalidate(store: GraphStore, records: Iterable[Mapping[str, Any]]) -> Non
             elif op == "delete":
                 node_alive[token] = False
                 # Incident relationships die with the node.
-                for rel_token, alive in list(rel_alive.items()):
-                    if alive and token in (rel_token[0], rel_token[2]):
-                        rel_alive[rel_token] = False
+                for incident, alive in list(rel_alive.items()):
+                    if alive and token in (incident[0], incident[2]):
+                        rel_alive[incident] = False
         else:
             if not check_node(key["start"]) or not check_node(key["end"]):
                 raise DeltaApplyError(f"{where}: endpoint missing: {key!r}")
-            token_r = _rel_token(key)
+            token_r = rel_token(key)
             if op == "create":
                 rel_alive[token_r] = True
             elif not check_rel(key):
@@ -230,7 +222,7 @@ def _apply_record(
             raise DeltaApplyError(f"endpoint missing for {key!r}")
         properties = dict(record.get("properties") or {})
         if key["dataset"]:
-            properties.setdefault("reference_name", key["dataset"])
+            properties.setdefault(DATASET_PROPERTY, key["dataset"])
         store.create_relationship(start.id, key["type"], end.id, properties)
         _tally(result, store, key["type"], start.id, end.id, +1)
         result.relationships_created += 1

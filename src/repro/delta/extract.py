@@ -28,54 +28,47 @@ from repro.core.diff import (
     GraphDiff,
     NodeKey,
     RelKey,
-    _node_keys,
-    _nodes_by_key,
-    _rel_keys,
+    identity_index,
     property_changes,
     snapshot_diff,
 )
-from repro.delta.records import DeltaBatch, DeltaError, node_key, record_order_key
+from repro.delta.records import (
+    DeltaBatch,
+    DeltaError,
+    node_key,
+    node_token,
+    record_order_key,
+    rel_key,
+    rel_token,
+)
 from repro.graphdb.store import ChangeEvent, GraphStore
-from repro.ontology import ENTITIES
+from repro.ontology import DATASET_PROPERTY, ENTITIES, node_identity, rel_identity
 
 
-def identify(labels: Iterable[str], properties: Mapping[str, Any]
-             ) -> dict[str, Any] | None:
-    """The node key of an entity, or None when unidentifiable.
-
-    Mirrors :func:`repro.core.diff.node_identity` — first sorted label
-    known to the ontology whose key property is present — but returns
-    the full ``{"label", "prop", "value"}`` key the delta format needs.
-    """
-    for label in sorted(labels):
-        definition = ENTITIES.get(label)
-        if definition is None:
-            continue
-        prop = definition.key_properties[0]
-        value = properties.get(prop)
-        if value is not None:
-            return node_key(label, prop, value)
-    return None
+def _node_key(identity: NodeKey) -> dict[str, Any]:
+    label, value = identity
+    return node_key(label, ENTITIES[label].key, value)
 
 
-def _node_key_dict(key: NodeKey) -> dict[str, Any]:
-    label, value = key
-    return node_key(label, ENTITIES[label].key_properties[0], value)
-
-
-def _rel_key_dict(key: RelKey) -> dict[str, Any]:
-    start, rel_type, end, dataset = key
-    return {
-        "start": _node_key_dict(start),
-        "type": rel_type,
-        "end": _node_key_dict(end),
-        "dataset": dataset,
-    }
+def _rel_key(identity: RelKey) -> dict[str, Any]:
+    start, rel_type, end, dataset = identity
+    return rel_key(_node_key(start), rel_type, _node_key(end), dataset)
 
 
 def _pairs(changes: Mapping[str, tuple[Any, Any]]) -> dict[str, list[Any]]:
     return {prop: [before, after] for prop, (before, after)
             in sorted(changes.items())}
+
+
+def _update(entity: str, key: dict[str, Any],
+            changes: dict[str, list[Any]]) -> dict[str, Any]:
+    """An update record.  What an identity rests on — a node's key
+    property, a relationship's dataset name — cannot change in one."""
+    pinned = key["prop"] if entity == "node" else DATASET_PROPERTY
+    if pinned in changes:
+        raise DeltaError(f"key property mutation ({pinned}) on {entity} {key!r} "
+                         "cannot be expressed as a delta update")
+    return {"op": "update", "entity": entity, "key": key, "changes": changes}
 
 
 def delta_from_diff(
@@ -89,44 +82,33 @@ def delta_from_diff(
     """
     if diff is None:
         diff = snapshot_diff(old, new)
-    new_node_keys = _node_keys(new)
-    new_by_key = _nodes_by_key(new, new_node_keys)
-    new_rels = _rel_keys(new, new_node_keys)
+    new_by_key, new_rels = identity_index(new)
     records: list[dict[str, Any]] = []
     for rkey in diff.relationships_removed:
-        records.append({"op": "delete", "entity": "rel", "key": _rel_key_dict(rkey)})
+        records.append({"op": "delete", "entity": "rel", "key": _rel_key(rkey)})
     for nkey in diff.nodes_removed:
         records.append({"op": "delete", "entity": "node",
-                        "key": _node_key_dict(nkey)})
+                        "key": _node_key(nkey)})
     for nkey in diff.nodes_added:
         node = new_by_key[nkey]
         records.append({
             "op": "create",
             "entity": "node",
-            "key": _node_key_dict(nkey),
+            "key": _node_key(nkey),
             "labels": sorted(node.labels),
             "properties": dict(node.properties),
         })
     for nkey, changes in diff.nodes_modified:
-        key = _node_key_dict(nkey)
-        if key["prop"] in changes:
-            raise DeltaError(f"key property mutation on {nkey!r} "
-                             "cannot be expressed as a delta update")
-        records.append({"op": "update", "entity": "node", "key": key,
-                        "changes": _pairs(changes)})
+        records.append(_update("node", _node_key(nkey), _pairs(changes)))
     for rkey in diff.relationships_added:
         records.append({
             "op": "create",
             "entity": "rel",
-            "key": _rel_key_dict(rkey),
+            "key": _rel_key(rkey),
             "properties": dict(new_rels[rkey]),
         })
     for rkey, changes in diff.relationships_modified:
-        if "reference_name" in changes:
-            raise DeltaError(f"reference_name mutation on {rkey!r} "
-                             "cannot be expressed as a delta update")
-        records.append({"op": "update", "entity": "rel",
-                        "key": _rel_key_dict(rkey), "changes": _pairs(changes)})
+        records.append(_update("rel", _rel_key(rkey), _pairs(changes)))
     records.sort(key=record_order_key)
     return DeltaBatch(records=records)
 
@@ -141,6 +123,16 @@ def _rewind(properties: dict[str, Any],
             else:
                 properties[prop] = pair[0]
     return properties
+
+
+def _fold(merged: dict[str, list[Any]],
+          changes: Mapping[str, tuple[Any, Any]]) -> None:
+    """Fold one update event into an entity's ``[first before, last after]``."""
+    for prop, (before, after) in changes.items():
+        if prop in merged:
+            merged[prop][1] = after
+        else:
+            merged[prop] = [before, after]
 
 
 def _net_changes(merged: Mapping[str, list[Any]]) -> dict[str, list[Any]]:
@@ -197,12 +189,7 @@ def delta_from_changelog(
         elif kind == "node_updated":
             if entity_id in created_nodes or event.changes is None:
                 continue
-            merged = node_changes.setdefault(entity_id, {})
-            for prop, (before, after) in event.changes.items():
-                if prop in merged:
-                    merged[prop][1] = after
-                else:
-                    merged[prop] = [before, after]
+            _fold(node_changes.setdefault(entity_id, {}), event.changes)
         elif kind == "label_added":
             if entity_id not in created_nodes and event.label is not None:
                 adds = label_adds.setdefault(entity_id, [])
@@ -221,45 +208,28 @@ def delta_from_changelog(
         elif kind == "rel_updated":
             if entity_id in created_rels or event.changes is None:
                 continue
-            merged = rel_changes.setdefault(entity_id, {})
-            for prop, (before, after) in event.changes.items():
-                if prop in merged:
-                    merged[prop][1] = after
-                else:
-                    merged[prop] = [before, after]
+            _fold(rel_changes.setdefault(entity_id, {}), event.changes)
         elif kind == "rel_merged":
             pass  # a MERGE hit: no state change
         else:
             raise DeltaError(f"unknown change event kind {kind!r}")
 
     def node_key_of(node_id: int) -> dict[str, Any]:
-        if store.has_node(node_id):
-            node = store.get_node(node_id)
-            key = identify(node.labels, node.properties)
-        else:
-            before = deleted_nodes.get(node_id)
-            if before is None or before.labels is None or before.properties is None:
-                raise DeltaError(f"node {node_id} vanished without a before-image")
-            key = identify(before.labels, before.properties)
-        if key is None:
+        image: Any = (  # the live node, else its delete-time before-image
+            store.get_node(node_id) if store.has_node(node_id)
+            else deleted_nodes.get(node_id)
+        )
+        if image is None or image.labels is None or image.properties is None:
+            raise DeltaError(f"node {node_id} vanished without a before-image")
+        identity = node_identity(image.labels, image.properties)
+        if identity is None:
             raise DeltaError(f"node {node_id} has no ontology identity")
-        return key
+        return _node_key(identity)
 
     def rel_key_of(rel_type: str, start_id: int, end_id: int,
                    properties: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "start": node_key_of(start_id),
-            "type": rel_type,
-            "end": node_key_of(end_id),
-            "dataset": str(properties.get("reference_name", "")),
-        }
-
-    def _node_ident(key: Mapping[str, Any]) -> tuple[Any, ...]:
-        return (key["label"], key["prop"], key["value"])
-
-    def _rel_ident(key: Mapping[str, Any]) -> tuple[Any, ...]:
-        return (_node_ident(key["start"]), key["type"],
-                _node_ident(key["end"]), key["dataset"])
+        return rel_key(*rel_identity(
+            node_key_of(start_id), rel_type, node_key_of(end_id), properties))
 
     deleted_node_keys = {nid: node_key_of(nid) for nid in deleted_nodes}
     created_node_keys = {nid: node_key_of(nid) for nid in created_nodes}
@@ -283,9 +253,9 @@ def delta_from_changelog(
     records: list[dict[str, Any]] = []
     paired_del_nodes: set[int] = set()
     paired_new_nodes: set[int] = set()
-    del_node_idents = {_node_ident(k): nid for nid, k in deleted_node_keys.items()}
+    del_node_idents = {node_token(k): nid for nid, k in deleted_node_keys.items()}
     for new_id, key in created_node_keys.items():
-        old_id = del_node_idents.get(_node_ident(key))
+        old_id = del_node_idents.get(node_token(key))
         if old_id is None:
             continue
         before = deleted_nodes[old_id]
@@ -299,18 +269,13 @@ def delta_from_changelog(
         paired_del_nodes.add(old_id)
         paired_new_nodes.add(new_id)
         changes = _pairs(property_changes(before_props, dict(node.properties)))
-        if not changes:
-            continue
-        if key["prop"] in changes:
-            raise DeltaError(f"key property mutation on node {new_id} "
-                             "cannot be expressed as a delta update")
-        records.append({"op": "update", "entity": "node", "key": key,
-                        "changes": changes})
+        if changes:
+            records.append(_update("node", key, changes))
     paired_del_rels: set[int] = set()
     paired_new_rels: set[int] = set()
-    del_rel_idents = {_rel_ident(k): rid for rid, k in deleted_rel_keys.items()}
+    del_rel_idents = {rel_token(k): rid for rid, k in deleted_rel_keys.items()}
     for new_id, key in created_rel_keys.items():
-        old_id = del_rel_idents.get(_rel_ident(key))
+        old_id = del_rel_idents.get(rel_token(key))
         if old_id is None:
             continue
         paired_del_rels.add(old_id)
@@ -320,8 +285,7 @@ def delta_from_changelog(
         changes = _pairs(property_changes(
             before_props, dict(store.get_relationship(new_id).properties)))
         if changes:
-            records.append({"op": "update", "entity": "rel", "key": key,
-                            "changes": changes})
+            records.append(_update("rel", key, changes))
 
     for rel_id, key in deleted_rel_keys.items():
         if rel_id in paired_del_rels:
@@ -348,12 +312,7 @@ def delta_from_changelog(
         adds = label_adds.get(node_id, [])
         if not changes and not adds:
             continue
-        key = node_key_of(node_id)
-        if key["prop"] in changes:
-            raise DeltaError(f"key property mutation on node {node_id} "
-                             "cannot be expressed as a delta update")
-        record: dict[str, Any] = {"op": "update", "entity": "node", "key": key,
-                                  "changes": changes}
+        record = _update("node", node_key_of(node_id), changes)
         if adds:
             record["add_labels"] = sorted(adds)
         records.append(record)
@@ -368,17 +327,9 @@ def delta_from_changelog(
         })
     for rel_id, merged in rel_changes.items():
         changes = _net_changes(merged)
-        if not changes:
-            continue
-        if "reference_name" in changes:
-            raise DeltaError(f"reference_name mutation on relationship {rel_id} "
-                             "cannot be expressed as a delta update")
-        rel = store.get_relationship(rel_id)
-        records.append({
-            "op": "update",
-            "entity": "rel",
-            "key": rel_key_of(rel.type, rel.start_id, rel.end_id, rel.properties),
-            "changes": changes,
-        })
+        if changes:
+            rel = store.get_relationship(rel_id)
+            records.append(_update("rel", rel_key_of(
+                rel.type, rel.start_id, rel.end_id, rel.properties), changes))
     records.sort(key=record_order_key)
     return DeltaBatch(records=records)

@@ -69,6 +69,17 @@ def rel_key(
             "dataset": dataset}
 
 
+def node_token(key: Mapping[str, Any]) -> tuple[str, str, Any]:
+    """A node key as a hashable tuple."""
+    return (key["label"], key["prop"], key["value"])
+
+
+def rel_token(key: Mapping[str, Any]) -> tuple[Any, str, Any, str]:
+    """A relationship key as a hashable tuple."""
+    return (node_token(key["start"]), key["type"], node_token(key["end"]),
+            key["dataset"])
+
+
 def record_order_key(record: Mapping[str, Any]) -> tuple[int, str]:
     """Sort key giving the canonical group order, then a stable key repr."""
     group = GROUP_ORDER.index((record["op"], record["entity"]))

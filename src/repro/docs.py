@@ -10,23 +10,14 @@ them under ``documentation/``.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Mapping
 
 from repro.datasets.registry import DATASETS, organizations
-from repro.ontology import (
-    ENTITIES,
-    NODE_PROPERTIES,
-    REFERENCE_PROPERTIES,
-    RELATIONSHIP_PROPERTIES,
-    RELATIONSHIPS,
-)
+from repro.ontology import ENTITIES, RELATIONSHIPS
 
 
-def _property_cell(catalog: dict[str, str], exclude: tuple[str, ...] = ()) -> str:
-    cells = [
-        f"`{name}` ({kind})"
-        for name, kind in sorted(catalog.items())
-        if name not in exclude
-    ]
+def _property_cell(properties: Mapping[str, str]) -> str:
+    cells = [f"`{name}` ({kind})" for name, kind in sorted(properties.items())]
     return ", ".join(cells) if cells else "—"
 
 
@@ -60,14 +51,10 @@ def render_node_types() -> str:
         "|---|---|---|---|",
     ]
     for definition in ENTITIES.values():
-        keys = ", ".join(f"`{k}`" for k in definition.key_properties)
         loose = " *(loosely identified)*" if definition.loose else ""
-        extras = _property_cell(
-            NODE_PROPERTIES.get(definition.label, {}),
-            exclude=definition.key_properties,
-        )
         lines.append(
-            f"| `:{definition.label}` | {keys} | {extras} "
+            f"| `:{definition.label}` | `{definition.key}` "
+            f"| {_property_cell(definition.extras)} "
             f"| {definition.description}{loose} |"
         )
     lines.append("")
@@ -91,13 +78,9 @@ def render_relationship_types() -> str:
         endpoints = "; ".join(
             f"`{start}` → `{end}`" for start, end in definition.endpoints
         )
-        extras = _property_cell(
-            RELATIONSHIP_PROPERTIES.get(definition.type, {}),
-            exclude=REFERENCE_PROPERTIES,
-        )
         lines.append(
-            f"| `:{definition.type}` | {endpoints} | {extras} "
-            f"| {definition.description} |"
+            f"| `:{definition.type}` | {endpoints} "
+            f"| {_property_cell(definition.extras)} | {definition.description} |"
         )
     lines.append("")
     return "\n".join(lines)

@@ -56,6 +56,7 @@ from repro.ontology import (
     NODE_PROPERTIES,
     RELATIONSHIP_PROPERTIES,
     RELATIONSHIPS,
+    value_kind,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -350,9 +351,9 @@ class _PartLinter:
         if not src or not dst:
             return
         for rel_type, span in known_types:
-            endpoints = RELATIONSHIPS[rel_type].endpoints
-            forward = _permitted(endpoints, src, dst)
-            backward = _permitted(endpoints, dst, src)
+            definition = RELATIONSHIPS[rel_type]
+            forward = definition.permits(src, dst)
+            backward = definition.permits(dst, src)
             if rel.direction == "out":
                 ok = forward
             elif rel.direction == "in":
@@ -529,7 +530,7 @@ class _PartLinter:
             if not isinstance(literal, ast.Literal):
                 continue
             kinds = self._expression_kinds(prop)
-            literal_kind = _literal_kind(literal.value)
+            literal_kind = value_kind(literal.value)
             if not kinds or literal_kind is None:
                 continue
             if not any(_compatible(kind, literal_kind) for kind in kinds):
@@ -561,7 +562,7 @@ class _PartLinter:
     ) -> None:
         if not isinstance(value, ast.Literal) or not kinds:
             return
-        literal_kind = _literal_kind(value.value)
+        literal_kind = value_kind(value.value)
         if literal_kind is None:
             return
         if not any(_compatible(kind, literal_kind) for kind in kinds):
@@ -577,37 +578,11 @@ class _PartLinter:
 # -- helpers -------------------------------------------------------------
 
 
-def _permitted(
-    endpoints: tuple[tuple[str, str], ...],
-    src: Iterable[str],
-    dst: Iterable[str],
-) -> bool:
-    src, dst = set(src), set(dst)
-    return any(
-        (start == "*" or start in src) and (end == "*" or end in dst)
-        for start, end in endpoints
-    )
-
-
 def _property_kinds(
     catalogue: Mapping[str, Mapping[str, str]], owners: Iterable[str], key: str
 ) -> set[str]:
     """The catalogued kinds ``key`` has across labels / types."""
     return {catalogue[owner][key] for owner in owners if key in catalogue[owner]}
-
-
-def _literal_kind(value: object) -> str | None:
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, int):
-        return "int"
-    if isinstance(value, float):
-        return "float"
-    if isinstance(value, str):
-        return "str"
-    if isinstance(value, list):
-        return "list"
-    return None
 
 
 def _compatible(kind: str, literal_kind: str) -> bool:

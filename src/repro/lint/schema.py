@@ -1,11 +1,11 @@
 """Store-level schema validation — the "data sanitizer".
 
-Where :class:`repro.ontology.SchemaValidator` reports free-form
-messages, this validator sweeps a loaded graph and reports *coded*
-violations grouped per crawler (via each relationship's
-``reference_name`` provenance), so the pipeline can attach the outcome
-to :class:`~repro.pipeline.build.BuildReport` and the metrics registry
-can count violations by code:
+The one store validator: it sweeps a loaded graph against the ontology
+rows (:mod:`repro.ontology`) and reports *coded* violations grouped per
+crawler (via each relationship's ``reference_name`` provenance), so the
+pipeline can attach the outcome to
+:class:`~repro.pipeline.build.BuildReport` and the metrics registry can
+count violations by code:
 
 ``SCH001``  node carries no ontology label
 ``SCH002``  node is missing an identifying (uniqueness-key) property
@@ -15,17 +15,24 @@ can count violations by code:
             queries them undirected)
 ``SCH005``  relationship lacks provenance (no ``reference_name``)
 ``SCH006``  dangling Reference metadata: provenance present but
-            incomplete (``reference_org`` missing) or carrying
-            ``reference_*`` properties the Reference model does not
-            define
+            incomplete (a required property such as ``reference_org``
+            missing) or carrying ``reference_*`` properties the
+            ontology does not define
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.ontology import ENTITIES, REFERENCE_PROPERTIES, RELATIONSHIPS
+from repro.ontology import (
+    DATASET_PROPERTY,
+    ENTITIES,
+    PROVENANCE,
+    REFERENCE_PROPERTIES,
+    RELATIONSHIPS,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphdb.model import Node, Relationship
@@ -36,12 +43,15 @@ GRAPH_BUCKET = "(graph)"
 #: Crawler bucket for relationships without a usable reference_name.
 UNKNOWN_BUCKET = "(unknown)"
 
+#: Provenance every imported link must carry (the sweep runs per link).
+_REQUIRED = tuple(name for name, _, required in PROVENANCE if required)
+
 SCHEMA_CODES: dict[str, str] = {
     "SCH001": "non-ontology node label",
     "SCH002": "missing uniqueness-key property",
     "SCH003": "unknown relationship type",
     "SCH004": "endpoint labels violate the ontology",
-    "SCH005": "missing provenance (reference_name)",
+    "SCH005": f"missing provenance ({DATASET_PROPERTY})",
     "SCH006": "dangling Reference metadata",
 }
 
@@ -63,13 +73,7 @@ class SchemaViolation:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "code": self.code,
-            "kind": self.kind,
-            "element_id": self.element_id,
-            "crawler": self.crawler,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -84,6 +88,12 @@ class GraphValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def add(self, code: str, kind: str, element_id: int, crawler: str,
+            message: str) -> None:
+        self.violations.append(
+            SchemaViolation(code, kind, element_id, crawler, message)
+        )
+
     def by_crawler(self) -> dict[str, list[SchemaViolation]]:
         grouped: dict[str, list[SchemaViolation]] = {}
         for violation in self.violations:
@@ -91,10 +101,7 @@ class GraphValidationReport:
         return dict(sorted(grouped.items()))
 
     def by_code(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.code] = counts.get(violation.code, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(v.code for v in self.violations).items()))
 
     def to_dict(self, limit: int = 20) -> dict[str, Any]:
         """JSON-friendly summary; detail is capped at ``limit`` entries."""
@@ -125,84 +132,39 @@ class GraphValidator:
         return report
 
     def _check_node(self, node: "Node", report: GraphValidationReport) -> None:
-        known = [label for label in node.labels if label in ENTITIES]
+        known = [ENTITIES[label] for label in node.labels if label in ENTITIES]
         if not known:
-            report.violations.append(
-                SchemaViolation(
-                    "SCH001",
-                    "node",
-                    node.id,
-                    GRAPH_BUCKET,
-                    f"no ontology label among {sorted(node.labels)}",
-                )
-            )
-            return
-        for label in known:
-            missing = [
-                key
-                for key in ENTITIES[label].key_properties
-                if key not in node.properties
-            ]
-            if missing:
-                report.violations.append(
-                    SchemaViolation(
-                        "SCH002",
-                        "node",
-                        node.id,
-                        GRAPH_BUCKET,
-                        f":{label} missing identifying properties {missing}",
-                    )
-                )
+            report.add("SCH001", "node", node.id, GRAPH_BUCKET,
+                       f"no ontology label among {sorted(node.labels)}")
+        for definition in known:
+            if definition.key not in node.properties:
+                report.add("SCH002", "node", node.id, GRAPH_BUCKET,
+                           f":{definition.label} missing identifying properties "
+                           f"{[definition.key]}")
 
     def _check_relationship(
         self, store: "GraphStore", rel: "Relationship", report: GraphValidationReport
     ) -> None:
-        crawler = rel.properties.get("reference_name") or UNKNOWN_BUCKET
+        props = rel.properties
+        crawler = props.get(DATASET_PROPERTY) or UNKNOWN_BUCKET
         definition = RELATIONSHIPS.get(rel.type)
         if definition is None:
-            report.violations.append(
-                SchemaViolation(
-                    "SCH003",
-                    "relationship",
-                    rel.id,
-                    crawler,
-                    f"unknown relationship type :{rel.type}",
-                )
-            )
+            report.add("SCH003", "relationship", rel.id, crawler,
+                       f"unknown relationship type :{rel.type}")
             return
-        start = store.get_node(rel.start_id)
-        end = store.get_node(rel.end_id)
-        if not self._endpoints_permitted(definition.endpoints, start, end):
-            report.violations.append(
-                SchemaViolation(
-                    "SCH004",
-                    "relationship",
-                    rel.id,
-                    crawler,
-                    f":{rel.type} between {sorted(start.labels)} and "
-                    f"{sorted(end.labels)} violates the ontology",
-                )
-            )
-        self._check_reference(rel, crawler, report)
-
-    def _check_reference(
-        self, rel: "Relationship", crawler: str, report: GraphValidationReport
-    ) -> None:
-        props = rel.properties
-        if "reference_name" not in props:
-            report.violations.append(
-                SchemaViolation(
-                    "SCH005",
-                    "relationship",
-                    rel.id,
-                    crawler,
-                    f":{rel.type} lacks provenance (reference_name)",
-                )
-            )
+        start = store.get_node(rel.start_id).labels
+        end = store.get_node(rel.end_id).labels
+        # Links are stored directed but queried undirected: either
+        # orientation of a permitted pair is accepted.
+        if not (definition.permits(start, end) or definition.permits(end, start)):
+            report.add("SCH004", "relationship", rel.id, crawler,
+                       f":{rel.type} between {sorted(start)} and {sorted(end)} "
+                       "violates the ontology")
+        if DATASET_PROPERTY not in props:
+            report.add("SCH005", "relationship", rel.id, crawler,
+                       f":{rel.type} lacks provenance ({DATASET_PROPERTY})")
             return
-        problems = []
-        if "reference_org" not in props:
-            problems.append("reference_org missing")
+        problems = [f"{name} missing" for name in _REQUIRED if name not in props]
         stray = sorted(
             key
             for key in props
@@ -211,28 +173,6 @@ class GraphValidator:
         if stray:
             problems.append(f"undefined reference properties {stray}")
         if problems:
-            report.violations.append(
-                SchemaViolation(
-                    "SCH006",
-                    "relationship",
-                    rel.id,
-                    crawler,
-                    f":{rel.type} has dangling Reference metadata: "
-                    + "; ".join(problems),
-                )
-            )
-
-    @staticmethod
-    def _endpoints_permitted(
-        endpoints: tuple[tuple[str, str], ...], start: "Node", end: "Node"
-    ) -> bool:
-        for start_label, end_label in endpoints:
-            if (start_label == "*" or start_label in start.labels) and (
-                end_label == "*" or end_label in end.labels
-            ):
-                return True
-            if (end_label == "*" or end_label in start.labels) and (
-                start_label == "*" or start_label in end.labels
-            ):
-                return True
-        return False
+            report.add("SCH006", "relationship", rel.id, crawler,
+                       f":{rel.type} has dangling Reference metadata: "
+                       + "; ".join(problems))

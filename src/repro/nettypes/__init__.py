@@ -19,6 +19,7 @@ from repro.nettypes.countries import (
     UnknownCountryError,
     alpha2_to_alpha3,
     alpha3_to_alpha2,
+    canonical_country_code,
     country_name,
     is_valid_alpha2,
     iter_countries,
@@ -59,6 +60,7 @@ __all__ = [
     "address_family",
     "alpha2_to_alpha3",
     "alpha3_to_alpha2",
+    "canonical_country_code",
     "canonical_ip",
     "canonical_prefix",
     "country_name",

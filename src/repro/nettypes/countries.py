@@ -95,6 +95,11 @@ _BY_ALPHA2 = {country.alpha2: country for country in _COUNTRIES}
 _BY_ALPHA3 = {country.alpha3: country for country in _COUNTRIES}
 
 
+def canonical_country_code(code: str) -> str:
+    """Canonical form of a country code: trimmed, upper case."""
+    return code.strip().upper()
+
+
 def is_valid_alpha2(code: str) -> bool:
     """Return True when ``code`` is a known two-letter country code."""
     return code.upper() in _BY_ALPHA2
@@ -102,7 +107,7 @@ def is_valid_alpha2(code: str) -> bool:
 
 def lookup(code: str) -> CountryInfo:
     """Return the registry entry for a two- or three-letter code."""
-    key = code.strip().upper()
+    key = canonical_country_code(code)
     if len(key) == 2 and key in _BY_ALPHA2:
         return _BY_ALPHA2[key]
     if len(key) == 3 and key in _BY_ALPHA3:

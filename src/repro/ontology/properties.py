@@ -1,91 +1,31 @@
-"""Property catalog for the ontology.
+"""Property catalog views over the ontology rows, and the kind vocabulary.
 
-Documents the properties that crawlers and the refinement pass actually
-write onto each node label and relationship type, along with the
-expected value kind.  The linter uses this catalog to flag property
-names that no dataset produces (LNT004) and comparisons whose literal
-type cannot match the stored values (LNT009); :mod:`repro.docs` renders
-it into the ontology reference tables.
-
-Kinds are deliberately coarse: ``"int"``, ``"float"``, ``"str"``,
-``"list"``.  ``"int"`` and ``"float"`` are mutually compatible in
-comparisons (Cypher numeric semantics); everything else must match
-exactly.  Labels absent from the catalog (there are none today) would
-simply opt out of property checking.
+Kinds are deliberately coarse: ``"bool"``, ``"int"``, ``"float"``,
+``"str"``, ``"list"``.  ``"int"`` and ``"float"`` are mutually
+compatible in comparisons (Cypher numeric semantics); everything else
+must match exactly.  The linter reads the two views for LNT004 (a
+property no dataset produces) and LNT009 (a literal whose kind cannot
+match the stored values).
 """
 
 from __future__ import annotations
 
 from repro.ontology.entities import ENTITIES
 from repro.ontology.relationships import RELATIONSHIPS
-from repro.ontology.schema import REFERENCE_PROPERTIES
-
-# Value kind of each entity's identifying key property.
-_KEY_KINDS: dict[str, str] = {
-    "AS": "int",  # asn
-    "AtlasMeasurement": "int",  # id
-    "AtlasProbe": "int",  # id
-    "CaidaIXID": "int",  # id
-    "PeeringdbFacID": "int",  # id
-    "PeeringdbIXID": "int",  # id
-    "PeeringdbNetID": "int",  # id
-    "PeeringdbOrgID": "int",  # id
-}
-
-# Non-key node properties written by crawlers or the refinement pass.
-_NODE_EXTRAS: dict[str, dict[str, str]] = {
-    "IP": {"af": "int"},
-    "Prefix": {"af": "int"},
-    "Country": {"alpha3": "str", "name": "str"},
-    "AtlasProbe": {"status": "str", "tags": "list", "af": "int"},
-    "AtlasMeasurement": {"type": "str", "af": "int"},
-}
-
-# Type-specific relationship properties (every relationship additionally
-# carries the reference_* provenance properties).
-_REL_EXTRAS: dict[str, dict[str, str]] = {
-    "RANK": {"rank": "int"},
-    "DEPENDS_ON": {"hege": "float"},
-    "POPULATION": {"percent": "float", "users": "int", "value": "float"},
-    "ROUTE_ORIGIN_AUTHORIZATION": {"maxLength": "int"},
-    "CATEGORIZED": {"ratio": "float"},
-}
-
-
-def _node_catalog() -> dict[str, dict[str, str]]:
-    catalog: dict[str, dict[str, str]] = {}
-    for definition in ENTITIES.values():
-        props = {
-            key: _KEY_KINDS.get(definition.label, "str")
-            for key in definition.key_properties
-        }
-        props.update(_NODE_EXTRAS.get(definition.label, {}))
-        catalog[definition.label] = props
-    return catalog
-
-
-def _relationship_catalog() -> dict[str, dict[str, str]]:
-    provenance = {name: "str" for name in REFERENCE_PROPERTIES}
-    catalog: dict[str, dict[str, str]] = {}
-    for definition in RELATIONSHIPS.values():
-        props = dict(provenance)
-        props.update(_REL_EXTRAS.get(definition.type, {}))
-        catalog[definition.type] = props
-    return catalog
-
 
 #: label -> {property name -> kind} for every ontology entity.
-NODE_PROPERTIES: dict[str, dict[str, str]] = _node_catalog()
+NODE_PROPERTIES: dict[str, dict[str, str]] = {
+    label: definition.properties for label, definition in ENTITIES.items()
+}
 
-#: relationship type -> {property name -> kind} for every ontology type.
-RELATIONSHIP_PROPERTIES: dict[str, dict[str, str]] = _relationship_catalog()
+#: relationship type -> {property name -> kind}, provenance included.
+RELATIONSHIP_PROPERTIES: dict[str, dict[str, str]] = {
+    rel_type: definition.properties for rel_type, definition in RELATIONSHIPS.items()
+}
+
+_KINDS = {bool: "bool", int: "int", float: "float", str: "str", list: "list"}
 
 
-def node_property_kind(label: str, name: str) -> str | None:
-    """Kind of ``label.name``, or None if unknown to the catalog."""
-    return NODE_PROPERTIES.get(label, {}).get(name)
-
-
-def relationship_property_kind(rel_type: str, name: str) -> str | None:
-    """Kind of the property on ``rel_type``, or None if unknown."""
-    return RELATIONSHIP_PROPERTIES.get(rel_type, {}).get(name)
+def value_kind(value: object) -> str | None:
+    """The catalog kind of a stored or literal value; None if it has none."""
+    return _KINDS.get(type(value))

@@ -41,24 +41,17 @@ from repro.graphdb.errors import GraphError
 from repro.graphdb.store import GraphStore
 from repro.lint import GraphValidationReport, GraphValidator
 from repro.obs import NULL_TRACER, AccessCollector, Tracer, collecting
-from repro.pipeline.postprocess import run_postprocessing
+from repro.ontology import DATASET_PROPERTY
+from repro.pipeline.postprocess import (
+    READ_LABELS,
+    READ_PROPERTIES,
+    REFINEMENT_REFERENCE,
+    run_postprocessing,
+)
 from repro.server.metrics import Metrics
 from repro.simnet.world import World
 
 log = logging.getLogger("repro.pipeline")
-
-#: Node labels whose structure the refinement pass reads.  Structural
-#: churn confined to other labels (AS renames, peering changes, ...)
-#: cannot change any refinement output, so incremental builds skip the
-#: pass entirely in that case.
-_POSTPROCESS_LABELS = frozenset(
-    {"IP", "Prefix", "URL", "HostName", "DomainName", "Country"}
-)
-
-#: Properties the refinement pass reads (on the labels above).
-_POSTPROCESS_PROPS = frozenset(
-    {"ip", "prefix", "url", "name", "country_code", "af", "alpha3"}
-)
 
 #: Kinds of changelog events that mark a relationship as still asserted
 #: by the crawler that just re-ran (anything else it contributed before
@@ -279,10 +272,10 @@ def _changed_crawlers(
 
 
 def _rels_by_source(store: GraphStore, sources: set[str]) -> dict[str, set[int]]:
-    """One scan: relationship ids per watched ``reference_name``."""
+    """One scan: relationship ids per watched dataset name."""
     before: dict[str, set[int]] = {name: set() for name in sources}
     for rel in store.iter_relationships():
-        name = rel.properties.get("reference_name")
+        name = rel.properties.get(DATASET_PROPERTY)
         if isinstance(name, str) and name in before:
             before[name].add(rel.id)
     return before
@@ -321,9 +314,9 @@ def _postprocess_affected(store: GraphStore, events: list[Any]) -> bool:
     """Could the refinement pass observe any of this build's churn?
 
     True when a structural event (or a property change it reads) touches
-    one of :data:`_POSTPROCESS_LABELS`.  Endpoint labels of deleted
-    relationships are resolved through the changelog's before-images
-    when the node itself is gone.
+    one of :data:`~repro.pipeline.postprocess.READ_LABELS`.  Endpoint
+    labels of deleted relationships are resolved through the changelog's
+    before-images when the node itself is gone.
     """
     deleted_labels: dict[int, frozenset[str]] = {}
     deleted_endpoints: dict[int, tuple[int, int]] = {}
@@ -342,16 +335,16 @@ def _postprocess_affected(store: GraphStore, events: list[Any]) -> bool:
     for event in events:
         kind = event.kind
         if kind in ("node_created", "node_deleted"):
-            if labels_of(event.entity_id) & _POSTPROCESS_LABELS:
+            if labels_of(event.entity_id) & READ_LABELS:
                 return True
         elif kind == "label_added":
-            if event.label in _POSTPROCESS_LABELS:
+            if event.label in READ_LABELS:
                 return True
         elif kind == "node_updated":
             if (
                 event.changes
-                and set(event.changes) & _POSTPROCESS_PROPS
-                and labels_of(event.entity_id) & _POSTPROCESS_LABELS
+                and set(event.changes) & READ_PROPERTIES
+                and labels_of(event.entity_id) & READ_LABELS
             ):
                 return True
         elif kind in ("rel_created", "rel_deleted"):
@@ -363,8 +356,8 @@ def _postprocess_affected(store: GraphStore, events: list[Any]) -> bool:
                     continue
                 endpoints = (rel.start_id, rel.end_id)
             if (
-                labels_of(endpoints[0]) & _POSTPROCESS_LABELS
-                or labels_of(endpoints[1]) & _POSTPROCESS_LABELS
+                labels_of(endpoints[0]) & READ_LABELS
+                or labels_of(endpoints[1]) & READ_LABELS
             ):
                 return True
     return False
@@ -590,7 +583,8 @@ def _build_incremental(
         orphans_dropped = _drop_orphans(store, dangling)
         if postprocess:
             if _postprocess_affected(store, events):
-                refinement_before = _rels_by_source(store, {"iyp.refinement"})
+                refinement = REFINEMENT_REFERENCE.dataset_name
+                refinement_before = _rels_by_source(store, {refinement})
                 mark = len(events)
                 with tracer.span("postprocess"):
                     report.refinement_counts = run_postprocessing(iyp)
@@ -599,7 +593,7 @@ def _build_incremental(
                     for event in events[mark:]
                     if event.kind in _TOUCH_KINDS
                 }
-                stale = refinement_before["iyp.refinement"] - touched
+                stale = refinement_before[refinement] - touched
                 refinement_dangling: set[int] = set()
                 _retire_stale(store, stale, refinement_dangling)
                 _drop_orphans(store, refinement_dangling)

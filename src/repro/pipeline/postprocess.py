@@ -38,19 +38,6 @@ REFINEMENT_REFERENCE = Reference(
 )
 
 
-def run_postprocessing(iyp: IYP) -> dict[str, int]:
-    """Run every refinement step; returns per-step link/property counts."""
-    counts = {
-        "af_properties": add_address_families(iyp),
-        "ip_part_of_prefix": link_ips_to_prefixes(iyp),
-        "prefix_part_of_prefix": link_covering_prefixes(iyp),
-        "url_part_of_hostname": link_urls_to_hostnames(iyp),
-        "hostname_hierarchy": link_name_hierarchy(iyp),
-        "country_codes": complete_country_codes(iyp),
-    }
-    return counts
-
-
 def add_address_families(iyp: IYP) -> int:
     """Set the ``af`` property on every IP and Prefix node."""
     count = 0
@@ -194,3 +181,33 @@ def complete_country_codes(iyp: IYP) -> int:
         iyp.store.update_node(node.id, {"alpha3": info.alpha3, "name": info.name})
         count += 1
     return count
+
+
+#: Every refinement step, in order: (count name, function, the node
+#: labels whose structure it reads, the properties it reads on them).
+#: A step added here joins the incremental build's skip rule with it.
+STEPS = (
+    ("af_properties", add_address_families,
+     {"IP", "Prefix"}, {"ip", "prefix", "af"}),
+    ("ip_part_of_prefix", link_ips_to_prefixes, {"IP", "Prefix"}, {"ip", "prefix"}),
+    ("prefix_part_of_prefix", link_covering_prefixes, {"Prefix"}, {"prefix"}),
+    ("url_part_of_hostname", link_urls_to_hostnames, {"URL"}, {"url"}),
+    ("hostname_hierarchy", link_name_hierarchy,
+     {"HostName", "DomainName"}, {"name"}),
+    ("country_codes", complete_country_codes,
+     {"Country"}, {"country_code", "alpha3", "name"}),
+)
+
+#: Node labels whose structure the refinement pass reads.  Structural
+#: churn confined to other labels (AS renames, peering changes, ...)
+#: cannot change any refinement output, so incremental builds skip the
+#: pass entirely in that case.
+READ_LABELS = frozenset().union(*(labels for _, _, labels, _ in STEPS))
+
+#: Properties the refinement pass reads (on the labels above).
+READ_PROPERTIES = frozenset().union(*(props for _, _, _, props in STEPS))
+
+
+def run_postprocessing(iyp: IYP) -> dict[str, int]:
+    """Run every refinement step; returns per-step link/property counts."""
+    return {name: step(iyp) for name, step, _labels, _props in STEPS}

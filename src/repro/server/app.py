@@ -804,7 +804,7 @@ class QueryService:
             "entities": [
                 {
                     "label": definition.label,
-                    "key_properties": list(definition.key_properties),
+                    "key_properties": [definition.key],
                     "description": definition.description,
                     "loose": definition.loose,
                 }

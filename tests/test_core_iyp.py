@@ -113,6 +113,4 @@ class TestQueriesAndSummary:
         from repro.ontology import ENTITIES
 
         for definition in ENTITIES.values():
-            assert empty_iyp.store.has_index(
-                definition.label, definition.key_properties[0]
-            )
+            assert empty_iyp.store.has_index(definition.label, definition.key)

@@ -54,6 +54,16 @@ class TestWiring:
         assert len(crawlers) == len(DATASETS)
         assert {crawler.name for crawler in crawlers} == set(dataset_names())
 
+    def test_crawlers_carry_their_spec_row(self):
+        # Provenance is stamped from the crawler's class attributes;
+        # the registry row is what Table 8 and the docs page publish.
+        crawlers = crawlers_for(IYP(), None)
+        assert len(crawlers) == 46
+        for spec, crawler in zip(DATASETS, crawlers, strict=True):
+            assert (crawler.organization, crawler.name, crawler.url_data) == (
+                spec.organization, spec.name, spec.url
+            ), spec.name
+
     def test_crawlers_for_subset(self):
         iyp = IYP()
         crawlers = crawlers_for(iyp, None, ["tranco.top1m", "bgpkit.pfx2as"])

@@ -1,5 +1,7 @@
 """The documentation generator (never drifts from code)."""
 
+from pathlib import Path
+
 from repro.datasets import DATASETS
 from repro.docs import (
     render_data_sources,
@@ -39,6 +41,17 @@ class TestRendering:
             rows = [line for line in page.splitlines() if line.startswith("|")]
             widths = {row.count("|") for row in rows}
             assert len(widths) == 1, "ragged markdown table"
+
+
+    def test_committed_pages_are_current(self):
+        # `python -m repro docs` regenerates them.
+        documentation = Path(__file__).resolve().parent.parent / "documentation"
+        for name, render in (
+            ("data-sources.md", render_data_sources),
+            ("node_types.md", render_node_types),
+            ("relationship_types.md", render_relationship_types),
+        ):
+            assert (documentation / name).read_text(encoding="utf-8") == render(), name
 
 
 class TestWriting:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import IYP, Reference
-from repro.core.diff import node_identity, snapshot_diff
+from repro.core.diff import snapshot_diff
+from repro.ontology import node_identity
 from repro.studies.longitudinal import SnapshotSeries
 
 
@@ -67,7 +68,7 @@ class TestSnapshotDiff:
     def test_node_identity(self):
         iyp = _mini_iyp()
         node = iyp.store.find_nodes("AS", "asn", 1)[0]
-        assert node_identity(node) == ("AS", 1)
+        assert node_identity(node.labels, node.properties) == ("AS", 1)
 
 
 class TestModifiedEntities:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import IYP
-from repro.ontology import SchemaValidator
+from repro.lint import GraphValidator
 from repro.pipeline import build_iyp, run_postprocessing
 from repro.pipeline.postprocess import (
     add_address_families,
@@ -35,14 +35,14 @@ class TestBuild:
         assert iyp.store.relationship_type_counts().keys() == {"ORIGINATE"}
 
     def test_schema_valid(self, small_iyp):
-        report = SchemaValidator().validate(small_iyp.store)
+        report = GraphValidator().validate(small_iyp.store)
         assert report.ok, [str(v) for v in report.violations[:10]]
 
     def test_no_duplicate_identity_nodes(self, small_iyp):
         from repro.ontology import ENTITIES
 
         for definition in ENTITIES.values():
-            key = definition.key_properties[0]
+            key = definition.key
             seen = set()
             for node in small_iyp.store.nodes_with_label(definition.label):
                 value = node.properties.get(key)
