@@ -41,7 +41,8 @@ AS_EDGE_TYPES = ("PEERS_WITH", "DEPENDS_ON")
 #: ``rel == 1`` marks a provider-to-customer link (start = provider).
 PROVIDER_REL_VALUE = 1
 
-_DIRECTION_NAMES = (
+#: The direction names of the statistics' keys and of ``algo.*`` arguments.
+DIRECTION_NAMES = (
     ("out", Direction.OUT),
     ("in", Direction.IN),
     ("both", Direction.BOTH),
@@ -53,7 +54,7 @@ def parse_direction(value: Any) -> Direction:
     if isinstance(value, Direction):
         return value
     if isinstance(value, str):
-        for name, direction in _DIRECTION_NAMES:
+        for name, direction in DIRECTION_NAMES:
             if value.lower() == name:
                 return direction
     raise ValueError(f"invalid direction {value!r}; expected out, in or both")
@@ -223,12 +224,12 @@ def degree_histograms(store: GraphReadStore) -> dict[tuple[str, str], dict[int, 
             total_out += out
             total_in += inbound
             total_loops += loops
-            for name, direction in _DIRECTION_NAMES:
+            for name, direction in DIRECTION_NAMES:
                 key = (rel_type, name)
                 bucket = histograms.setdefault(key, Counter())
                 bucket[directional_count(out, inbound, loops, direction)] += 1
                 counted[key] += 1
-        for name, direction in _DIRECTION_NAMES:
+        for name, direction in DIRECTION_NAMES:
             bucket = histograms.setdefault(("*", name), Counter())
             bucket[
                 directional_count(total_out, total_in, total_loops, direction)

@@ -75,12 +75,17 @@ def _degree_distribution(
     direction: str = "both",
     label: str | None = None,
 ) -> list[dict[str, Any]]:
-    histogram = measures.degree_histogram(
-        context.store,
-        rel_type=rel_type,
-        direction=measures.parse_direction(direction),
-        label=label,
-    )
+    parsed = measures.parse_direction(direction)
+    histogram = None
+    if rel_type is None and label is None and parsed is measures.Direction.BOTH:
+        # The all-types, undirected histogram is one the statistics hold.
+        statistics = context.statistics
+        if statistics is not None and statistics.version == context.store.version:
+            histogram = statistics.degree_histograms.get(("*", "both"))
+    if histogram is None:
+        histogram = measures.degree_histogram(
+            context.store, rel_type=rel_type, direction=parsed, label=label
+        )
     return [
         {"degree": degree, "nodes": count}
         for degree, count in sorted(histogram.items())

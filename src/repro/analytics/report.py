@@ -23,6 +23,10 @@ from repro.analytics.registry import PROCEDURES, ProcedureContext
 from repro.analytics.statistics import GraphStatistics, compute_statistics
 from repro.graphdb.store import GraphStore
 
+#: The precompute procedure whose rows the statistics' component
+#: figures are read from.
+COMPONENTS = "algo.components"
+
 
 @dataclass(frozen=True)
 class AnalyticsReport:
@@ -88,19 +92,32 @@ def replace_version(statistics: GraphStatistics, version: int) -> GraphStatistic
 def compute_analytics_report(
     store: GraphStore, statistics: GraphStatistics | None = None
 ) -> AnalyticsReport:
-    """Run statistics plus every precompute procedure against ``store``."""
+    """Run statistics plus every precompute procedure against ``store``.
+
+    The graph's components are labelled once: the ``algo.components``
+    rows carry every size the statistics summarize.
+    """
     started = time.perf_counter()
+    measured = statistics is None
     if statistics is None:
-        statistics = compute_statistics(store)
+        statistics = compute_statistics(store, components=False)
     context = ProcedureContext(store, statistics)
     procedures = {
         name: spec.run(context)
         for name, spec in PROCEDURES.items()
         if spec.precompute
     }
+    if measured:
+        statistics.set_component_sizes(component_sizes(procedures))
     return AnalyticsReport(
         version=store.version,
         seconds=time.perf_counter() - started,
         statistics=statistics,
         procedures=procedures,
     )
+
+
+def component_sizes(procedures: dict[str, list[dict[str, Any]]]) -> list[int]:
+    """Every component's size, largest first, off the precomputed
+    ``algo.components`` rows."""
+    return [row["size"] for row in procedures[COMPONENTS]]

@@ -15,7 +15,7 @@ over the store's internal maps and serializes to plain JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from repro.analytics.measures import degree_histograms, weakly_connected_components
 from repro.graphdb.interface import GraphReadStore
@@ -45,6 +45,12 @@ class GraphStatistics:
     component_count: int = 0
     #: Sizes of the largest weakly-connected components, descending.
     component_sizes: tuple[int, ...] = ()
+
+    def set_component_sizes(self, sizes: Sequence[int]) -> None:
+        """Record the component structure from every component's size,
+        largest first."""
+        self.component_count = len(sizes)
+        self.component_sizes = tuple(sizes[:TOP_COMPONENT_SIZES])
 
     def expansion(
         self,
@@ -167,7 +173,7 @@ def compute_statistics(store: GraphReadStore, components: bool = True) -> GraphS
         degree_histograms=degree_histograms(store),
     )
     if components:
-        sizes = [len(ids) for ids in weakly_connected_components(store)]
-        statistics.component_count = len(sizes)
-        statistics.component_sizes = tuple(sizes[:TOP_COMPONENT_SIZES])
+        statistics.set_component_sizes(
+            [len(ids) for ids in weakly_connected_components(store)]
+        )
     return statistics

@@ -113,6 +113,25 @@ class VerificationReport:
         return not self.problems
 
 
+def _select(entries: list[ArchiveEntry], selector: str) -> ArchiveEntry:
+    """The entry ``selector`` names among ``entries`` (see
+    :meth:`SnapshotArchive.resolve`)."""
+    if not entries:
+        raise KeyError("archive is empty")
+    if selector == "latest":
+        return entries[-1]
+    for entry in entries:
+        if entry.label == selector:
+            return entry
+    candidates = [e for e in entries if e.label.startswith(selector)]
+    if len(candidates) == 1:
+        return candidates[0]
+    if candidates:
+        names = ", ".join(e.label for e in candidates)
+        raise KeyError(f"ambiguous snapshot selector {selector!r}: {names}")
+    raise KeyError(f"no archived snapshot matches {selector!r}")
+
+
 class SnapshotArchive:
     """A directory of snapshots governed by a JSON manifest."""
 
@@ -139,13 +158,18 @@ class SnapshotArchive:
         return [entry.label for entry in self.entries()]
 
     def _write_manifest(self, entries: list[ArchiveEntry]) -> None:
-        payload = {
-            "manifest_version": MANIFEST_VERSION,
-            "snapshots": [entry.to_dict() for entry in entries],
-        }
+        """One compact, key-sorted JSON object per line inside the
+        ``snapshots`` array: still one JSON document, ``grep``-able by
+        label, and written by the C encoder (``indent`` would fall back
+        to the pure-Python one, on every entry, at every add)."""
+        lines = ",\n".join(
+            json.dumps(entry.to_dict(), sort_keys=True, separators=(",", ":"))
+            for entry in entries
+        )
         tmp = self.manifest_path.with_suffix(".tmp")
         tmp.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            f'{{"manifest_version":{MANIFEST_VERSION},"snapshots":[\n{lines}\n]}}\n',
+            encoding="utf-8",
         )
         tmp.replace(self.manifest_path)
 
@@ -194,7 +218,7 @@ class SnapshotArchive:
             if previous.checksum == checksum:
                 delta_record = {"vs": previous.label, "identical": True}
             else:
-                diff = snapshot_diff(self.load(previous.label), store)
+                diff = snapshot_diff(self._load(previous, entries), store)
                 delta_record = {
                     "vs": previous.label,
                     "identical": diff.unchanged,
@@ -246,7 +270,7 @@ class SnapshotArchive:
         entries = self.entries()
         if any(entry.label == label for entry in entries):
             raise ValueError(f"archive already has a snapshot labelled {label!r}")
-        base_entry = self.resolve(base)
+        base_entry = _select(entries, base)
         tmp = self.root / f".{label}.iypd.tmp"
         save_delta(
             batch,
@@ -294,21 +318,7 @@ class SnapshotArchive:
         match wins, then a unique label prefix.  Raises ``KeyError``
         when nothing (or more than one prefix candidate) matches.
         """
-        entries = self.entries()
-        if not entries:
-            raise KeyError("archive is empty")
-        if selector == "latest":
-            return entries[-1]
-        for entry in entries:
-            if entry.label == selector:
-                return entry
-        candidates = [e for e in entries if e.label.startswith(selector)]
-        if len(candidates) == 1:
-            return candidates[0]
-        if candidates:
-            names = ", ".join(e.label for e in candidates)
-            raise KeyError(f"ambiguous snapshot selector {selector!r}: {names}")
-        raise KeyError(f"no archived snapshot matches {selector!r}")
+        return _select(self.entries(), selector)
 
     def path(self, entry: ArchiveEntry) -> Path:
         return self.root / entry.filename
@@ -321,10 +331,28 @@ class SnapshotArchive:
         every hop that the batch was extracted against the checksum the
         chain provides.
         """
-        entry = selector if isinstance(selector, ArchiveEntry) else self.resolve(selector)
+        if isinstance(selector, ArchiveEntry):
+            return self._load(selector, None)
+        entries = self.entries()
+        return self._load(_select(entries, selector), entries)
+
+    def _load(
+        self, entry: ArchiveEntry, entries: list[ArchiveEntry] | None
+    ) -> GraphStore:
+        """Load ``entry``; ``entries`` is the manifest when the caller
+        has already read it (only a delta entry needs it at all)."""
         if entry.kind != "delta":
             return load_snapshot(self.path(entry))
-        return self._load_chain(entry)
+        from repro.delta import apply_delta
+
+        base, deltas = self._chain(
+            entry, self.entries() if entries is None else entries
+        )
+        batches = self.verified_batches(base, deltas)
+        store = load_snapshot(self.path(base))
+        for _entry, batch in batches:
+            apply_delta(store, batch)
+        return store
 
     def delta_chain(
         self, entry: ArchiveEntry
@@ -335,7 +363,13 @@ class SnapshotArchive:
         when a base has been pruned away and
         :class:`SnapshotFormatError` on a base-pointer cycle.
         """
-        by_label = {e.label: e for e in self.entries()}
+        return self._chain(entry, self.entries())
+
+    @staticmethod
+    def _chain(
+        entry: ArchiveEntry, entries: list[ArchiveEntry]
+    ) -> tuple[ArchiveEntry, list[ArchiveEntry]]:
+        by_label = {e.label: e for e in entries}
         chain: list[ArchiveEntry] = []
         seen: set[str] = set()
         current = entry
@@ -381,16 +415,6 @@ class SnapshotArchive:
             batches.append((entry, batch))
             expected_checksum = entry.checksum
         return batches
-
-    def _load_chain(self, entry: ArchiveEntry) -> GraphStore:
-        from repro.delta import apply_delta
-
-        base, deltas = self.delta_chain(entry)
-        batches = self.verified_batches(base, deltas)
-        store = load_snapshot(self.path(base))
-        for _entry, batch in batches:
-            apply_delta(store, batch)
-        return store
 
     def info(self, selector: str) -> dict[str, Any]:
         """One entry's manifest record plus its on-disk size."""
@@ -473,7 +497,7 @@ class SnapshotArchive:
                     continue
             if deep:
                 try:
-                    store = self.load(entry)
+                    store = self._load(entry, entries)
                 except Exception as exc:  # noqa: BLE001 - report, keep checking
                     report.problems.append(
                         f"{entry.label}: load failed: {type(exc).__name__}: {exc}"

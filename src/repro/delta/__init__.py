@@ -9,9 +9,10 @@ O(changes) work at every stage:
 - **apply** (:mod:`repro.delta.apply`): atomically replay a batch into
   a live :class:`~repro.graphdb.store.GraphStore` under one write-lock
   scope and one version bump;
-- **statistics** (:mod:`repro.delta.statistics`): refresh the planner's
-  :class:`~repro.analytics.statistics.GraphStatistics` from the apply
-  result without rescanning the graph;
+- **statistics** (:mod:`repro.delta.statistics`): advance the planner's
+  :class:`~repro.analytics.statistics.GraphStatistics` and the build's
+  analytics report over the store's changelog without rescanning the
+  graph;
 - **format** (:mod:`repro.delta.format`): the IYPD framed binary file
   the archive records delta entries in.
 
@@ -31,7 +32,7 @@ from repro.delta.format import (
     save_delta,
 )
 from repro.delta.records import DeltaBatch, DeltaError
-from repro.delta.statistics import refresh_statistics
+from repro.delta.statistics import refresh_analytics, refresh_statistics
 
 __all__ = [
     "DELTA_MAGIC",
@@ -46,6 +47,7 @@ __all__ = [
     "is_delta_file",
     "load_delta",
     "read_delta_meta",
+    "refresh_analytics",
     "refresh_statistics",
     "save_delta",
 ]

@@ -18,9 +18,9 @@ the store partially updated — callers recover by reloading a full
 snapshot, which is the watcher's documented fallback.
 
 The returned :class:`DeltaApplyResult` carries per-group counts and the
-per-(label, type, direction) edge-incidence deltas that
-:func:`repro.delta.statistics.refresh_statistics` uses to update the
-planner's expansion means without rescanning the graph.
+store's own changelog of the batch, which
+:func:`repro.delta.statistics.refresh_statistics` advances the planner
+statistics from without rescanning the graph.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Any, Iterable, Mapping
 from repro.delta.records import DeltaBatch, node_token, rel_token, validate_record
 from repro.graphdb.errors import GraphError
 from repro.graphdb.model import Node, Relationship
-from repro.graphdb.store import GraphStore
+from repro.graphdb.store import ChangeEvent, GraphStore
 from repro.ontology import DATASET_PROPERTY
 
 
@@ -49,9 +49,9 @@ class DeltaApplyResult:
     relationships_created: int = 0
     relationships_deleted: int = 0
     relationships_updated: int = 0
-    #: ``(label, rel_type or "*", direction)`` -> net edge-incidence change,
-    #: same convention as the totals behind ``GraphStatistics.expansions``.
-    expansion_deltas: dict[tuple[str, str, str], int] = field(default_factory=dict)
+    #: The mutations the batch caused, as the store logged them
+    #: (:meth:`GraphStore.track_changes`).
+    events: list[ChangeEvent] = field(default_factory=list)
     #: Store version after the batch (the single bump).
     version: int = 0
 
@@ -138,36 +138,6 @@ def _prevalidate(store: GraphStore, records: Iterable[Mapping[str, Any]]) -> Non
                 rel_alive[token_r] = False
 
 
-def _tally(
-    result: DeltaApplyResult,
-    store: GraphStore,
-    rel_type: str,
-    start_id: int,
-    end_id: int,
-    sign: int,
-) -> None:
-    """Adjust edge-incidence totals, mirroring ``compute_statistics``:
-    each edge counts once per start label (out) and once per end label
-    (in); "both" is their sum (self-loops contribute to both sides)."""
-    deltas = result.expansion_deltas
-    for label in store.node_labels(start_id):
-        for rel_key in (rel_type, "*"):
-            deltas[(label, rel_key, "out")] = (
-                deltas.get((label, rel_key, "out"), 0) + sign
-            )
-            deltas[(label, rel_key, "both")] = (
-                deltas.get((label, rel_key, "both"), 0) + sign
-            )
-    for label in store.node_labels(end_id):
-        for rel_key in (rel_type, "*"):
-            deltas[(label, rel_key, "in")] = (
-                deltas.get((label, rel_key, "in"), 0) + sign
-            )
-            deltas[(label, rel_key, "both")] = (
-                deltas.get((label, rel_key, "both"), 0) + sign
-            )
-
-
 def apply_delta(store: GraphStore, batch: DeltaBatch) -> DeltaApplyResult:
     """Apply ``batch`` to ``store`` atomically under the write lock."""
     records = list(batch)
@@ -175,8 +145,9 @@ def apply_delta(store: GraphStore, batch: DeltaBatch) -> DeltaApplyResult:
     with store.batch_mutation():
         _prevalidate(store, records)
         try:
-            for record in records:
-                _apply_record(store, record, result)
+            with store.track_changes() as result.events:
+                for record in records:
+                    _apply_record(store, record, result)
         except GraphError as exc:  # inconsistency past prevalidation
             raise DeltaApplyError(str(exc)) from exc
         result.version = store.version + 1  # the bump lands on scope exit
@@ -200,9 +171,7 @@ def _apply_record(
         if node is None:
             raise DeltaApplyError(f"no such node: {key!r}")
         if op == "delete":
-            for rel in store.relationships_of(node.id):
-                _tally(result, store, rel.type, rel.start_id, rel.end_id, -1)
-                result.relationships_deleted += 1
+            result.relationships_deleted += store.degree(node.id)
             store.delete_node(node.id, detach=True)
             result.nodes_deleted += 1
         else:
@@ -224,14 +193,12 @@ def _apply_record(
         if key["dataset"]:
             properties.setdefault(DATASET_PROPERTY, key["dataset"])
         store.create_relationship(start.id, key["type"], end.id, properties)
-        _tally(result, store, key["type"], start.id, end.id, +1)
         result.relationships_created += 1
         return
     rel = _resolve_rel(store, key)
     if rel is None:
         raise DeltaApplyError(f"no such relationship: {key!r}")
     if op == "delete":
-        _tally(result, store, rel.type, rel.start_id, rel.end_id, -1)
         store.delete_relationship(rel.id)
         result.relationships_deleted += 1
     else:

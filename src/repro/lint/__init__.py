@@ -37,6 +37,7 @@ from repro.lint.schema import (
     GraphValidationReport,
     GraphValidator,
     SchemaViolation,
+    touched_entities,
 )
 
 __all__ = [
@@ -61,5 +62,6 @@ __all__ = [
     "fails_strict",
     "lint_query",
     "looks_like_cypher",
+    "touched_entities",
     "worst_severity",
 ]

@@ -18,14 +18,22 @@ count violations by code:
             incomplete (a required property such as ``reference_org``
             missing) or carrying ``reference_*`` properties the
             ontology does not define
+
+Every check is local to one node, or to one relationship plus the label
+sets of its two endpoints.  That is what makes the report incremental:
+:meth:`GraphValidator.revalidate` turns the previous report into the
+current one by re-checking only what a changelog touched
+(:func:`touched_entities`), and :meth:`GraphValidator.validate` — the
+full sweep — stays the definition the two are tested equal against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.graphdb.errors import NoSuchRelationshipError
 from repro.ontology import (
     DATASET_PROPERTY,
     ENTITIES,
@@ -36,7 +44,7 @@ from repro.ontology import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphdb.model import Node, Relationship
-    from repro.graphdb.store import GraphStore
+    from repro.graphdb.store import ChangeEvent, GraphStore
 
 #: Crawler bucket for node-level violations (nodes carry no provenance).
 GRAPH_BUCKET = "(graph)"
@@ -118,17 +126,91 @@ class GraphValidationReport:
         }
 
 
+def touched_entities(
+    store: "GraphStore", events: Iterable["ChangeEvent"]
+) -> tuple[set[int], set[int]]:
+    """``(node ids, relationship ids)`` whose violations ``events`` may
+    have changed, deleted entities included.
+
+    A node's checks read its labels and properties, a relationship's its
+    own type and properties plus its endpoints' labels: so every
+    created, updated or deleted entity is touched, and a node gaining a
+    label also touches the relationships incident to it.  ``rel_merged``
+    changes nothing.
+    """
+    nodes: set[int] = set()
+    relationships: set[int] = set()
+    for event in events:
+        kind = event.kind
+        if kind == "rel_merged":
+            continue
+        if kind.startswith("rel_"):
+            relationships.add(event.entity_id)
+            continue
+        nodes.add(event.entity_id)
+        if kind == "label_added" and store.has_node(event.entity_id):
+            relationships.update(
+                rel.id for rel in store.relationships_of(event.entity_id)
+            )
+    return nodes, relationships
+
+
 class GraphValidator:
     """Sweeps a :class:`GraphStore` for coded ontology violations."""
 
     def validate(self, store: "GraphStore") -> GraphValidationReport:
+        """The from-scratch sweep: every node, then every relationship."""
         report = GraphValidationReport()
         for node in store.iter_nodes():
-            report.nodes_checked += 1
             self._check_node(node, report)
         for rel in store.iter_relationships():
-            report.relationships_checked += 1
             self._check_relationship(store, rel, report)
+        return self._finish(store, report)
+
+    def revalidate(
+        self,
+        store: "GraphStore",
+        previous: GraphValidationReport,
+        nodes: Iterable[int],
+        relationships: Iterable[int],
+    ) -> GraphValidationReport:
+        """The report :meth:`validate` would return, in O(touched).
+
+        ``previous`` is the report of the same store before a change;
+        ``nodes`` / ``relationships`` are the ids the change touched
+        (:func:`touched_entities`).  Their old violations are dropped,
+        the ones that still exist are re-checked, and everything else is
+        carried over.
+        """
+        touched = {"node": set(nodes), "relationship": set(relationships)}
+        report = GraphValidationReport(
+            violations=[
+                violation
+                for violation in previous.violations
+                if violation.element_id not in touched[violation.kind]
+            ]
+        )
+        for node_id in touched["node"]:
+            if store.has_node(node_id):
+                self._check_node(store.get_node(node_id), report)
+        for rel_id in touched["relationship"]:
+            try:
+                rel = store.get_relationship(rel_id)
+            except NoSuchRelationshipError:
+                continue
+            self._check_relationship(store, rel, report)
+        return self._finish(store, report)
+
+    @staticmethod
+    def _finish(
+        store: "GraphStore", report: GraphValidationReport
+    ) -> GraphValidationReport:
+        """Order the violations — nodes before relationships, each by
+        ascending id (stable, so one entity's stay in check order) — the
+        order of a sweep over a store filled in id order."""
+        report.violations.sort(key=lambda v: (v.kind != "node", v.element_id))
+        report.nodes_checked = store.node_count
+        report.relationships_checked = store.relationship_count
         return report
 
     def _check_node(self, node: "Node", report: GraphValidationReport) -> None:

@@ -23,7 +23,11 @@ retired, and the refinement pass re-runs only when the churn touched
 structure it actually reads.  The net effect of the whole build lands
 in ``report.delta`` as an ordered
 :class:`~repro.delta.records.DeltaBatch` ready for
-:meth:`~repro.graphdb.store.GraphStore.apply_delta` on a replica.
+:meth:`~repro.graphdb.store.GraphStore.apply_delta` on a replica.  The
+finish costs what changed too: the schema report and the analytics
+report are the previous build's, advanced over the same changelog —
+unless the previous report does not carry them or no longer describes
+the store, in which case the from-scratch passes run.
 """
 
 from __future__ import annotations
@@ -32,14 +36,14 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core import IYP
 from repro.datasets.base import FetchError, RecordingFetcher
 from repro.datasets.registry import crawlers_for, make_fetcher
 from repro.graphdb.errors import GraphError
-from repro.graphdb.store import GraphStore
-from repro.lint import GraphValidationReport, GraphValidator
+from repro.graphdb.store import ChangeEvent, GraphStore
+from repro.lint import GraphValidationReport, GraphValidator, touched_entities
 from repro.obs import NULL_TRACER, AccessCollector, Tracer, collecting
 from repro.ontology import DATASET_PROPERTY
 from repro.pipeline.postprocess import (
@@ -363,6 +367,37 @@ def _postprocess_affected(store: GraphStore, events: list[Any]) -> bool:
     return False
 
 
+def _advanceable(
+    previous: BuildReport, store: GraphStore
+) -> tuple[GraphValidationReport | None, Any | None]:
+    """The previous build's schema report and analytics report, each
+    only if it can be advanced: present, and counting the nodes and
+    relationships ``store`` holds right now, before this build touches
+    it.  (A report rebuilt from manifest metadata carries neither; a
+    store somebody changed in between disagrees on the counts.)"""
+    counts = (store.node_count, store.relationship_count)
+    schema, measured = previous.schema_report, previous.analytics
+    if schema is not None and counts != (
+        schema.nodes_checked, schema.relationships_checked
+    ):
+        schema = None
+    statistics = measured.statistics if measured is not None else None
+    if statistics is None or counts != (
+        statistics.node_count, statistics.relationship_count
+    ):
+        measured = None
+    return schema, measured
+
+
+class _Churn(NamedTuple):
+    """What the crawl + refine phases of an incremental build did."""
+
+    #: Every store mutation, in order (:meth:`GraphStore.track_changes`).
+    events: list[ChangeEvent]
+    sources_removed: int
+    orphans_dropped: int
+
+
 def build_iyp(
     world: World,
     dataset_names: list[str] | None = None,
@@ -415,7 +450,10 @@ def build_iyp(
     pass re-runs only when the churn touched structure it reads.  The
     whole build's net effect lands in ``report.delta``; when archiving,
     the entry is a binary delta against ``archive_base`` instead of a
-    full snapshot.
+    full snapshot.  Validation and analytics advance ``previous``'s
+    reports over the build's changelog where those describe the store
+    (see :func:`_advanceable`) and equal the from-scratch passes, which
+    run otherwise.
     """
     started = time.perf_counter()
     if incremental:
@@ -426,6 +464,7 @@ def build_iyp(
                 "incremental build mutates the previous build's IYP in place"
             )
     iyp = iyp or IYP()
+    store = iyp.store
     fetcher = RecordingFetcher(make_fetcher(world))
     tracer = tracer or NULL_TRACER
     report = BuildReport(incremental=incremental)
@@ -433,9 +472,11 @@ def build_iyp(
         if build_span is not None:
             report.trace_id = build_span.trace_id
         crawlers = list(crawlers_for(iyp, fetcher, dataset_names))
+        churn = prior_schema = prior_analytics = None
         if incremental:
             assert previous is not None
-            _build_incremental(
+            prior_schema, prior_analytics = _advanceable(previous, store)
+            churn = _build_incremental(
                 iyp, crawlers, previous, fetcher, report,
                 postprocess=postprocess, metrics=metrics, tracer=tracer,
                 raise_on_error=raise_on_error,
@@ -449,9 +490,23 @@ def build_iyp(
             if postprocess:
                 with tracer.span("postprocess"):
                     report.refinement_counts = run_postprocessing(iyp)
+        rechecked = (0, 0)  # nodes, relationships the validator looked at
         if validate:
-            with tracer.span("validate_schema"):
-                report.schema_report = GraphValidator().validate(iyp.store)
+            with tracer.span("validate_schema") as span:
+                if churn is not None and prior_schema is not None:
+                    nodes, rels = touched_entities(store, churn.events)
+                    report.schema_report = GraphValidator().revalidate(
+                        store, prior_schema, nodes, rels
+                    )
+                    rechecked = (len(nodes), len(rels))
+                else:
+                    report.schema_report = GraphValidator().validate(store)
+                    rechecked = (store.node_count, store.relationship_count)
+                if span is not None:
+                    span.attributes.update(
+                        nodes_rechecked=rechecked[0],
+                        relationships_rechecked=rechecked[1],
+                    )
             if metrics is not None:
                 for code, count in report.schema_report.by_code().items():
                     metrics.inc(
@@ -463,21 +518,45 @@ def build_iyp(
                     len(report.schema_report.violations),
                     json.dumps(report.schema_report.by_code(), sort_keys=True),
                 )
+        statistics = "not measured"
         if analytics:
             # Imported here so a build without analytics never pays for
             # the package import.
             from repro.analytics import compute_analytics_report
+            from repro.delta.statistics import refresh_analytics
 
-            with tracer.span("analytics"):
-                report.analytics = compute_analytics_report(iyp.store)
+            with tracer.span("analytics") as span:
+                if churn is not None and prior_analytics is not None:
+                    statistics = "advanced"
+                    report.analytics = refresh_analytics(
+                        prior_analytics, store, churn.events
+                    )
+                else:
+                    statistics = "recomputed"
+                    report.analytics = compute_analytics_report(store)
+                if span is not None:
+                    span.attributes["statistics"] = statistics
             log.info(
                 "analytics precompute: %d procedure(s) in %.3fs",
                 len(report.analytics.procedures),
                 report.analytics.seconds,
             )
+        if churn is not None:
+            skipped = sum(1 for run in report.crawler_runs if run.skipped)
+            log.info(
+                "incremental build: %d/%d crawler(s) skipped, %d source(s) "
+                "removed, %d orphan node(s) dropped, postprocess %s, "
+                "%d node(s) + %d relationship(s) re-validated, statistics %s, "
+                "delta %s",
+                skipped, len(crawlers), churn.sources_removed,
+                churn.orphans_dropped,
+                "skipped" if report.postprocess_skipped else "ran",
+                *rechecked, statistics,
+                json.dumps(report.delta.summary(), sort_keys=True),
+            )
     report.total_seconds = time.perf_counter() - started
-    report.nodes = iyp.store.node_count
-    report.relationships = iyp.store.relationship_count
+    report.nodes = store.node_count
+    report.relationships = store.relationship_count
     if archive is not None:
         label = archive_label or f"build-{len(archive.entries()) + 1:04d}"
         analytics_payload = (
@@ -520,10 +599,11 @@ def _build_incremental(
     tracer: Tracer,
     raise_on_error: bool,
     all_sources: bool,
-) -> None:
+) -> _Churn:
     """The incremental crawl + refine phases, mutating ``iyp`` in place.
 
-    Leaves the whole build's net effect in ``report.delta``.
+    Leaves the whole build's net effect in ``report.delta`` and returns
+    the changelog it was extracted from.
     """
     from repro.delta import delta_from_changelog
 
@@ -602,11 +682,4 @@ def _build_incremental(
                 report.refinement_counts = dict(previous.refinement_counts)
     with tracer.span("extract_delta"):
         report.delta = delta_from_changelog(store, events)
-    skipped = sum(1 for run in report.crawler_runs if run.skipped)
-    log.info(
-        "incremental build: %d/%d crawler(s) skipped, %d source(s) removed, "
-        "%d orphan node(s) dropped, postprocess %s, delta %s",
-        skipped, len(crawlers), len(removed), orphans_dropped,
-        "skipped" if report.postprocess_skipped else "ran",
-        json.dumps(report.delta.summary(), sort_keys=True),
-    )
+    return _Churn(events, len(removed), orphans_dropped)

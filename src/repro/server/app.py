@@ -447,8 +447,8 @@ class QueryService:
         --watch``: instead of building a whole new serving state around
         a reloaded store, the batch is replayed into the *live* store
         under its write lock (one atomic scope, one version bump), the
-        planner's statistics are refreshed incrementally from the apply
-        result, and a new :class:`ServingState` sharing the same store /
+        planner's statistics are advanced over the changelog of the
+        apply, and a new :class:`ServingState` sharing the same store /
         engine / linter is installed carrying the new snapshot label.
 
         The generation is deliberately *not* bumped and the result cache
@@ -469,7 +469,7 @@ class QueryService:
                     # Atomic attribute store: a racing reader plans with
                     # either the old or the new statistics — both safe.
                     old.engine.statistics = refresh_statistics(
-                        previous, old.store, result
+                        previous, old.store, result.events
                     )
                 state = ServingState(
                     old.store, old.engine, old.linter, old.generation, label

@@ -186,18 +186,6 @@ def assert_stores_equivalent(expected: GraphStore, actual: GraphStore) -> None:
                 }
 
 
-def assert_statistics_equivalent(refreshed, fresh) -> None:
-    assert refreshed.node_count == fresh.node_count
-    assert refreshed.relationship_count == fresh.relationship_count
-    assert refreshed.label_counts == fresh.label_counts
-    assert refreshed.relationship_type_counts == fresh.relationship_type_counts
-    keys = set(refreshed.expansions) | set(fresh.expansions)
-    for key in keys:
-        assert refreshed.expansions.get(key, 0.0) == pytest.approx(
-            fresh.expansions.get(key, 0.0), rel=1e-9
-        ), key
-
-
 # ---------------------------------------------------------------------------
 # Record canonicalization
 # ---------------------------------------------------------------------------
@@ -267,9 +255,8 @@ class TestFuzzRoundtrip:
         assert applied.version == version_before + 1
         assert result.version == applied.version
         assert_stores_equivalent(target, applied)
-        refreshed = refresh_statistics(previous, applied, result)
-        fresh = compute_statistics(applied, components=False)
-        assert_statistics_equivalent(refreshed, fresh)
+        refreshed = refresh_statistics(previous, applied, result.events)
+        assert refreshed == compute_statistics(applied, components=False)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_changelog_matches_diff(self, seed):
@@ -381,6 +368,58 @@ class TestApplyEdgeCases:
             new.update_node(replacement.id, {"asn": 20})
         with pytest.raises(DeltaError, match="key"):
             delta_from_changelog(new, events)
+
+
+class TestStatisticsRefresh:
+    """``refresh_statistics`` over the changelog of an apply equals a
+    fresh ``compute_statistics`` — also where the tallies it replaced
+    were blind (label adds) or delicate (self-loops, detaching deletes)."""
+
+    @staticmethod
+    def refreshed(store: GraphStore, records: list[dict]):
+        previous = compute_statistics(store, components=False)
+        result = store.apply_delta(DeltaBatch(records=records))
+        return refresh_statistics(previous, store, result.events)
+
+    def test_added_label_counts_the_nodes_expansions(self):
+        store = GraphStore()
+        store.create_index("AS", "asn")
+        store.create_index("Prefix", "prefix")
+        origin = store.create_node({"AS"}, {"asn": 1})
+        prefix = store.create_node({"Prefix"}, {"prefix": "10.0.0.0/8"})
+        store.create_relationship(
+            origin.id, "ORIGINATE", prefix.id, {"reference_name": "test.bgp"}
+        )
+        refreshed = self.refreshed(store, [{
+            "op": "update", "entity": "node",
+            "key": node_key("Prefix", "prefix", "10.0.0.0/8"),
+            "changes": {}, "add_labels": ["RPKIPrefix"],
+        }])
+        assert refreshed.expansions[("RPKIPrefix", "ORIGINATE", "in")] == 1.0
+        assert refreshed == compute_statistics(store, components=False)
+
+    def test_self_loop_created_then_deleted(self):
+        store = _two_as_store()
+        loop = {
+            "entity": "rel",
+            "key": rel_key(node_key("AS", "asn", 1), "PEERS_WITH",
+                           node_key("AS", "asn", 1), "test.bgp"),
+        }
+        refreshed = self.refreshed(store, [{**loop, "op": "create", "properties": {}}])
+        assert refreshed.degree_histograms[("PEERS_WITH", "both")] == {3: 1, 2: 1}
+        assert refreshed == compute_statistics(store, components=False)
+        refreshed = self.refreshed(store, [{**loop, "op": "delete"}])
+        assert refreshed == compute_statistics(store, components=False)
+
+    def test_detaching_node_delete(self):
+        store = _two_as_store()
+        refreshed = self.refreshed(store, [
+            {"op": "delete", "entity": "node", "key": node_key("AS", "asn", 2)}
+        ])
+        assert refreshed.degree_histograms == {
+            ("*", "out"): {0: 1}, ("*", "in"): {0: 1}, ("*", "both"): {0: 1},
+        }
+        assert refreshed == compute_statistics(store, components=False)
 
 
 # ---------------------------------------------------------------------------
