@@ -991,6 +991,16 @@ class ColumnarGraphStore:
     ) -> Node:
         raise self._read_only("create_node")
 
+    def merge_nodes(
+        self,
+        label: str,
+        key_prop: str,
+        values: Iterable[Any],
+        properties: Mapping[str, Any] | None = None,
+        extra_labels: Iterable[str] = (),
+    ) -> list[Node]:
+        raise self._read_only("merge_nodes")
+
     def merge_node(
         self,
         label: str,
@@ -1018,6 +1028,13 @@ class ColumnarGraphStore:
         properties: Mapping[str, Any] | None = None,
     ) -> Relationship:
         raise self._read_only("create_relationship")
+
+    def merge_relationships(
+        self,
+        rows: Iterable[tuple[int, str, int, Mapping[str, Any] | None]],
+        match_props: Mapping[str, Any] | None = None,
+    ) -> list[Relationship]:
+        raise self._read_only("merge_relationships")
 
     def merge_relationship(
         self,

@@ -1,22 +1,28 @@
 """The IYP facade: canonicalizing loader + query interface.
 
-Dataset crawlers never touch the graph store directly; they call
-:meth:`IYP.get_node` / :meth:`IYP.add_link`.  ``get_node`` translates
-identifiers to canonical form before node creation, which is what
-guarantees that ``2001:DB8::/32`` from one dataset and ``2001:0db8::/32``
-from another land on the same Prefix node.  ``add_link`` stamps every
-relationship with the provenance ("reference") properties of Section 2.2
-so any datapoint in the graph can be traced to its original dataset.
+Dataset crawlers never touch the graph store directly; they hand the
+facade whole columns — :meth:`IYP.batch_get_nodes` (one label, the key
+values of every parsed record) and :meth:`IYP.add_links` (every link of
+the dataset, one shared :class:`Reference`) — and each call is one store
+call under one lock scope.  :meth:`IYP.get_node` / :meth:`IYP.add_link`
+are the same operations for a single datapoint.  Node access translates
+identifiers to canonical form before node creation (through a
+per-instance memo, since a dataset repeats its identifiers), which is
+what guarantees that ``2001:DB8::/32`` from one dataset and
+``2001:0db8::/32`` from another land on the same Prefix node.  Link
+creation stamps every relationship with the provenance ("reference")
+properties of Section 2.2, computed once per call, so any datapoint in
+the graph can be traced to its original dataset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Container, Iterable, Mapping
 
 from repro.cypher import CypherEngine, QueryResult
-from repro.graphdb import GraphStore, Node
-from repro.ontology import DATASET_PROPERTY, ENTITIES, PROVENANCE
+from repro.graphdb import GraphStore, Node, Relationship
+from repro.ontology import DATASET_PROPERTY, ENTITIES, PROVENANCE, EntityDef
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,19 @@ class Reference:
         return props
 
 
+def _definition(label: str, given: Container[str]) -> EntityDef:
+    """The ontology row of ``label``; its identifying property must be
+    among the ``given`` property names."""
+    definition = ENTITIES.get(label)
+    if definition is None:
+        raise KeyError(f"unknown entity label {label!r}")
+    if definition.key not in given:
+        raise TypeError(
+            f":{label} requires its identifying property {definition.key!r}"
+        )
+    return definition
+
+
 class IYP:
     """The Internet Yellow Pages knowledge graph.
 
@@ -55,6 +74,12 @@ class IYP:
     def __init__(self, store: GraphStore | None = None):
         self.store = store or GraphStore()
         self.engine = CypherEngine(self.store)
+        # label -> (type(raw), raw) -> canonical key value.  The type is
+        # part of the key because 1 == True == 1.0 share a dict slot and
+        # do not canonicalize alike (parse_asn(True) raises).
+        self._canonical: dict[str, dict[tuple[type, Any], Any]] = {
+            label: {} for label in ENTITIES
+        }
         self._ensure_indexes()
 
     def _ensure_indexes(self) -> None:
@@ -75,40 +100,51 @@ class IYP:
         ``label``; its value is translated to canonical form first.
         ``properties`` carries non-identifying extras to merge in.
         """
-        definition = ENTITIES.get(label)
-        if definition is None:
-            raise KeyError(f"unknown entity label {label!r}")
+        definition = _definition(label, key_props)
         key_prop = definition.key
-        if key_prop not in key_props:
-            raise TypeError(
-                f":{label} requires its identifying property {key_prop!r}"
-            )
-        value = definition.canonical(key_props[key_prop])
         extras = dict(properties or {})
         for prop, extra_value in key_props.items():
             if prop != key_prop:
                 extras[prop] = extra_value
-        return self.store.merge_node(label, key_prop, value, extras)
+        value = self._canonical_form(definition, key_props[key_prop])
+        return self.store.merge_nodes(label, key_prop, (value,), extras)[0]
 
     def batch_get_nodes(
         self, label: str, key_prop: str, values: list[Any]
     ) -> dict[Any, Node]:
-        """Get-or-create many nodes; returns canonical value -> node."""
-        result: dict[Any, Node] = {}
-        for value in values:
-            canonical = self.canonicalize(label, key_prop, value)
-            if canonical in result:
-                continue
-            result[canonical] = self.store.merge_node(label, key_prop, canonical)
-        return result
+        """Get-or-create one node per value of a column, in one store
+        call; returns canonical value -> node.
 
-    @staticmethod
-    def canonicalize(label: str, key_prop: str, value: Any) -> Any:
+        Every value is a requested datapoint: one repeated inside the
+        column (under any spelling) is merged, exactly as a second
+        :meth:`get_node` would.  ``key_prop`` must be the identifying
+        property of ``label``.
+        """
+        definition = _definition(label, (key_prop,))
+        canonical = [self._canonical_form(definition, value) for value in values]
+        return dict(zip(canonical, self.store.merge_nodes(label, key_prop, canonical)))
+
+    def _canonical_form(self, definition: EntityDef, value: Any) -> Any:
+        """``definition.canonical(value)`` through the per-instance memo.
+
+        Unhashable input bypasses the memo and a spelling that does not
+        parse raises without leaving an entry.
+        """
+        memo = self._canonical[definition.label]
+        try:
+            return memo[type(value), value]
+        except KeyError:
+            canonical = memo[type(value), value] = definition.canonical(value)
+            return canonical
+        except TypeError:
+            return definition.canonical(value)
+
+    def canonicalize(self, label: str, key_prop: str, value: Any) -> Any:
         """Translate an identifier to canonical form (Section 2.3)."""
         definition = ENTITIES.get(label)
         if definition is None or key_prop != definition.key:
             return value
-        return definition.canonical(value)
+        return self._canonical_form(definition, value)
 
     # ------------------------------------------------------------------
     # Link creation
@@ -121,33 +157,41 @@ class IYP:
         end: Node,
         properties: Mapping[str, Any] | None = None,
         reference: Reference | None = None,
-    ):
+    ) -> Relationship:
         """Create one relationship, stamped with its provenance.
 
         The same semantic link imported from two datasets stays two
         distinct relationships (distinguished by ``reference_name``), so
         datasets can be selected, discarded, or compared after the fact.
         """
-        props = dict(properties or {})
-        if reference is None:
-            return self.store.merge_relationship(
-                start.id, rel_type, end.id, properties=props
-            )
-        props.update(reference.properties())
-        return self.store.merge_relationship(
-            start.id, rel_type, end.id, properties=props,
-            match_props={DATASET_PROPERTY: reference.dataset_name},
-        )
+        return self._merge_links(((start, rel_type, end, properties),), reference)[0]
 
     def add_links(
         self,
         links: list[tuple[Node, str, Node, Mapping[str, Any] | None]],
         reference: Reference | None = None,
     ) -> int:
-        """Create many relationships with shared provenance."""
-        for start, rel_type, end, properties in links:
-            self.add_link(start, rel_type, end, properties, reference)
-        return len(links)
+        """Create many relationships with shared provenance, in one
+        store call and in list order."""
+        return len(self._merge_links(links, reference))
+
+    def _merge_links(
+        self,
+        links: Iterable[tuple[Node, str, Node, Mapping[str, Any] | None]],
+        reference: Reference | None,
+    ) -> list[Relationship]:
+        # Computed once per call; rows without properties of their own
+        # share the mapping (the store copies what it keeps).
+        stamp = reference.properties() if reference is not None else {}
+        return self.store.merge_relationships(
+            [(start.id, rel_type, end.id,
+              {**properties, **stamp} if properties else stamp)
+             for start, rel_type, end, properties in links],
+            match_props=(
+                {DATASET_PROPERTY: reference.dataset_name}
+                if reference is not None else None
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Queries

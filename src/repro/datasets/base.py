@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import abc
 import hashlib
-from typing import Callable
+from typing import Any, Callable
 
 from repro.core import IYP, Reference
+from repro.graphdb import Node
 
 SNAPSHOT_DATE = "2024-05-01T00:00:00Z"
 
@@ -158,6 +159,17 @@ class Crawler(abc.ABC):
             time_modification=SNAPSHOT_DATE,
             time_fetch=SNAPSHOT_DATE,
         )
+
+    def get_nodes(self, label: str, key_prop: str, values: list[Any]) -> list[Node]:
+        """One node per value of a column, in column order.
+
+        :meth:`IYP.batch_get_nodes` re-expanded, so a crawler can zip its
+        parsed records with their nodes.  Every value is one requested
+        datapoint — a repeat is a merge, as a second ``get_node`` is.
+        """
+        by_key = self.iyp.batch_get_nodes(label, key_prop, values)
+        canonicalize = self.iyp.canonicalize
+        return [by_key[canonicalize(label, key_prop, value)] for value in values]
 
     @abc.abstractmethod
     def run(self) -> None:

@@ -77,23 +77,26 @@ class PrefixToASNCrawler(Crawler):
 
     def run(self) -> None:
         records = json.loads(self.fetch())
-        reference = self.reference()
-        as_nodes = self.iyp.batch_get_nodes(
-            "AS", "asn", [record["asn"] for record in records]
+        # A record is one ORIGINATE datapoint, not a new sighting of its
+        # AS and prefix: each distinct identifier is requested once.
+        asns = list(dict.fromkeys(record["asn"] for record in records))
+        prefixes = list(dict.fromkeys(record["prefix"] for record in records))
+        as_node = dict(zip(asns, self.get_nodes("AS", "asn", asns)))
+        prefix_node = dict(
+            zip(prefixes, self.get_nodes("Prefix", "prefix", prefixes))
         )
-        prefix_nodes = self.iyp.batch_get_nodes(
-            "Prefix", "prefix", [record["prefix"] for record in records]
+        self.iyp.add_links(
+            [
+                (
+                    as_node[record["asn"]],
+                    "ORIGINATE",
+                    prefix_node[record["prefix"]],
+                    {"count": record.get("count", 1)},
+                )
+                for record in records
+            ],
+            self.reference(),
         )
-        for record in records:
-            asn = self.iyp.canonicalize("AS", "asn", record["asn"])
-            prefix = self.iyp.canonicalize("Prefix", "prefix", record["prefix"])
-            self.iyp.add_link(
-                as_nodes[asn],
-                "ORIGINATE",
-                prefix_nodes[prefix],
-                {"count": record.get("count", 1)},
-                reference,
-            )
 
 
 class ASRelCrawler(Crawler):
@@ -105,19 +108,22 @@ class ASRelCrawler(Crawler):
 
     def run(self) -> None:
         records = json.loads(self.fetch())
-        reference = self.reference()
         asns = {record["asn1"] for record in records} | {
             record["asn2"] for record in records
         }
         nodes = self.iyp.batch_get_nodes("AS", "asn", sorted(asns))
-        for record in records:
-            self.iyp.add_link(
-                nodes[record["asn1"]],
-                "PEERS_WITH",
-                nodes[record["asn2"]],
-                {"rel": record["rel"]},
-                reference,
-            )
+        self.iyp.add_links(
+            [
+                (
+                    nodes[record["asn1"]],
+                    "PEERS_WITH",
+                    nodes[record["asn2"]],
+                    {"rel": record["rel"]},
+                )
+                for record in records
+            ],
+            self.reference(),
+        )
 
 
 class PeerStatsCrawler(Crawler):
@@ -129,19 +135,21 @@ class PeerStatsCrawler(Crawler):
 
     def run(self) -> None:
         records = json.loads(self.fetch())
-        reference = self.reference()
         as_nodes = self.iyp.batch_get_nodes(
             "AS", "asn", sorted({record["asn"] for record in records})
         )
-        collectors = {
-            name: self.iyp.get_node("BGPCollector", name=name)
-            for name in sorted({record["collector"] for record in records})
-        }
-        for record in records:
-            self.iyp.add_link(
-                as_nodes[record["asn"]],
-                "PEERS_WITH",
-                collectors[record["collector"]],
-                None,
-                reference,
-            )
+        collectors = self.iyp.batch_get_nodes(
+            "BGPCollector", "name", sorted({record["collector"] for record in records})
+        )
+        self.iyp.add_links(
+            [
+                (
+                    as_nodes[record["asn"]],
+                    "PEERS_WITH",
+                    collectors[record["collector"]],
+                    None,
+                )
+                for record in records
+            ],
+            self.reference(),
+        )

@@ -90,14 +90,19 @@ class HegemonyCrawler(Crawler):
     url_info = "https://ihr.iijlab.net"
 
     def run(self) -> None:
-        reference = self.reference()
-        reader = csv.DictReader(io.StringIO(self.fetch()))
-        for row in reader:
-            origin = self.iyp.get_node("AS", asn=int(row["originasn"]))
-            upstream = self.iyp.get_node("AS", asn=int(row["asn"]))
-            self.iyp.add_link(
-                origin, "DEPENDS_ON", upstream, {"hege": float(row["hege"])}, reference
-            )
+        rows = list(csv.DictReader(io.StringIO(self.fetch())))
+        # One AS column, origin and upstream of each row side by side.
+        nodes = self.get_nodes(
+            "AS", "asn",
+            [int(row[field]) for row in rows for field in ("originasn", "asn")],
+        )
+        self.iyp.add_links(
+            [
+                (origin, "DEPENDS_ON", upstream, {"hege": float(row["hege"])})
+                for row, origin, upstream in zip(rows, nodes[0::2], nodes[1::2])
+            ],
+            self.reference(),
+        )
 
 
 class CountryDependencyCrawler(Crawler):
@@ -128,27 +133,23 @@ class ROVCrawler(Crawler):
     url_info = "https://ihr.iijlab.net/ihr/en-us/rov"
 
     def run(self) -> None:
-        reference = self.reference()
-        reader = csv.DictReader(io.StringIO(self.fetch()))
-        tags: dict[str, object] = {}
-
-        def tag(label: str):
-            if label not in tags:
-                tags[label] = self.iyp.get_node("Tag", label=label)
-            return tags[label]
-
-        for row in reader:
-            prefix = self.iyp.get_node("Prefix", prefix=row["prefix"])
-            origin = self.iyp.get_node("AS", asn=int(row["origin"]))
-            self.iyp.add_link(origin, "ORIGINATE", prefix, None, reference)
-            self.iyp.add_link(
-                prefix, "CATEGORIZED", tag(f"RPKI {row['rpki_status']}"), None, reference
+        rows = list(csv.DictReader(io.StringIO(self.fetch())))
+        prefixes = self.get_nodes("Prefix", "prefix", [row["prefix"] for row in rows])
+        origins = self.get_nodes("AS", "asn", [int(row["origin"]) for row in rows])
+        row_tags = [
+            [f"RPKI {row['rpki_status']}"]
+            + (
+                [f"IRR {row['irr_status']}"]
+                if row["irr_status"] and row["irr_status"] != "NotFound"
+                else []
             )
-            if row["irr_status"] and row["irr_status"] != "NotFound":
-                self.iyp.add_link(
-                    prefix,
-                    "CATEGORIZED",
-                    tag(f"IRR {row['irr_status']}"),
-                    None,
-                    reference,
-                )
+            for row in rows
+        ]
+        # Each distinct tag is one datapoint, first seen first.
+        labels = list(dict.fromkeys(label for tags in row_tags for label in tags))
+        tag = dict(zip(labels, self.get_nodes("Tag", "label", labels)))
+        links: list = []
+        for prefix, origin, tags in zip(prefixes, origins, row_tags):
+            links.append((origin, "ORIGINATE", prefix, None))
+            links.extend((prefix, "CATEGORIZED", tag[label], None) for label in tags)
+        self.iyp.add_links(links, self.reference())

@@ -10,6 +10,7 @@ SPoF analysis walks the dependency graph.
 from __future__ import annotations
 
 import json
+from typing import Iterator
 
 from repro.datasets.base import Crawler
 from repro.nettypes.dns import registered_domain
@@ -95,36 +96,56 @@ def generate_dnsgraph(world: World) -> str:
     return "\n".join(lines)
 
 
+def _records(payload: str) -> list[dict]:
+    return [json.loads(line) for line in payload.splitlines() if line.strip()]
+
+
 class _ResolutionCrawler(Crawler):
     """Shared loader for the tranco1m / umbrella1m resolution datasets."""
 
     def run(self) -> None:
-        reference = self.reference()
-        for line in self.fetch().splitlines():
-            if not line.strip():
-                continue
-            record = json.loads(line)
+        records = _records(self.fetch())
+        # One entry per hostname a record names, in record order.
+        names = []
+        for record in records:
+            names.append(record["response_name"])
             if record["response_type"] == "CNAME":
-                source = self.iyp.get_node("HostName", name=record["response_name"])
-                target = self.iyp.get_node("HostName", name=record["answer"])
-                self.iyp.add_link(source, "ALIAS_OF", target, None, reference)
-                self._host_part_of(target)
-                continue
-            host = self.iyp.get_node("HostName", name=record["response_name"])
-            ip_node = self.iyp.get_node("IP", ip=record["answer"])
-            self.iyp.add_link(host, "RESOLVES_TO", ip_node, None, reference)
-            if record["response_name"] != record["query_name"]:
-                query_host = self.iyp.get_node("HostName", name=record["query_name"])
-                self._host_part_of(query_host)
-            self._host_part_of(host)
+                names.append(record["answer"])
+            elif record["response_name"] != record["query_name"]:
+                names.append(record["query_name"])
+        hosts = iter(self.get_nodes("HostName", "name", names))
+        ips = iter(self.get_nodes(
+            "IP", "ip",
+            [r["answer"] for r in records if r["response_type"] != "CNAME"],
+        ))
+        links: list = []
+        # (position in links, host, registrable domain): PART_OF rows,
+        # filled in once the DomainName column exists.
+        members = []
 
-    def _host_part_of(self, host_node) -> None:
-        """Link a HostName to its registrable DomainName."""
-        registrable = registered_domain(host_node.properties["name"])
-        if registrable is None:
-            return
-        domain = self.iyp.get_node("DomainName", name=registrable)
-        self.iyp.add_link(host_node, "PART_OF", domain, None, self.reference())
+        def part_of(host) -> None:
+            registrable = registered_domain(host.properties["name"])
+            if registrable is not None:
+                members.append((len(links), host, registrable))
+                links.append(None)
+
+        for record in records:
+            host = next(hosts)
+            if record["response_type"] == "CNAME":
+                target = next(hosts)
+                links.append((host, "ALIAS_OF", target, None))
+                part_of(target)
+                continue
+            links.append((host, "RESOLVES_TO", next(ips), None))
+            if record["response_name"] != record["query_name"]:
+                part_of(next(hosts))
+            part_of(host)
+        domains = self.get_nodes(
+            "DomainName", "name", [name for _, _, name in members]
+        )
+        for (position, host, _), domain in zip(members, domains):
+            links[position] = (host, "PART_OF", domain, None)
+        self.iyp.add_links(links, self.reference())
 
 
 class Tranco1MCrawler(_ResolutionCrawler):
@@ -141,7 +162,25 @@ class Umbrella1MCrawler(_ResolutionCrawler):
     url_info = "https://openintel.nl/"
 
 
-class NSCrawler(Crawler):
+class _NameServerCrawler(Crawler):
+    """Shared by the two datasets that load nameservers with their IPs."""
+
+    def nameservers(self, entries: list[dict]) -> tuple[list, Iterator]:
+        """The AuthoritativeNameServer node of each ``{ns, ips}`` entry,
+        and an iterator over the IP nodes of all their ``ips`` in order."""
+        servers = self.get_nodes(
+            "AuthoritativeNameServer", "name", [entry["ns"] for entry in entries]
+        )
+        # The same node also is a HostName: a resolvable FQDN.
+        for server in dict.fromkeys(servers):
+            self.iyp.store.add_label(server.id, "HostName")
+        ips = self.get_nodes(
+            "IP", "ip", [ip for entry in entries for ip in entry.get("ips", ())]
+        )
+        return servers, iter(ips)
+
+
+class NSCrawler(_NameServerCrawler):
     """Loads (:DomainName)-[:MANAGED_BY {glue, in_zone}]->
     (:AuthoritativeNameServer) plus nameserver glue resolutions."""
 
@@ -151,30 +190,27 @@ class NSCrawler(Crawler):
     url_info = "https://openintel.nl/"
 
     def run(self) -> None:
-        reference = self.reference()
-        for line in self.fetch().splitlines():
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            domain = self.iyp.get_node("DomainName", name=record["domain"])
-            nameserver = self.iyp.get_node(
-                "AuthoritativeNameServer", name=record["ns"]
-            )
-            # The same node also is a HostName: a resolvable FQDN.
-            self.iyp.store.add_label(nameserver.id, "HostName")
-            self.iyp.add_link(
+        records = _records(self.fetch())
+        domains = self.get_nodes(
+            "DomainName", "name", [record["domain"] for record in records]
+        )
+        servers, ips = self.nameservers(records)
+        links: list = []
+        for record, domain, server in zip(records, domains, servers):
+            links.append((
                 domain,
                 "MANAGED_BY",
-                nameserver,
+                server,
                 {"glue": record["glue"], "in_zone": record["in_zone"]},
-                reference,
+            ))
+            links.extend(
+                (server, "RESOLVES_TO", next(ips), None)
+                for _ in record.get("ips", ())
             )
-            for ip in record.get("ips", ()):
-                ip_node = self.iyp.get_node("IP", ip=ip)
-                self.iyp.add_link(nameserver, "RESOLVES_TO", ip_node, None, reference)
+        self.iyp.add_links(links, self.reference())
 
 
-class DNSGraphCrawler(Crawler):
+class DNSGraphCrawler(_NameServerCrawler):
     """Loads the zone -> NS dependency graph used by the SPoF study."""
 
     organization = "OpenINTEL"
@@ -183,20 +219,20 @@ class DNSGraphCrawler(Crawler):
     url_info = "https://dnsgraph.dacs.utwente.nl"
 
     def run(self) -> None:
-        reference = self.reference()
-        for line in self.fetch().splitlines():
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            zone = self.iyp.get_node("DomainName", name=record["zone"])
+        records = _records(self.fetch())
+        zones = self.get_nodes(
+            "DomainName", "name", [record["zone"] for record in records]
+        )
+        entries = [entry for record in records for entry in record["nameservers"]]
+        servers, ips = self.nameservers(entries)
+        server_of = iter(servers)
+        links: list = []
+        for record, zone in zip(records, zones):
             for entry in record["nameservers"]:
-                nameserver = self.iyp.get_node(
-                    "AuthoritativeNameServer", name=entry["ns"]
+                server = next(server_of)
+                links.append((zone, "MANAGED_BY", server, None))
+                links.extend(
+                    (server, "RESOLVES_TO", next(ips), None)
+                    for _ in entry.get("ips", ())
                 )
-                self.iyp.store.add_label(nameserver.id, "HostName")
-                self.iyp.add_link(zone, "MANAGED_BY", nameserver, None, reference)
-                for ip in entry.get("ips", ()):
-                    ip_node = self.iyp.get_node("IP", ip=ip)
-                    self.iyp.add_link(
-                        nameserver, "RESOLVES_TO", ip_node, None, reference
-                    )
+        self.iyp.add_links(links, self.reference())

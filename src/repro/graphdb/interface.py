@@ -181,6 +181,15 @@ class GraphWriteStore(GraphReadStore, Protocol):
         self, labels: Iterable[str], properties: Mapping[str, Any] | None = ...
     ) -> Node: ...
 
+    def merge_nodes(
+        self,
+        label: str,
+        key_prop: str,
+        values: Iterable[Any],
+        properties: Mapping[str, Any] | None = ...,
+        extra_labels: Iterable[str] = ...,
+    ) -> list[Node]: ...
+
     def merge_node(
         self,
         label: str,
@@ -203,6 +212,12 @@ class GraphWriteStore(GraphReadStore, Protocol):
         end_id: int,
         properties: Mapping[str, Any] | None = ...,
     ) -> Relationship: ...
+
+    def merge_relationships(
+        self,
+        rows: Iterable[tuple[int, str, int, Mapping[str, Any] | None]],
+        match_props: Mapping[str, Any] | None = ...,
+    ) -> list[Relationship]: ...
 
     def merge_relationship(
         self,

@@ -120,6 +120,9 @@ def freeze_properties(properties: Mapping[str, Any] | None) -> dict[str, Any]:
         for key, value in properties.items():
             if value is None:
                 continue
-            check_property_value(value)
-            result[key] = list(value) if isinstance(value, tuple) else value
+            if not isinstance(value, SCALAR_TYPES):
+                check_property_value(value)
+                if isinstance(value, tuple):
+                    value = list(value)
+            result[key] = value
     return result

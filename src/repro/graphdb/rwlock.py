@@ -6,14 +6,20 @@ lock is write-preferring (a waiting writer blocks new readers, so bulk
 loads are not starved by a stream of queries) and reentrant in both
 directions for a single thread:
 
-- a thread holding the write lock may re-acquire it (``merge_node``
-  calls ``create_node``) and may also take the read lock;
+- a thread holding the write lock may re-acquire it (a
+  ``batch_mutation()`` scope calls the public mutators, ``delete_node``
+  calls ``delete_relationship``) and may also take the read lock;
 - a thread holding the read lock may re-acquire the read lock even while
   a writer is queued (refusing would deadlock the reader).
 
 Lock upgrades (read -> write by the same thread) are not supported; the
 query service classifies queries up front and takes the right lock for
 the whole execution.
+
+A scope costs one uncontended acquire and one release.  The store's
+write path relies on that being the whole price: a merge — one datapoint
+or a whole column — opens exactly one scope and reaches the creation and
+update routines through ``_locked`` helpers, never by re-entering.
 
 Debugging: :func:`new_rwlock` returns a :class:`DebugRWLock` when the
 ``REPRO_LOCK_DEBUG`` harness (:mod:`repro.concurrency.runtime`) is on.
@@ -26,14 +32,30 @@ when called without their lock instead of corrupting state quietly.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator
+from contextlib import AbstractContextManager
+from typing import Callable
 
 from repro.concurrency.runtime import (
     MONITOR,
     LockDisciplineError,
     lock_debug_enabled,
 )
+
+
+class _Scope(AbstractContextManager):
+    """``with`` form of one acquire/release pair of an :class:`RWLock`."""
+
+    __slots__ = ("_acquire", "_release")
+
+    def __init__(self, acquire: Callable[[], None], release: Callable[[], None]):
+        self._acquire = acquire
+        self._release = release
+
+    def __enter__(self) -> None:
+        self._acquire()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._release()
 
 
 class RWLock:
@@ -45,6 +67,11 @@ class RWLock:
         self._writer: int | None = None
         self._writer_holds = 0
         self._waiting_writers = 0
+        # Every write datapoint opens one scope, so a scope must cost an
+        # acquire and a release, not a generator on top.  The scopes hold
+        # no state of their own: one of each serves every thread.
+        self._read_scope = _Scope(self.acquire_read, self.release_read)
+        self._write_scope = _Scope(self.acquire_write, self.release_write)
 
     # -- read side -------------------------------------------------------
 
@@ -102,21 +129,13 @@ class RWLock:
 
     # -- context managers ------------------------------------------------
 
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+    def read(self) -> AbstractContextManager[None]:
+        """``with lock.read():`` — the shared hold."""
+        return self._read_scope
 
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+    def write(self) -> AbstractContextManager[None]:
+        """``with lock.write():`` — the exclusive hold."""
+        return self._write_scope
 
     # -- introspection (for tests and metrics) ---------------------------
 

@@ -22,6 +22,13 @@ for their whole execution and observe a consistent graph, while caches
 keyed on ``(query, params, version)`` invalidate automatically on any
 write.  Read accessors themselves take no lock — callers that need
 isolation against writers wrap their work in ``read_lock()``.
+
+The build's write path is :meth:`GraphStore.merge_nodes` and
+:meth:`GraphStore.merge_relationships`: a whole column of datapoints
+under one lock scope, one version bump and one batch of access-counter
+records.  ``merge_node`` / ``merge_relationship`` are their one-row
+forms, and creation goes through one ``_locked`` routine per entity
+kind that ``create_node`` / ``create_relationship`` share.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from repro.graphdb.errors import (
     NoSuchRelationshipError,
 )
 from repro.graphdb.model import (
+    SCALAR_TYPES,
     Direction,
     Node,
     Relationship,
@@ -576,19 +584,96 @@ class GraphStore:
     ) -> Node:
         """Create a node with the given labels and properties."""
         with self._mutation():
-            label_set = frozenset(labels)
-            props = freeze_properties(properties)
-            self._check_unique(label_set, props, exclude_id=None)
+            node = self._create_node_locked(frozenset(labels), properties)
             record_access("node_created")
-            node = Node(self._next_node_id, label_set, props)
-            self._next_node_id += 1
-            self._nodes[node.id] = node
-            for label in label_set:
-                self._label_index[label].add(node.id)
-                self._index_node_property_updates(label, node.id, props)
-            if self._changelog is not None:
-                self._log_event(ChangeEvent("node_created", node.id))
             return node
+
+    @guarded_by("_rwlock")
+    def _create_node_locked(
+        self, labels: frozenset[str], properties: Mapping[str, Any] | None
+    ) -> Node:
+        """The one node-creation routine: validate, allocate, index, log."""
+        self._rwlock.check_write_held()
+        props = freeze_properties(properties)
+        if self._unique_constraints:
+            self._check_unique(labels, props, exclude_id=None)
+        node = Node(self._next_node_id, labels, props)
+        self._next_node_id += 1
+        self._nodes[node.id] = node
+        for label in labels:
+            self._label_index[label].add(node.id)
+            self._index_node_property_updates(label, node.id, props)
+        if self._changelog is not None:
+            self._log_event(ChangeEvent("node_created", node.id))
+        return node
+
+    def merge_nodes(
+        self,
+        label: str,
+        key_prop: str,
+        values: Iterable[Any],
+        properties: Mapping[str, Any] | None = None,
+        extra_labels: Iterable[str] = (),
+    ) -> list[Node]:
+        """Get-or-create one node per identifying value of a column.
+
+        This implements IYP's canonical-identifier deduplication: the
+        first request for ``(label, key_prop, value)`` creates the node,
+        every later one — in this column or a later call — receives the
+        existing node, with ``properties`` merged in and ``extra_labels``
+        added.  The result is parallel to ``values``.
+
+        The whole column costs one write-lock scope, one index check,
+        one version bump and one batch of access-counter records, and
+        holding the lock across seek-then-create is what keeps two
+        concurrent merges of one identifier from both creating it.  The
+        changelog reads as if each value had been merged by a call of
+        its own, in column order; when a row raises, the rows before it
+        stay applied and counted (see :meth:`batch_mutation`).
+        """
+        extra_labels = tuple(extra_labels)
+        result: list[Node] = []
+        seeks = scanned = merged = created = 0
+        with self.batch_mutation():
+            if (label, key_prop) not in self._property_index:
+                self.create_index(label, key_prop)
+            index = self._property_index[(label, key_prop)]
+            nodes = self._nodes
+            try:
+                for value in values:
+                    if _indexable(value):
+                        seeks += 1
+                        ids = index.get(value)
+                        if ids:
+                            scanned += len(ids)
+                            node = nodes[min(ids)]
+                        else:
+                            node = None
+                    else:  # a list-valued key: no index entry to seek
+                        found = self.find_nodes(label, key_prop, value)
+                        node = found[0] if found else None
+                    if node is None:
+                        props = dict(properties) if properties else {}
+                        props[key_prop] = value
+                        node = self._create_node_locked(
+                            frozenset((label, *extra_labels)), props
+                        )
+                        created += 1
+                    else:
+                        merged += 1
+                        if properties:
+                            self._update_node_locked(node.id, properties)
+                        for extra in extra_labels:
+                            self._add_label_locked(node, extra)
+                    result.append(node)
+            finally:
+                _record_batch(
+                    ("index_seek", seeks),
+                    ("nodes_scanned", scanned),
+                    ("node_merged", merged),
+                    ("node_created", created),
+                )
+        return result
 
     def merge_node(
         self,
@@ -598,28 +683,10 @@ class GraphStore:
         properties: Mapping[str, Any] | None = None,
         extra_labels: Iterable[str] = (),
     ) -> Node:
-        """Get-or-create a node by its identifying (label, property, value).
-
-        This implements IYP's canonical-identifier deduplication: the first
-        caller creates the node, later callers receive the existing one
-        (with ``properties`` merged in and ``extra_labels`` added).
-        """
-        # Hold the write lock across find-then-create so two concurrent
-        # merges of the same identifier cannot both create the node.
-        with self._rwlock.write():
-            self.create_index(label, key_prop)
-            existing = self.find_nodes(label, key_prop, key_value)
-            if existing:
-                node = existing[0]
-                record_access("node_merged")
-                if properties:
-                    self.update_node(node.id, properties)
-                for extra in extra_labels:
-                    self.add_label(node.id, extra)
-                return node
-            props = dict(properties or {})
-            props[key_prop] = key_value
-            return self.create_node({label, *extra_labels}, props)
+        """Get-or-create one node: a one-value :meth:`merge_nodes`."""
+        return self.merge_nodes(
+            label, key_prop, (key_value,), properties, extra_labels
+        )[0]
 
     def get_node(self, node_id: int) -> Node:
         """Return the node with the given id."""
@@ -674,15 +741,21 @@ class GraphStore:
     def add_label(self, node_id: int, label: str) -> None:
         """Add a label to an existing node."""
         with self._rwlock.write():
-            node = self._require_node(node_id)
-            if label in node.labels:
-                return
-            node.labels = node.labels | {label}
-            self._label_index[label].add(node_id)
-            self._index_node_property_updates(label, node_id, node.properties)
-            if self._changelog is not None:
-                self._log_event(ChangeEvent("label_added", node_id, label=label))
-            self._bump()
+            if self._add_label_locked(self._require_node(node_id), label):
+                self._bump()
+
+    @guarded_by("_rwlock")
+    def _add_label_locked(self, node: Node, label: str) -> bool:
+        """Add ``label`` unless the node carries it; True when added."""
+        self._rwlock.check_write_held()
+        if label in node.labels:
+            return False
+        node.labels = node.labels | {label}
+        self._label_index[label].add(node.id)
+        self._index_node_property_updates(label, node.id, node.properties)
+        if self._changelog is not None:
+            self._log_event(ChangeEvent("label_added", node.id, label=label))
+        return True
 
     def update_node(self, node_id: int, properties: Mapping[str, Any]) -> None:
         """Merge properties into a node (None values delete the key)."""
@@ -702,9 +775,10 @@ class GraphStore:
                     self._deindex_value(node, key, old)
                     changed[key] = (old, None)
                 continue
-            check_property_value(value)
-            if isinstance(value, tuple):
-                value = list(value)
+            if not isinstance(value, SCALAR_TYPES):
+                check_property_value(value)
+                if isinstance(value, tuple):
+                    value = list(value)
             if old == value and type(old) is type(value):
                 continue
             self._check_unique(node.labels, {key: value}, exclude_id=node_id)
@@ -771,25 +845,99 @@ class GraphStore:
     ) -> Relationship:
         """Create a directed relationship between two existing nodes."""
         with self._mutation():
-            self._require_node(start_id)
-            self._require_node(end_id)
-            record_access("rel_created")
-            rel = Relationship(
-                self._next_rel_id, rel_type, start_id, end_id,
-                freeze_properties(properties),
+            rel = self._create_relationship_locked(
+                start_id, rel_type, end_id, properties
             )
-            self._next_rel_id += 1
-            self._relationships[rel.id] = rel
-            self._outgoing[start_id].setdefault(rel_type, []).append(rel.id)
-            self._incoming[end_id].setdefault(rel_type, []).append(rel.id)
-            if start_id == end_id:
-                loops = self._loop_counts.setdefault(start_id, {})
-                loops[rel_type] = loops.get(rel_type, 0) + 1
-            self._edge_index[(start_id, rel_type, end_id)].append(rel.id)
-            self._rel_type_index[rel_type].add(rel.id)
-            if self._changelog is not None:
-                self._log_event(ChangeEvent("rel_created", rel.id))
+            record_access("rel_created")
             return rel
+
+    @guarded_by("_rwlock")
+    def _create_relationship_locked(
+        self,
+        start_id: int,
+        rel_type: str,
+        end_id: int,
+        properties: Mapping[str, Any] | None,
+    ) -> Relationship:
+        """The one edge-creation routine: validate, allocate, index, log."""
+        self._rwlock.check_write_held()
+        self._require_node(start_id)
+        self._require_node(end_id)
+        rel = Relationship(
+            self._next_rel_id, rel_type, start_id, end_id,
+            freeze_properties(properties),
+        )
+        self._next_rel_id += 1
+        self._relationships[rel.id] = rel
+        self._outgoing[start_id].setdefault(rel_type, []).append(rel.id)
+        self._incoming[end_id].setdefault(rel_type, []).append(rel.id)
+        if start_id == end_id:
+            loops = self._loop_counts.setdefault(start_id, {})
+            loops[rel_type] = loops.get(rel_type, 0) + 1
+        self._edge_index[(start_id, rel_type, end_id)].append(rel.id)
+        self._rel_type_index[rel_type].add(rel.id)
+        if self._changelog is not None:
+            self._log_event(ChangeEvent("rel_created", rel.id))
+        return rel
+
+    def merge_relationships(
+        self,
+        rows: Iterable[tuple[int, str, int, Mapping[str, Any] | None]],
+        match_props: Mapping[str, Any] | None = None,
+    ) -> list[Relationship]:
+        """Get-or-create one relationship per ``(start_id, type, end_id,
+        properties)`` row; the result is parallel to ``rows``.
+
+        When ``match_props`` is given, an existing edge matches only if it
+        carries those exact property values — IYP uses ``reference_name``
+        here so the same semantic link from two datasets stays distinct —
+        and a created edge carries them too.  A row that matches logs
+        ``rel_merged`` and has its ``properties`` merged in; when they
+        are already equal nothing else happens.
+
+        Cost and failure behaviour are those of :meth:`merge_nodes`: one
+        lock scope, one version bump and one batch of access-counter
+        records per call, a changelog identical to per-row calls in row
+        order, and the rows before a failing one stay applied.
+        """
+        match = tuple(match_props.items()) if match_props else ()
+        result: list[Relationship] = []
+        merged = created = 0
+        with self.batch_mutation():
+            try:
+                for start_id, rel_type, end_id, properties in rows:
+                    rel = self._find_edge((start_id, rel_type, end_id), match)
+                    if rel is None:
+                        props = dict(properties) if properties else {}
+                        props.update(match)
+                        rel = self._create_relationship_locked(
+                            start_id, rel_type, end_id, props
+                        )
+                        created += 1
+                    else:
+                        merged += 1
+                        if self._changelog is not None:
+                            self._log_event(ChangeEvent("rel_merged", rel.id))
+                        if properties:
+                            self._update_relationship_locked(rel, properties)
+                    result.append(rel)
+            finally:
+                _record_batch(("rel_merged", merged), ("rel_created", created))
+        return result
+
+    def _find_edge(
+        self, endpoints: tuple[int, str, int], match: tuple[tuple[str, Any], ...]
+    ) -> Relationship | None:
+        """The oldest ``(start_id, type, end_id)`` edge that carries every
+        ``(property, value)`` pair of ``match``."""
+        for rel_id in self._edge_index.get(endpoints, ()):
+            rel = self._relationships[rel_id]
+            for key, value in match:
+                if rel.properties.get(key) != value:
+                    break
+            else:
+                return rel
+        return None
 
     def merge_relationship(
         self,
@@ -799,43 +947,11 @@ class GraphStore:
         properties: Mapping[str, Any] | None = None,
         match_props: Mapping[str, Any] | None = None,
     ) -> Relationship:
-        """Get-or-create a relationship between two nodes.
-
-        When ``match_props`` is given, an existing edge matches only if it
-        carries those exact property values — IYP uses ``reference_name``
-        here so the same semantic link from two datasets stays distinct.
-        """
-        with self._rwlock.write():
-            return self._merge_relationship_locked(
-                start_id, rel_type, end_id, properties, match_props
-            )
-
-    @guarded_by("_rwlock")
-    def _merge_relationship_locked(
-        self,
-        start_id: int,
-        rel_type: str,
-        end_id: int,
-        properties: Mapping[str, Any] | None,
-        match_props: Mapping[str, Any] | None,
-    ) -> Relationship:
-        self._rwlock.check_write_held()
-        for rel_id in self._edge_index.get((start_id, rel_type, end_id), ()):
-            rel = self._relationships[rel_id]
-            if match_props and any(
-                rel.properties.get(k) != v for k, v in match_props.items()
-            ):
-                continue
-            record_access("rel_merged")
-            if self._changelog is not None:
-                self._log_event(ChangeEvent("rel_merged", rel_id))
-            if properties:
-                self.update_relationship(rel_id, properties)
-            return rel
-        merged = dict(properties or {})
-        if match_props:
-            merged.update(match_props)
-        return self.create_relationship(start_id, rel_type, end_id, merged)
+        """Get-or-create one relationship: a one-row
+        :meth:`merge_relationships`."""
+        return self.merge_relationships(
+            ((start_id, rel_type, end_id, properties),), match_props
+        )[0]
 
     def get_relationship(self, rel_id: int) -> Relationship:
         """Return the relationship with the given id."""
@@ -922,24 +1038,33 @@ class GraphStore:
         same provenance properties produces no change events.
         """
         with self._mutation():
-            rel = self.get_relationship(rel_id)
-            changed: dict[str, tuple[Any, Any]] = {}
-            for key, value in properties.items():
-                old = rel.properties.get(key)
-                if value is None:
-                    if key in rel.properties:
-                        del rel.properties[key]
-                        changed[key] = (old, None)
-                    continue
+            self._update_relationship_locked(
+                self.get_relationship(rel_id), properties
+            )
+
+    @guarded_by("_rwlock")
+    def _update_relationship_locked(
+        self, rel: Relationship, properties: Mapping[str, Any]
+    ) -> None:
+        self._rwlock.check_write_held()
+        changed: dict[str, tuple[Any, Any]] = {}
+        for key, value in properties.items():
+            old = rel.properties.get(key)
+            if value is None:
+                if key in rel.properties:
+                    del rel.properties[key]
+                    changed[key] = (old, None)
+                continue
+            if not isinstance(value, SCALAR_TYPES):
                 check_property_value(value)
                 if isinstance(value, tuple):
                     value = list(value)
-                if old == value and type(old) is type(value):
-                    continue
-                rel.properties[key] = value
-                changed[key] = (old, value)
-            if changed and self._changelog is not None:
-                self._log_event(ChangeEvent("rel_updated", rel_id, changes=changed))
+            if old == value and type(old) is type(value):
+                continue
+            rel.properties[key] = value
+            changed[key] = (old, value)
+        if changed and self._changelog is not None:
+            self._log_event(ChangeEvent("rel_updated", rel.id, changes=changed))
 
     def delete_relationship(self, rel_id: int) -> None:
         """Delete a relationship."""
@@ -1013,6 +1138,15 @@ class GraphStore:
                         raise ConstraintViolationError(
                             f"duplicate :{label}({key}={value!r})"
                         )
+
+
+def _record_batch(*counts: tuple[str, int]) -> None:
+    """Report a bulk call's access counters, one record per kind seen."""
+    collector = current_collector()
+    if collector is not None:
+        for kind, count in counts:
+            if count:
+                collector.record(kind, count)
 
 
 def _indexable(value: Any) -> bool:

@@ -41,6 +41,16 @@ def small_iyp(small_world):
     return iyp
 
 
+@pytest.fixture(scope="session")
+def quarter_world():
+    """The lifecycle benchmark's world, the one documentation/performance.md
+    reads its numbers on: ``WorldConfig.small(7)`` with its three size
+    knobs times 0.25 (``benchmarks/lifecycle/metrics.py``)."""
+    return build_world(
+        WorldConfig(seed=7, scale=0.025, n_domains=500, n_ases=62)
+    )
+
+
 @pytest.fixture()
 def empty_iyp():
     """A fresh, empty IYP instance."""

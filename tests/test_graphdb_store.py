@@ -144,6 +144,96 @@ class TestMergeNode:
         assert node.has_label("AuthoritativeNameServer")
 
 
+class TestBulkMerge:
+    """merge_nodes / merge_relationships: a column under one lock scope."""
+
+    def test_column_result_is_parallel_and_dedups(self, store):
+        nodes = store.merge_nodes("AS", "asn", [1, 2, 1, 3, 2])
+        assert [n.properties["asn"] for n in nodes] == [1, 2, 1, 3, 2]
+        assert nodes[0] is nodes[2] and nodes[1] is nodes[4]
+        assert store.node_count == 3
+
+    def test_one_version_bump_and_one_counter_batch_per_call(self, store):
+        from repro.obs import AccessCollector, collecting
+
+        before = store.version
+        with collecting(AccessCollector()) as collector:
+            store.merge_nodes("AS", "asn", [1, 2, 1])
+        assert store.version == before + 1  # creating the index included
+        assert collector.hits == {
+            "index_seek": 3, "nodes_scanned": 1,
+            "node_created": 2, "node_merged": 1,
+        }
+        before = store.version
+        store.merge_nodes("AS", "asn", [1, 2, 1])  # nothing new, still one bump
+        assert store.version == before + 1
+
+    def test_shared_properties_and_labels_reach_every_row(self, store):
+        first, = store.merge_nodes("HostName", "name", ["ns1.example.com"])
+        again, fresh = store.merge_nodes(
+            "HostName", "name", ["ns1.example.com", "ns2.example.com"],
+            properties={"seen": True}, extra_labels=["AuthoritativeNameServer"],
+        )
+        assert again is first
+        for node in (first, fresh):
+            assert node.has_label("AuthoritativeNameServer")
+            assert node.properties["seen"] is True
+
+    def test_relationship_rows_merge_in_order(self, store):
+        a, b = store.merge_nodes("AS", "asn", [1, 2])
+        match = {"reference_name": "x"}
+        with store.track_changes() as events:
+            rels = store.merge_relationships(
+                [
+                    (a.id, "PEERS_WITH", b.id, {"rel": 0}),
+                    (a.id, "PEERS_WITH", b.id, {"rel": 0}),  # equal: merged only
+                    (a.id, "PEERS_WITH", b.id, {"rel": 1}),  # merged + updated
+                    (b.id, "PEERS_WITH", a.id, None),
+                ],
+                match_props=match,
+            )
+        assert [e.kind for e in events] == [
+            "rel_created", "rel_merged", "rel_merged", "rel_updated", "rel_created",
+        ]
+        assert rels[0] is rels[1] is rels[2] and rels[3] is not rels[0]
+        assert rels[0].properties == {"rel": 1, "reference_name": "x"}
+        assert store.relationship_count == 2
+
+    def test_dangling_endpoint_mid_batch_keeps_the_rows_before_it(self, store):
+        from repro.obs import AccessCollector, collecting
+
+        a, b = store.merge_nodes("AS", "asn", [1, 2])
+        before = store.version
+        with collecting(AccessCollector()) as collector:
+            with pytest.raises(NoSuchNodeError):
+                store.merge_relationships(
+                    [
+                        (a.id, "PEERS_WITH", b.id, None),
+                        (a.id, "PEERS_WITH", 999, None),
+                        (b.id, "PEERS_WITH", a.id, None),
+                    ]
+                )
+        assert store.version == before + 1
+        assert collector.hits == {"rel_created": 1}
+        (rel,) = store.iter_relationships()
+        assert (rel.start_id, rel.end_id) == (a.id, b.id)
+        assert store.relationships_of(a.id) == [rel]
+
+    def test_constraint_violation_mid_batch_keeps_the_rows_before_it(self, store):
+        from repro.obs import AccessCollector, collecting
+
+        store.create_unique_constraint("AS", "name")
+        before = store.version
+        with collecting(AccessCollector()) as collector:
+            with pytest.raises(ConstraintViolationError):
+                store.merge_nodes("AS", "asn", [1, 2, 3], properties={"name": "same"})
+        assert store.version == before + 1
+        assert collector.hits["node_created"] == 1
+        (node,) = store.nodes_with_label("AS")
+        assert node.properties == {"name": "same", "asn": 1}
+        assert store.find_nodes("AS", "asn", 1) == [node]
+
+
 class TestRelationships:
     def test_create_and_adjacency(self, store):
         a = store.create_node({"AS"}, {"asn": 1})

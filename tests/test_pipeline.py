@@ -274,6 +274,73 @@ class TestPipelineTelemetry:
         assert payload["error"] is None
 
 
+class TestWritePath:
+    """The bulk write path keeps the build's numbers and its bytes."""
+
+    def test_counters_count_requested_datapoints(self, quarter_world):
+        # A value repeated inside one column is a merge, not a no-op:
+        # the three crawlers with the largest columns report what they
+        # reported when every datapoint was a call of its own.
+        _, report = build_iyp(quarter_world)
+        runs = {run.name: run for run in report.crawler_runs}
+        counters = {
+            name: (
+                runs[name].nodes_created, runs[name].nodes_merged,
+                runs[name].relationships_created, runs[name].relationships_merged,
+            )
+            for name in ("openintel.ns", "openintel.dnsgraph", "openintel.tranco1m")
+        }
+        assert counters == {
+            "openintel.ns": (626, 5672, 2173, 2352),
+            "openintel.dnsgraph": (108, 5070, 2287, 2361),
+            "openintel.tranco1m": (1518, 1026, 1346, 346),
+        }
+        created = sum(run.nodes_created for run in runs.values())
+        merged = sum(run.nodes_merged for run in runs.values())
+        assert (created, merged) == (3516, 18818)  # merge ratio 0.8426
+
+    def test_dump_bytes_do_not_depend_on_the_hash_seed(self, quarter_world, tmp_path):
+        # Column building invites set() iteration, which would make node
+        # ids follow PYTHONHASHSEED while any single process (the
+        # benchmark's round-to-round checksum gate) stays consistent.
+        import hashlib
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import sys\n"
+            "from repro.archive import save_snapshot_v2\n"
+            "from repro.pipeline import build_iyp\n"
+            "from repro.simnet import WorldConfig, build_world\n"
+            "seed, scale, n_domains, n_ases = sys.argv[2:]\n"
+            "world = build_world(WorldConfig(seed=int(seed), scale=float(scale), "
+            "n_domains=int(n_domains), n_ases=int(n_ases)))\n"
+            "iyp, report = build_iyp(world)\n"
+            "assert report.ok, report.crawler_errors\n"
+            "save_snapshot_v2(iyp.store, sys.argv[1])\n"
+        )
+        config = quarter_world.config
+        size = [config.seed, config.scale, config.n_domains, config.n_ases]
+        digests = []
+        for seed in ("1", "2"):
+            dump = tmp_path / f"seed-{seed}.iyp2"
+            subprocess.run(
+                [sys.executable, "-c", script, str(dump), *map(str, size)],
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+                },
+                check=True, timeout=120,
+            )
+            digests.append(hashlib.sha256(dump.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+
+
 class TestSchemaValidation:
     def test_build_attaches_schema_report(self, small_world):
         _, report = build_iyp(small_world, dataset_names=["bgpkit.pfx2as"])

@@ -256,6 +256,10 @@ def test_columnar_rejects_writes():
         columnar.delete_node(1)
     with pytest.raises(ReadOnlyStoreError):
         columnar.create_index("AS", "name")
+    with pytest.raises(ReadOnlyStoreError):
+        columnar.merge_nodes("AS", "asn", [2497])
+    with pytest.raises(ReadOnlyStoreError):
+        columnar.merge_relationships([(1, "X", 2, None)])
     # ReadOnlyStoreError is a GraphError: the server maps it to a 400
     # query error instead of a 500.
     engine = CypherEngine(columnar)
