@@ -1,11 +1,12 @@
 """The IYP facade: canonicalizing loader + query interface.
 
-Dataset crawlers never touch the graph store directly; they hand the
-facade whole columns — :meth:`IYP.batch_get_nodes` (one label, the key
-values of every parsed record) and :meth:`IYP.add_links` (every link of
-the dataset, one shared :class:`Reference`) — and each call is one store
-call under one lock scope.  :meth:`IYP.get_node` / :meth:`IYP.add_link`
-are the same operations for a single datapoint.  Node access translates
+Dataset crawlers never touch the graph store directly; what they state
+reaches the facade as whole columns (:meth:`repro.datasets.base.Crawler.run`)
+— :meth:`IYP.batch_get_nodes` (one label, the key value of every
+requested node) and :meth:`IYP.add_links` (every link of the dataset, one
+shared :class:`Reference`) — and each call is one store call under one
+lock scope.  :meth:`IYP.get_node` / :meth:`IYP.add_link` are the same
+operations for a single datapoint.  Node access translates
 identifiers to canonical form before node creation (through a
 per-instance memo, since a dataset repeats its identifiers), which is
 what guarantees that ``2001:DB8::/32`` from one dataset and

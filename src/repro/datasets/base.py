@@ -1,16 +1,18 @@
 """Crawler framework: fetchers, the crawler base class, provenance.
 
 A :class:`Crawler` is constructed with the target :class:`~repro.core.IYP`
-instance and a :class:`Fetcher`.  ``run()`` fetches the dataset's URL(s)
-and loads the parsed content.  The systematic provenance properties of
-Section 2.2 are produced by :meth:`Crawler.reference`.
+instance and a :class:`Fetcher`.  Its ``parse()`` fetches the dataset's
+URL(s) and states the nodes and links it holds; ``run()`` — defined once,
+here — turns what was stated into columns and loads them.  The systematic
+provenance properties of Section 2.2 are produced by
+:meth:`Crawler.reference`.
 """
 
 from __future__ import annotations
 
 import abc
 import hashlib
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from repro.core import IYP, Reference
 from repro.graphdb import Node
@@ -133,7 +135,19 @@ class Crawler(abc.ABC):
 
     Subclasses define the class attributes ``organization``, ``name``
     (the ``reference_name`` stamped on links), ``url_data`` and
-    optionally ``url_info``, and implement :meth:`run`.
+    optionally ``url_info``, and implement :meth:`parse`: fetch the
+    dataset and state its datapoints — ``self.node(label, key=value)``
+    per node a record names, ``self.link(start, TYPE, end, props)`` per
+    link.  Nothing reaches the graph while ``parse`` runs; :meth:`run`
+    then loads the whole dataset, one facade call per label and one for
+    the links.
+
+    Two failure rules follow.  An exception in ``parse`` — a malformed
+    record, or an identifier with no canonical form, which ``node``
+    raises on the spot — drops what was stated and leaves the store
+    untouched: no half-imported dataset.  An exception while loading
+    keeps the store's batch contract: the rows before it stay applied,
+    logged and counted (:meth:`GraphStore.batch_mutation`).
     """
 
     organization: str = ""
@@ -144,6 +158,17 @@ class Crawler(abc.ABC):
     def __init__(self, iyp: IYP, fetcher: Fetcher):
         self.iyp = iyp
         self.fetcher = fetcher
+        self._clear()
+
+    def _clear(self) -> None:
+        self._handles = 0  # requests stated so far; the next handle
+        # label -> (identifying property, canonical values, their handles),
+        # labels in first-touch order and rows in request order.
+        self._columns: dict[str, tuple[str, list[Any], list[int]]] = {}
+        # Requests that carry extra properties: (handle, label, extras, key).
+        self._described: list[tuple] = []
+        self._labels: list[tuple[int, str]] = []
+        self._links: list[tuple] = []  # (start, type, end, properties)
 
     def fetch(self, url: str | None = None) -> str:
         """Fetch the dataset (or a specific URL)."""
@@ -160,20 +185,88 @@ class Crawler(abc.ABC):
             time_fetch=SNAPSHOT_DATE,
         )
 
-    def get_nodes(self, label: str, key_prop: str, values: list[Any]) -> list[Node]:
-        """One node per value of a column, in column order.
+    def node(
+        self, label: str, /, properties: Mapping[str, Any] | None = None, **key: Any
+    ) -> int:
+        """State one requested datapoint: the ``label`` node identified
+        by ``key`` (its identifying property).  Returns a handle — a
+        plain int standing for the node in :meth:`link` / :meth:`label`
+        until :meth:`run` resolves it.
 
-        :meth:`IYP.batch_get_nodes` re-expanded, so a crawler can zip its
-        parsed records with their nodes.  Every value is one requested
-        datapoint — a repeat is a merge, as a second ``get_node`` is.
+        Every call is one request, as a :meth:`IYP.get_node` is: naming
+        an identifier twice merges it the second time.  A request with
+        ``properties`` (non-identifying extras) stays a single
+        ``IYP.get_node`` call, made when the dataset is loaded.
         """
-        by_key = self.iyp.batch_get_nodes(label, key_prop, values)
-        canonicalize = self.iyp.canonicalize
-        return [by_key[canonicalize(label, key_prop, value)] for value in values]
+        (key_prop, value), = key.items()
+        value = self.iyp.canonicalize(label, key_prop, value)
+        handle = self._handles
+        self._handles += 1
+        if properties:
+            self._described.append((handle, label, properties, {key_prop: value}))
+            return handle
+        column = self._columns.get(label)
+        if column is None:
+            column = self._columns[label] = (key_prop, [], [])
+        column[1].append(value)
+        column[2].append(handle)
+        return handle
+
+    def link(
+        self,
+        start: int | Node,
+        rel_type: str,
+        end: int | Node,
+        properties: Mapping[str, Any] | None = None,
+    ) -> None:
+        """State one link; each end is a handle, or a node read from
+        the graph."""
+        self._links.append((start, rel_type, end, properties))
+
+    def label(self, handle: int, label: str) -> None:
+        """State that the node behind ``handle`` also carries ``label``."""
+        self._labels.append((handle, label))
 
     @abc.abstractmethod
+    def parse(self) -> None:
+        """Fetch the dataset and state its nodes and links."""
+
     def run(self) -> None:
         """Fetch, parse, and load the dataset into the knowledge graph."""
+        try:
+            self.parse()
+            self._load()
+        finally:
+            self._clear()
+
+    def _load(self) -> None:
+        iyp = self.iyp
+        nodes: list[Any] = [None] * self._handles
+        for handle, label, properties, key in self._described:
+            nodes[handle] = iyp.get_node(label, properties, **key)
+        for label, (key_prop, values, handles) in self._columns.items():
+            by_key = iyp.batch_get_nodes(label, key_prop, values)
+            for handle, value in zip(handles, values):
+                nodes[handle] = by_key[value]
+        if self._labels:
+            with iyp.store.batch_mutation():
+                for node_id, label in dict.fromkeys(
+                    (nodes[handle].id, label) for handle, label in self._labels
+                ):
+                    iyp.store.add_label(node_id, label)
+        # Rows are resolved in place: the largest datasets state thousands,
+        # and a second list would double what is held (and what the
+        # garbage collector tracks) until the call returns.
+        links = self._links
+        for row, (start, rel_type, end, properties) in enumerate(links):
+            links[row] = (
+                nodes[start] if type(start) is int else start,
+                rel_type,
+                nodes[end] if type(end) is int else end,
+                properties,
+            )
+        if links:
+            iyp.add_links(links, self.reference())
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

@@ -52,14 +52,13 @@ class AliceLGCrawler(Crawler):
         self.url_data = url
         self.url_info = "https://github.com/alice-lg/alice-lg"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         payload = json.loads(self.fetch())
         if not payload.get("ix_name"):
             return
-        ixp = self.iyp.get_node("IXP", name=payload["ix_name"])
+        ixp = self.node("IXP", name=payload["ix_name"])
         for neighbour in payload["neighbours"]:
             if neighbour.get("state") != "up":
                 continue
-            as_node = self.iyp.get_node("AS", asn=neighbour["asn"])
-            self.iyp.add_link(as_node, "MEMBER_OF", ixp, None, reference)
+            as_node = self.node("AS", asn=neighbour["asn"])
+            self.link(as_node, "MEMBER_OF", ixp)

@@ -34,15 +34,13 @@ class ASPopulationCrawler(Crawler):
     url_data = ASPOP_URL
     url_info = "https://stats.labs.apnic.net/aspop"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         for record in json.loads(self.fetch())["data"]:
-            as_node = self.iyp.get_node("AS", asn=record["asn"])
-            country = self.iyp.get_node("Country", country_code=record["cc"])
-            self.iyp.add_link(
+            as_node = self.node("AS", asn=record["asn"])
+            country = self.node("Country", country_code=record["cc"])
+            self.link(
                 as_node,
                 "POPULATION",
                 country,
                 {"percent": record["percent"], "users": record["users"]},
-                reference,
             )

@@ -9,6 +9,7 @@ dataset-comparison study has something real to find.
 from __future__ import annotations
 
 import json
+from functools import cache
 
 from repro.datasets.base import Crawler
 from repro.simnet.world import World
@@ -75,28 +76,18 @@ class PrefixToASNCrawler(Crawler):
     url_data = PFX2AS_URL
     url_info = "https://data.bgpkit.com/pfx2as"
 
-    def run(self) -> None:
-        records = json.loads(self.fetch())
+    def parse(self) -> None:
         # A record is one ORIGINATE datapoint, not a new sighting of its
         # AS and prefix: each distinct identifier is requested once.
-        asns = list(dict.fromkeys(record["asn"] for record in records))
-        prefixes = list(dict.fromkeys(record["prefix"] for record in records))
-        as_node = dict(zip(asns, self.get_nodes("AS", "asn", asns)))
-        prefix_node = dict(
-            zip(prefixes, self.get_nodes("Prefix", "prefix", prefixes))
-        )
-        self.iyp.add_links(
-            [
-                (
-                    as_node[record["asn"]],
-                    "ORIGINATE",
-                    prefix_node[record["prefix"]],
-                    {"count": record.get("count", 1)},
-                )
-                for record in records
-            ],
-            self.reference(),
-        )
+        as_node = cache(lambda asn: self.node("AS", asn=asn))
+        prefix_node = cache(lambda prefix: self.node("Prefix", prefix=prefix))
+        for record in json.loads(self.fetch()):
+            self.link(
+                as_node(record["asn"]),
+                "ORIGINATE",
+                prefix_node(record["prefix"]),
+                {"count": record.get("count", 1)},
+            )
 
 
 class ASRelCrawler(Crawler):
@@ -106,24 +97,15 @@ class ASRelCrawler(Crawler):
     name = "bgpkit.as2rel"
     url_data = AS2REL_URL
 
-    def run(self) -> None:
-        records = json.loads(self.fetch())
-        asns = {record["asn1"] for record in records} | {
-            record["asn2"] for record in records
-        }
-        nodes = self.iyp.batch_get_nodes("AS", "asn", sorted(asns))
-        self.iyp.add_links(
-            [
-                (
-                    nodes[record["asn1"]],
-                    "PEERS_WITH",
-                    nodes[record["asn2"]],
-                    {"rel": record["rel"]},
-                )
-                for record in records
-            ],
-            self.reference(),
-        )
+    def parse(self) -> None:
+        as_node = cache(lambda asn: self.node("AS", asn=asn))
+        for record in json.loads(self.fetch()):
+            self.link(
+                as_node(record["asn1"]),
+                "PEERS_WITH",
+                as_node(record["asn2"]),
+                {"rel": record["rel"]},
+            )
 
 
 class PeerStatsCrawler(Crawler):
@@ -133,23 +115,9 @@ class PeerStatsCrawler(Crawler):
     name = "bgpkit.peerstats"
     url_data = PEER_STATS_URL
 
-    def run(self) -> None:
-        records = json.loads(self.fetch())
-        as_nodes = self.iyp.batch_get_nodes(
-            "AS", "asn", sorted({record["asn"] for record in records})
-        )
-        collectors = self.iyp.batch_get_nodes(
-            "BGPCollector", "name", sorted({record["collector"] for record in records})
-        )
-        self.iyp.add_links(
-            [
-                (
-                    as_nodes[record["asn"]],
-                    "PEERS_WITH",
-                    collectors[record["collector"]],
-                    None,
-                )
-                for record in records
-            ],
-            self.reference(),
-        )
+    def parse(self) -> None:
+        as_node = cache(lambda asn: self.node("AS", asn=asn))
+        collector = cache(lambda name: self.node("BGPCollector", name=name))
+        for record in json.loads(self.fetch()):
+            peer = as_node(record["asn"])
+            self.link(peer, "PEERS_WITH", collector(record["collector"]))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from functools import cache
 
 from repro.datasets.base import Crawler
 from repro.simnet.world import World
@@ -52,13 +53,12 @@ class ASNamesCrawler(Crawler):
     url_data = ASNAMES_URL
     url_info = "https://bgp.tools/kb/api"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         reader = csv.DictReader(io.StringIO(self.fetch()))
         for row in reader:
-            as_node = self.iyp.get_node("AS", asn=row["asn"])
-            name_node = self.iyp.get_node("Name", name=row["name"])
-            self.iyp.add_link(as_node, "NAME", name_node, None, reference)
+            as_node = self.node("AS", asn=row["asn"])
+            name_node = self.node("Name", name=row["name"])
+            self.link(as_node, "NAME", name_node)
 
 
 class ASTagsCrawler(Crawler):
@@ -67,15 +67,11 @@ class ASTagsCrawler(Crawler):
     url_data = TAGS_URL
     url_info = "https://bgp.tools/kb/api"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         reader = csv.DictReader(io.StringIO(self.fetch()))
-        tags: dict[str, object] = {}
+        tag = cache(lambda label: self.node("Tag", label=label))
         for row in reader:
-            as_node = self.iyp.get_node("AS", asn=row["asn"])
-            if row["tag"] not in tags:
-                tags[row["tag"]] = self.iyp.get_node("Tag", label=row["tag"])
-            self.iyp.add_link(as_node, "CATEGORIZED", tags[row["tag"]], None, reference)
+            self.link(self.node("AS", asn=row["asn"]), "CATEGORIZED", tag(row["tag"]))
 
 
 class AnycastCrawler(Crawler):
@@ -84,12 +80,11 @@ class AnycastCrawler(Crawler):
     url_data = ANYCAST_URL
     url_info = "https://github.com/bgptools/anycast-prefixes"
 
-    def run(self) -> None:
-        reference = self.reference()
-        tag = self.iyp.get_node("Tag", label="Anycast")
+    def parse(self) -> None:
+        tag = self.node("Tag", label="Anycast")
         for line in self.fetch().splitlines():
             line = line.strip()
             if not line:
                 continue
-            prefix = self.iyp.get_node("Prefix", prefix=line)
-            self.iyp.add_link(prefix, "CATEGORIZED", tag, None, reference)
+            prefix = self.node("Prefix", prefix=line)
+            self.link(prefix, "CATEGORIZED", tag)

@@ -55,26 +55,23 @@ class ASRankCrawler(Crawler):
     url_data = ASRANK_URL
     url_info = "https://doi.org/10.21986/CAIDA.DATA.AS-RANK"
 
-    def run(self) -> None:
+    def parse(self) -> None:
         payload = json.loads(self.fetch())
-        reference = self.reference()
-        ranking = self.iyp.get_node("Ranking", name="CAIDA ASRank")
+        ranking = self.node("Ranking", name="CAIDA ASRank")
         for edge in payload["data"]["asns"]["edges"]:
             record = edge["node"]
-            as_node = self.iyp.get_node("AS", asn=record["asn"])
-            self.iyp.add_link(
-                as_node, "RANK", ranking, {"rank": record["rank"]}, reference
-            )
-            name_node = self.iyp.get_node("Name", name=record["asnName"])
-            self.iyp.add_link(as_node, "NAME", name_node, None, reference)
+            as_node = self.node("AS", asn=record["asn"])
+            self.link(as_node, "RANK", ranking, {"rank": record["rank"]})
+            name_node = self.node("Name", name=record["asnName"])
+            self.link(as_node, "NAME", name_node)
             org_name = record.get("organization", {}).get("orgName")
             if org_name:
-                org_node = self.iyp.get_node("Organization", name=org_name)
-                self.iyp.add_link(as_node, "MANAGED_BY", org_node, None, reference)
+                org_node = self.node("Organization", name=org_name)
+                self.link(as_node, "MANAGED_BY", org_node)
             country = record.get("country", {}).get("iso")
             if country:
-                country_node = self.iyp.get_node("Country", country_code=country)
-                self.iyp.add_link(as_node, "COUNTRY", country_node, None, reference)
+                country_node = self.node("Country", country_code=country)
+                self.link(as_node, "COUNTRY", country_node)
 
 
 class IXsCrawler(Crawler):
@@ -85,17 +82,16 @@ class IXsCrawler(Crawler):
     url_data = IXS_URL
     url_info = "https://www.caida.org/catalog/datasets/ixps"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         for line in self.fetch().splitlines():
             if not line.strip():
                 continue
             record = json.loads(line)
-            ixp = self.iyp.get_node("IXP", name=record["name"])
-            caida_id = self.iyp.get_node("CaidaIXID", id=record["ix_id"])
-            self.iyp.add_link(ixp, "EXTERNAL_ID", caida_id, None, reference)
-            country = self.iyp.get_node("Country", country_code=record["country"])
-            self.iyp.add_link(ixp, "COUNTRY", country, None, reference)
+            ixp = self.node("IXP", name=record["name"])
+            caida_id = self.node("CaidaIXID", id=record["ix_id"])
+            self.link(ixp, "EXTERNAL_ID", caida_id)
+            country = self.node("Country", country_code=record["country"])
+            self.link(ixp, "COUNTRY", country)
             if record.get("pdb_id"):
-                pdb_id = self.iyp.get_node("PeeringdbIXID", id=record["pdb_id"])
-                self.iyp.add_link(ixp, "EXTERNAL_ID", pdb_id, None, reference)
+                pdb_id = self.node("PeeringdbIXID", id=record["pdb_id"])
+                self.link(ixp, "EXTERNAL_ID", pdb_id)

@@ -30,12 +30,11 @@ class UmbrellaCrawler(Crawler):
     url_data = UMBRELLA_URL
     url_info = "https://umbrella-static.s3-us-west-1.amazonaws.com/index.html"
 
-    def run(self) -> None:
-        reference = self.reference()
-        ranking = self.iyp.get_node("Ranking", name="Cisco Umbrella Top 1M")
+    def parse(self) -> None:
+        ranking = self.node("Ranking", name="Cisco Umbrella Top 1M")
         for row in csv.reader(io.StringIO(self.fetch())):
             if len(row) != 2:
                 continue
             rank, domain_name = int(row[0]), row[1]
-            domain = self.iyp.get_node("DomainName", name=domain_name)
-            self.iyp.add_link(domain, "RANK", ranking, {"rank": rank}, reference)
+            domain = self.node("DomainName", name=domain_name)
+            self.link(domain, "RANK", ranking, {"rank": rank})

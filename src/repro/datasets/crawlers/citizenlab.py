@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from functools import cache
 
 from repro.datasets.base import Crawler
 from repro.simnet.world import World
@@ -33,13 +34,9 @@ class URLTestingListCrawler(Crawler):
     url_data = URL_LIST
     url_info = "https://github.com/citizenlab/test-lists"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         reader = csv.DictReader(io.StringIO(self.fetch()))
-        tags: dict[str, object] = {}
+        tag = cache(lambda label: self.node("Tag", label=label))
         for row in reader:
-            url = self.iyp.get_node("URL", url=row["url"])
-            label = row["category_code"]
-            if label not in tags:
-                tags[label] = self.iyp.get_node("Tag", label=label)
-            self.iyp.add_link(url, "CATEGORIZED", tags[label], None, reference)
+            url = self.node("URL", url=row["url"])
+            self.link(url, "CATEGORIZED", tag(row["category_code"]))

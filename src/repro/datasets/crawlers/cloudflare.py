@@ -81,13 +81,12 @@ class RankingCrawler(Crawler):
     url_data = RANKING_URL
     url_info = "https://radar.cloudflare.com"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         payload = json.loads(self.fetch())
-        ranking = self.iyp.get_node("Ranking", name="Cloudflare top 100 domains")
+        ranking = self.node("Ranking", name="Cloudflare top 100 domains")
         for entry in payload["result"]["top_0"]:
-            domain = self.iyp.get_node("DomainName", name=entry["domain"])
-            self.iyp.add_link(domain, "RANK", ranking, None, reference)
+            domain = self.node("DomainName", name=entry["domain"])
+            self.link(domain, "RANK", ranking)
 
 
 class TopASesCrawler(Crawler):
@@ -98,16 +97,13 @@ class TopASesCrawler(Crawler):
     url_data = TOP_ASES_URL
     url_info = "https://radar.cloudflare.com"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         payload = json.loads(self.fetch())
         for domain_name, entries in payload["result"].items():
-            domain = self.iyp.get_node("DomainName", name=domain_name)
+            domain = self.node("DomainName", name=domain_name)
             for entry in entries:
-                as_node = self.iyp.get_node("AS", asn=entry["clientASN"])
-                self.iyp.add_link(
-                    domain, "QUERIED_FROM", as_node, {"value": entry["value"]}, reference
-                )
+                as_node = self.node("AS", asn=entry["clientASN"])
+                self.link(domain, "QUERIED_FROM", as_node, {"value": entry["value"]})
 
 
 class TopLocationsCrawler(Crawler):
@@ -118,15 +114,11 @@ class TopLocationsCrawler(Crawler):
     url_data = TOP_LOCATIONS_URL
     url_info = "https://radar.cloudflare.com"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         payload = json.loads(self.fetch())
         for domain_name, entries in payload["result"].items():
-            domain = self.iyp.get_node("DomainName", name=domain_name)
+            domain = self.node("DomainName", name=domain_name)
             for entry in entries:
-                country = self.iyp.get_node(
-                    "Country", country_code=entry["clientCountryAlpha2"]
-                )
-                self.iyp.add_link(
-                    domain, "QUERIED_FROM", country, {"value": entry["value"]}, reference
-                )
+                code = entry["clientCountryAlpha2"]
+                country = self.node("Country", country_code=code)
+                self.link(domain, "QUERIED_FROM", country, {"value": entry["value"]})

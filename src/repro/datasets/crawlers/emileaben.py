@@ -23,12 +23,11 @@ class ASNamesCrawler(Crawler):
     url_data = ASNAMES_URL
     url_info = "https://github.com/emileaben/asnames"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         for line in self.fetch().splitlines():
             if "|" not in line:
                 continue
             asn_text, _, name_text = line.partition("|")
-            as_node = self.iyp.get_node("AS", asn=int(asn_text))
-            name_node = self.iyp.get_node("Name", name=name_text)
-            self.iyp.add_link(as_node, "NAME", name_node, None, reference)
+            as_node = self.node("AS", asn=int(asn_text))
+            name_node = self.node("Name", name=name_text)
+            self.link(as_node, "NAME", name_node)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+from functools import cache
 
 from repro.datasets.base import Crawler
 from repro.simnet.world import World
@@ -89,20 +90,11 @@ class HegemonyCrawler(Crawler):
     url_data = HEGEMONY_URL
     url_info = "https://ihr.iijlab.net"
 
-    def run(self) -> None:
-        rows = list(csv.DictReader(io.StringIO(self.fetch())))
-        # One AS column, origin and upstream of each row side by side.
-        nodes = self.get_nodes(
-            "AS", "asn",
-            [int(row[field]) for row in rows for field in ("originasn", "asn")],
-        )
-        self.iyp.add_links(
-            [
-                (origin, "DEPENDS_ON", upstream, {"hege": float(row["hege"])})
-                for row, origin, upstream in zip(rows, nodes[0::2], nodes[1::2])
-            ],
-            self.reference(),
-        )
+    def parse(self) -> None:
+        for row in csv.DictReader(io.StringIO(self.fetch())):
+            origin = self.node("AS", asn=int(row["originasn"]))
+            upstream = self.node("AS", asn=int(row["asn"]))
+            self.link(origin, "DEPENDS_ON", upstream, {"hege": float(row["hege"])})
 
 
 class CountryDependencyCrawler(Crawler):
@@ -113,15 +105,11 @@ class CountryDependencyCrawler(Crawler):
     url_data = COUNTRY_DEP_URL
     url_info = "https://ihr.iijlab.net"
 
-    def run(self) -> None:
-        reference = self.reference()
-        reader = csv.DictReader(io.StringIO(self.fetch()))
-        for row in reader:
-            country = self.iyp.get_node("Country", country_code=row["country"])
-            upstream = self.iyp.get_node("AS", asn=int(row["asn"]))
-            self.iyp.add_link(
-                country, "DEPENDS_ON", upstream, {"hege": float(row["hege"])}, reference
-            )
+    def parse(self) -> None:
+        for row in csv.DictReader(io.StringIO(self.fetch())):
+            country = self.node("Country", country_code=row["country"])
+            upstream = self.node("AS", asn=int(row["asn"]))
+            self.link(country, "DEPENDS_ON", upstream, {"hege": float(row["hege"])})
 
 
 class ROVCrawler(Crawler):
@@ -132,24 +120,13 @@ class ROVCrawler(Crawler):
     url_data = ROV_URL
     url_info = "https://ihr.iijlab.net/ihr/en-us/rov"
 
-    def run(self) -> None:
-        rows = list(csv.DictReader(io.StringIO(self.fetch())))
-        prefixes = self.get_nodes("Prefix", "prefix", [row["prefix"] for row in rows])
-        origins = self.get_nodes("AS", "asn", [int(row["origin"]) for row in rows])
-        row_tags = [
-            [f"RPKI {row['rpki_status']}"]
-            + (
-                [f"IRR {row['irr_status']}"]
-                if row["irr_status"] and row["irr_status"] != "NotFound"
-                else []
-            )
-            for row in rows
-        ]
+    def parse(self) -> None:
         # Each distinct tag is one datapoint, first seen first.
-        labels = list(dict.fromkeys(label for tags in row_tags for label in tags))
-        tag = dict(zip(labels, self.get_nodes("Tag", "label", labels)))
-        links: list = []
-        for prefix, origin, tags in zip(prefixes, origins, row_tags):
-            links.append((origin, "ORIGINATE", prefix, None))
-            links.extend((prefix, "CATEGORIZED", tag[label], None) for label in tags)
-        self.iyp.add_links(links, self.reference())
+        tag = cache(lambda label: self.node("Tag", label=label))
+        for row in csv.DictReader(io.StringIO(self.fetch())):
+            prefix = self.node("Prefix", prefix=row["prefix"])
+            origin = self.node("AS", asn=int(row["origin"]))
+            self.link(origin, "ORIGINATE", prefix)
+            self.link(prefix, "CATEGORIZED", tag(f"RPKI {row['rpki_status']}"))
+            if row["irr_status"] and row["irr_status"] != "NotFound":
+                self.link(prefix, "CATEGORIZED", tag(f"IRR {row['irr_status']}"))

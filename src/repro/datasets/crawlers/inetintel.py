@@ -37,17 +37,14 @@ class AS2OrgCrawler(Crawler):
         "https://github.com/InetIntel/Dataset-AS-to-Organization-Mapping"
     )
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         for line in self.fetch().splitlines():
             if not line.strip():
                 continue
             record = json.loads(line)
-            org = self.iyp.get_node("Organization", name=record["org_name"])
-            as_nodes = [
-                self.iyp.get_node("AS", asn=asn) for asn in record["asns"]
-            ]
+            org = self.node("Organization", name=record["org_name"])
+            as_nodes = [self.node("AS", asn=asn) for asn in record["asns"]]
             for as_node in as_nodes:
-                self.iyp.add_link(as_node, "MANAGED_BY", org, None, reference)
+                self.link(as_node, "MANAGED_BY", org)
             for first, second in zip(as_nodes, as_nodes[1:], strict=False):
-                self.iyp.add_link(first, "SIBLING_OF", second, None, reference)
+                self.link(first, "SIBLING_OF", second)

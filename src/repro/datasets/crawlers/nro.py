@@ -48,8 +48,7 @@ class DelegatedStatsCrawler(Crawler):
     url_data = DELEGATED_URL
     url_info = "https://www.nro.net/about/rirs/statistics"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         for line in self.fetch().splitlines():
             fields = line.strip().split("|")
             if len(fields) < 8 or fields[2] not in ("asn", "ipv4", "ipv6"):
@@ -57,23 +56,21 @@ class DelegatedStatsCrawler(Crawler):
             rir, country_code, kind, start, value, _date, status, opaque = fields[:8]
             if status not in ("allocated", "assigned", "available", "reserved"):
                 continue
-            opaque_node = self.iyp.get_node("OpaqueID", id=opaque)
+            opaque_node = self.node("OpaqueID", id=opaque)
             if kind == "asn":
-                resource = self.iyp.get_node("AS", asn=int(start))
+                resource = self.node("AS", asn=int(start))
             elif kind == "ipv4":
                 length = 32 - (int(value) - 1).bit_length()
-                resource = self.iyp.get_node("Prefix", prefix=f"{start}/{length}")
+                resource = self.node("Prefix", prefix=f"{start}/{length}")
             else:
-                resource = self.iyp.get_node("Prefix", prefix=f"{start}/{value}")
+                resource = self.node("Prefix", prefix=f"{start}/{value}")
             rel_type = {
                 "allocated": "ASSIGNED",
                 "assigned": "ASSIGNED",
                 "available": "AVAILABLE",
                 "reserved": "RESERVED",
             }[status]
-            self.iyp.add_link(
-                resource, rel_type, opaque_node, {"registry": rir}, reference
-            )
+            self.link(resource, rel_type, opaque_node, {"registry": rir})
             if country_code and country_code != "ZZ":
-                country = self.iyp.get_node("Country", country_code=country_code)
-                self.iyp.add_link(resource, "COUNTRY", country, None, reference)
+                country = self.node("Country", country_code=country_code)
+                self.link(resource, "COUNTRY", country)

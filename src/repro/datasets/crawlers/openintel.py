@@ -96,56 +96,32 @@ def generate_dnsgraph(world: World) -> str:
     return "\n".join(lines)
 
 
-def _records(payload: str) -> list[dict]:
-    return [json.loads(line) for line in payload.splitlines() if line.strip()]
+def _records(payload: str) -> Iterator[dict]:
+    return (json.loads(line) for line in payload.splitlines() if line.strip())
 
 
 class _ResolutionCrawler(Crawler):
     """Shared loader for the tranco1m / umbrella1m resolution datasets."""
 
-    def run(self) -> None:
-        records = _records(self.fetch())
-        # One entry per hostname a record names, in record order.
-        names = []
-        for record in records:
-            names.append(record["response_name"])
+    def parse(self) -> None:
+        for record in _records(self.fetch()):
+            host = self.node("HostName", name=record["response_name"])
             if record["response_type"] == "CNAME":
-                names.append(record["answer"])
-            elif record["response_name"] != record["query_name"]:
-                names.append(record["query_name"])
-        hosts = iter(self.get_nodes("HostName", "name", names))
-        ips = iter(self.get_nodes(
-            "IP", "ip",
-            [r["answer"] for r in records if r["response_type"] != "CNAME"],
-        ))
-        links: list = []
-        # (position in links, host, registrable domain): PART_OF rows,
-        # filled in once the DomainName column exists.
-        members = []
-
-        def part_of(host) -> None:
-            registrable = registered_domain(host.properties["name"])
-            if registrable is not None:
-                members.append((len(links), host, registrable))
-                links.append(None)
-
-        for record in records:
-            host = next(hosts)
-            if record["response_type"] == "CNAME":
-                target = next(hosts)
-                links.append((host, "ALIAS_OF", target, None))
-                part_of(target)
+                target = self.node("HostName", name=record["answer"])
+                self.link(host, "ALIAS_OF", target)
+                self._part_of(target, record["answer"])
                 continue
-            links.append((host, "RESOLVES_TO", next(ips), None))
+            self.link(host, "RESOLVES_TO", self.node("IP", ip=record["answer"]))
             if record["response_name"] != record["query_name"]:
-                part_of(next(hosts))
-            part_of(host)
-        domains = self.get_nodes(
-            "DomainName", "name", [name for _, _, name in members]
-        )
-        for (position, host, _), domain in zip(members, domains):
-            links[position] = (host, "PART_OF", domain, None)
-        self.iyp.add_links(links, self.reference())
+                query_host = self.node("HostName", name=record["query_name"])
+                self._part_of(query_host, record["query_name"])
+            self._part_of(host, record["response_name"])
+
+    def _part_of(self, host: int, name: str) -> None:
+        """Link a HostName to its registrable DomainName."""
+        registrable = registered_domain(name)
+        if registrable is not None:
+            self.link(host, "PART_OF", self.node("DomainName", name=registrable))
 
 
 class Tranco1MCrawler(_ResolutionCrawler):
@@ -162,25 +138,7 @@ class Umbrella1MCrawler(_ResolutionCrawler):
     url_info = "https://openintel.nl/"
 
 
-class _NameServerCrawler(Crawler):
-    """Shared by the two datasets that load nameservers with their IPs."""
-
-    def nameservers(self, entries: list[dict]) -> tuple[list, Iterator]:
-        """The AuthoritativeNameServer node of each ``{ns, ips}`` entry,
-        and an iterator over the IP nodes of all their ``ips`` in order."""
-        servers = self.get_nodes(
-            "AuthoritativeNameServer", "name", [entry["ns"] for entry in entries]
-        )
-        # The same node also is a HostName: a resolvable FQDN.
-        for server in dict.fromkeys(servers):
-            self.iyp.store.add_label(server.id, "HostName")
-        ips = self.get_nodes(
-            "IP", "ip", [ip for entry in entries for ip in entry.get("ips", ())]
-        )
-        return servers, iter(ips)
-
-
-class NSCrawler(_NameServerCrawler):
+class NSCrawler(Crawler):
     """Loads (:DomainName)-[:MANAGED_BY {glue, in_zone}]->
     (:AuthoritativeNameServer) plus nameserver glue resolutions."""
 
@@ -189,28 +147,23 @@ class NSCrawler(_NameServerCrawler):
     url_data = NS_URL
     url_info = "https://openintel.nl/"
 
-    def run(self) -> None:
-        records = _records(self.fetch())
-        domains = self.get_nodes(
-            "DomainName", "name", [record["domain"] for record in records]
-        )
-        servers, ips = self.nameservers(records)
-        links: list = []
-        for record, domain, server in zip(records, domains, servers):
-            links.append((
+    def parse(self) -> None:
+        for record in _records(self.fetch()):
+            domain = self.node("DomainName", name=record["domain"])
+            nameserver = self.node("AuthoritativeNameServer", name=record["ns"])
+            # The same node also is a HostName: a resolvable FQDN.
+            self.label(nameserver, "HostName")
+            self.link(
                 domain,
                 "MANAGED_BY",
-                server,
+                nameserver,
                 {"glue": record["glue"], "in_zone": record["in_zone"]},
-            ))
-            links.extend(
-                (server, "RESOLVES_TO", next(ips), None)
-                for _ in record.get("ips", ())
             )
-        self.iyp.add_links(links, self.reference())
+            for ip in record.get("ips", ()):
+                self.link(nameserver, "RESOLVES_TO", self.node("IP", ip=ip))
 
 
-class DNSGraphCrawler(_NameServerCrawler):
+class DNSGraphCrawler(Crawler):
     """Loads the zone -> NS dependency graph used by the SPoF study."""
 
     organization = "OpenINTEL"
@@ -218,21 +171,12 @@ class DNSGraphCrawler(_NameServerCrawler):
     url_data = DNSGRAPH_URL
     url_info = "https://dnsgraph.dacs.utwente.nl"
 
-    def run(self) -> None:
-        records = _records(self.fetch())
-        zones = self.get_nodes(
-            "DomainName", "name", [record["zone"] for record in records]
-        )
-        entries = [entry for record in records for entry in record["nameservers"]]
-        servers, ips = self.nameservers(entries)
-        server_of = iter(servers)
-        links: list = []
-        for record, zone in zip(records, zones):
+    def parse(self) -> None:
+        for record in _records(self.fetch()):
+            zone = self.node("DomainName", name=record["zone"])
             for entry in record["nameservers"]:
-                server = next(server_of)
-                links.append((zone, "MANAGED_BY", server, None))
-                links.extend(
-                    (server, "RESOLVES_TO", next(ips), None)
-                    for _ in entry.get("ips", ())
-                )
-        self.iyp.add_links(links, self.reference())
+                nameserver = self.node("AuthoritativeNameServer", name=entry["ns"])
+                self.label(nameserver, "HostName")
+                self.link(zone, "MANAGED_BY", nameserver)
+                for ip in entry.get("ips", ()):
+                    self.link(nameserver, "RESOLVES_TO", self.node("IP", ip=ip))

@@ -51,8 +51,7 @@ class RoutingSnapshotCrawler(Crawler):
     url_data = PCH_URL
     url_info = "https://www.pch.net/resources/Routing_Data"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         for line in self.fetch().splitlines():
             fields = line.strip().split("|")
             if len(fields) != 3:
@@ -61,8 +60,6 @@ class RoutingSnapshotCrawler(Crawler):
             hops = path_text.split()
             if not hops:
                 continue
-            prefix = self.iyp.get_node("Prefix", prefix=prefix_text)
-            origin = self.iyp.get_node("AS", asn=int(hops[-1]))
-            self.iyp.add_link(
-                origin, "ORIGINATE", prefix, {"as_path": path_text}, reference
-            )
+            prefix = self.node("Prefix", prefix=prefix_text)
+            origin = self.node("AS", asn=int(hops[-1]))
+            self.link(origin, "ORIGINATE", prefix, {"as_path": path_text})

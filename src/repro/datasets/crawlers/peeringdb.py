@@ -87,18 +87,17 @@ class OrgCrawler(Crawler):
     url_data = ORG_URL
     url_info = "https://www.peeringdb.com"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         for record in json.loads(self.fetch())["data"]:
-            org = self.iyp.get_node("Organization", name=record["name"])
-            org_id = self.iyp.get_node("PeeringdbOrgID", id=record["id"])
-            self.iyp.add_link(org, "EXTERNAL_ID", org_id, None, reference)
+            org = self.node("Organization", name=record["name"])
+            org_id = self.node("PeeringdbOrgID", id=record["id"])
+            self.link(org, "EXTERNAL_ID", org_id)
             if record.get("country"):
-                country = self.iyp.get_node("Country", country_code=record["country"])
-                self.iyp.add_link(org, "COUNTRY", country, None, reference)
+                country = self.node("Country", country_code=record["country"])
+                self.link(org, "COUNTRY", country)
             if record.get("website"):
-                url = self.iyp.get_node("URL", url=record["website"])
-                self.iyp.add_link(url, "WEBSITE", org, None, reference)
+                url = self.node("URL", url=record["website"])
+                self.link(url, "WEBSITE", org)
 
 
 class FacCrawler(Crawler):
@@ -107,14 +106,13 @@ class FacCrawler(Crawler):
     url_data = FAC_URL
     url_info = "https://www.peeringdb.com"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         for record in json.loads(self.fetch())["data"]:
-            facility = self.iyp.get_node("Facility", name=record["name"])
-            fac_id = self.iyp.get_node("PeeringdbFacID", id=record["id"])
-            self.iyp.add_link(facility, "EXTERNAL_ID", fac_id, None, reference)
-            country = self.iyp.get_node("Country", country_code=record["country"])
-            self.iyp.add_link(facility, "COUNTRY", country, None, reference)
+            facility = self.node("Facility", name=record["name"])
+            fac_id = self.node("PeeringdbFacID", id=record["id"])
+            self.link(facility, "EXTERNAL_ID", fac_id)
+            country = self.node("Country", country_code=record["country"])
+            self.link(facility, "COUNTRY", country)
 
 
 class IXCrawler(Crawler):
@@ -123,20 +121,19 @@ class IXCrawler(Crawler):
     url_data = IX_URL
     url_info = "https://www.peeringdb.com"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         for record in json.loads(self.fetch())["data"]:
-            ixp = self.iyp.get_node("IXP", name=record["name"])
-            ix_id = self.iyp.get_node("PeeringdbIXID", id=record["id"])
-            self.iyp.add_link(ixp, "EXTERNAL_ID", ix_id, None, reference)
-            country = self.iyp.get_node("Country", country_code=record["country"])
-            self.iyp.add_link(ixp, "COUNTRY", country, None, reference)
+            ixp = self.node("IXP", name=record["name"])
+            ix_id = self.node("PeeringdbIXID", id=record["id"])
+            self.link(ixp, "EXTERNAL_ID", ix_id)
+            country = self.node("Country", country_code=record["country"])
+            self.link(ixp, "COUNTRY", country)
             if record.get("fac"):
-                facility = self.iyp.get_node("Facility", name=record["fac"])
-                self.iyp.add_link(ixp, "LOCATED_IN", facility, None, reference)
+                facility = self.node("Facility", name=record["fac"])
+                self.link(ixp, "LOCATED_IN", facility)
             if record.get("website"):
-                url = self.iyp.get_node("URL", url=record["website"])
-                self.iyp.add_link(url, "WEBSITE", ixp, None, reference)
+                url = self.node("URL", url=record["website"])
+                self.link(url, "WEBSITE", ixp)
 
 
 class NetIXLanCrawler(Crawler):
@@ -147,8 +144,7 @@ class NetIXLanCrawler(Crawler):
     url_data = IXLAN_URL
     url_info = "https://www.peeringdb.com"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         ix_by_id: dict[int, object] = {}
         for record in json.loads(self.fetch())["data"]:
             ix_id = record["ix_id"]
@@ -165,13 +161,12 @@ class NetIXLanCrawler(Crawler):
                 if not ixps:
                     continue
                 ix_by_id[ix_id] = ixps[0]
-            as_node = self.iyp.get_node("AS", asn=record["asn"])
-            self.iyp.add_link(
+            as_node = self.node("AS", asn=record["asn"])
+            self.link(
                 as_node,
                 "MEMBER_OF",
                 ix_by_id[ix_id],
                 {"speed": record.get("speed"), "policy": record.get("policy")},
-                reference,
             )
 
 
@@ -181,9 +176,8 @@ class NetFacCrawler(Crawler):
     url_data = NETFAC_URL
     url_info = "https://www.peeringdb.com"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         for record in json.loads(self.fetch())["data"]:
-            as_node = self.iyp.get_node("AS", asn=record["asn"])
-            facility = self.iyp.get_node("Facility", name=record["fac"])
-            self.iyp.add_link(as_node, "LOCATED_IN", facility, None, reference)
+            as_node = self.node("AS", asn=record["asn"])
+            facility = self.node("Facility", name=record["fac"])
+            self.link(as_node, "LOCATED_IN", facility)

@@ -79,20 +79,19 @@ class ASNamesCrawler(Crawler):
     name = "ripe.as_names"
     url_data = ASNAMES_URL
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         for line in self.fetch().splitlines():
             line = line.strip()
             if not line:
                 continue
             asn_text, _, rest = line.partition(" ")
             name_text, _, country_code = rest.rpartition(", ")
-            as_node = self.iyp.get_node("AS", asn=int(asn_text))
-            name_node = self.iyp.get_node("Name", name=name_text)
-            self.iyp.add_link(as_node, "NAME", name_node, None, reference)
+            as_node = self.node("AS", asn=int(asn_text))
+            name_node = self.node("Name", name=name_text)
+            self.link(as_node, "NAME", name_node)
             if len(country_code) == 2:
-                country = self.iyp.get_node("Country", country_code=country_code)
-                self.iyp.add_link(as_node, "COUNTRY", country, None, reference)
+                country = self.node("Country", country_code=country_code)
+                self.link(as_node, "COUNTRY", country)
 
 
 class RPKICrawler(Crawler):
@@ -103,18 +102,16 @@ class RPKICrawler(Crawler):
     url_data = RPKI_URL
     url_info = "https://ftp.ripe.net/rpki"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         payload = json.loads(self.fetch())
         for roa in payload["roas"]:
-            as_node = self.iyp.get_node("AS", asn=roa["asn"])
-            prefix_node = self.iyp.get_node("Prefix", prefix=roa["prefix"])
-            self.iyp.add_link(
+            as_node = self.node("AS", asn=roa["asn"])
+            prefix_node = self.node("Prefix", prefix=roa["prefix"])
+            self.link(
                 as_node,
                 "ROUTE_ORIGIN_AUTHORIZATION",
                 prefix_node,
                 {"maxLength": roa["maxLength"], "ta": roa.get("ta", "")},
-                reference,
             )
 
 
@@ -125,11 +122,10 @@ class AtlasProbesCrawler(Crawler):
     name = "ripe.atlas_probes"
     url_data = ATLAS_PROBES_URL
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         payload = json.loads(self.fetch())
         for record in payload["results"]:
-            probe = self.iyp.get_node(
+            probe = self.node(
                 "AtlasProbe",
                 properties={
                     "status": record["status"]["name"],
@@ -138,16 +134,14 @@ class AtlasProbesCrawler(Crawler):
                 id=record["id"],
             )
             if record.get("address_v4"):
-                ip_node = self.iyp.get_node("IP", ip=record["address_v4"])
-                self.iyp.add_link(probe, "ASSIGNED", ip_node, None, reference)
+                ip_node = self.node("IP", ip=record["address_v4"])
+                self.link(probe, "ASSIGNED", ip_node)
             if record.get("asn_v4"):
-                as_node = self.iyp.get_node("AS", asn=record["asn_v4"])
-                self.iyp.add_link(probe, "LOCATED_IN", as_node, None, reference)
+                as_node = self.node("AS", asn=record["asn_v4"])
+                self.link(probe, "LOCATED_IN", as_node)
             if record.get("country_code"):
-                country = self.iyp.get_node(
-                    "Country", country_code=record["country_code"]
-                )
-                self.iyp.add_link(probe, "COUNTRY", country, None, reference)
+                country = self.node("Country", country_code=record["country_code"])
+                self.link(probe, "COUNTRY", country)
 
 
 class AtlasMeasurementsCrawler(Crawler):
@@ -157,20 +151,19 @@ class AtlasMeasurementsCrawler(Crawler):
     name = "ripe.atlas_measurements"
     url_data = ATLAS_MEASUREMENTS_URL
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         payload = json.loads(self.fetch())
         for record in payload["results"]:
-            measurement = self.iyp.get_node(
+            measurement = self.node(
                 "AtlasMeasurement",
                 properties={"type": record["type"], "af": record["af"]},
                 id=record["id"],
             )
             if record["target_is_ip"]:
-                target = self.iyp.get_node("IP", ip=record["target"])
+                target = self.node("IP", ip=record["target"])
             else:
-                target = self.iyp.get_node("HostName", name=record["target"])
-            self.iyp.add_link(measurement, "TARGET", target, None, reference)
+                target = self.node("HostName", name=record["target"])
+            self.link(measurement, "TARGET", target)
             for probe_record in record["probes"]:
-                probe = self.iyp.get_node("AtlasProbe", id=probe_record["id"])
-                self.iyp.add_link(probe, "PART_OF", measurement, None, reference)
+                probe = self.node("AtlasProbe", id=probe_record["id"])
+                self.link(probe, "PART_OF", measurement)

@@ -35,15 +35,12 @@ class RoVistaCrawler(Crawler):
     url_data = ROVISTA_URL
     url_info = "https://rovista.netsecurelab.org"
 
-    def run(self) -> None:
-        reference = self.reference()
-        validating = self.iyp.get_node("Tag", label="Validating RPKI ROV")
-        not_validating = self.iyp.get_node("Tag", label="Not Validating RPKI ROV")
+    def parse(self) -> None:
+        validating = self.node("Tag", label="Validating RPKI ROV")
+        not_validating = self.node("Tag", label="Not Validating RPKI ROV")
         reader = csv.DictReader(io.StringIO(self.fetch()))
         for row in reader:
-            as_node = self.iyp.get_node("AS", asn=int(row["asn"]))
+            as_node = self.node("AS", asn=int(row["asn"]))
             ratio = float(row["ratio"])
             tag = validating if ratio > 0.5 else not_validating
-            self.iyp.add_link(
-                as_node, "CATEGORIZED", tag, {"ratio": ratio}, reference
-            )
+            self.link(as_node, "CATEGORIZED", tag, {"ratio": ratio})

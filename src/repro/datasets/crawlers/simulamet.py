@@ -36,12 +36,9 @@ class RDNSCrawler(Crawler):
     url_data = RDNS_URL
     url_info = "https://rir-data.org"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         reader = csv.DictReader(io.StringIO(self.fetch()))
         for row in reader:
-            prefix = self.iyp.get_node("Prefix", prefix=row["prefix"])
-            nameserver = self.iyp.get_node(
-                "AuthoritativeNameServer", name=row["nameserver"]
-            )
-            self.iyp.add_link(prefix, "MANAGED_BY", nameserver, None, reference)
+            prefix = self.node("Prefix", prefix=row["prefix"])
+            nameserver = self.node("AuthoritativeNameServer", name=row["nameserver"])
+            self.link(prefix, "MANAGED_BY", nameserver)

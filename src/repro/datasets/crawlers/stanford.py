@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from functools import cache
 
 from repro.datasets.base import Crawler
 from repro.simnet.world import World
@@ -37,18 +38,12 @@ class ASdbCrawler(Crawler):
     url_data = ASDB_URL
     url_info = "https://asdb.stanford.edu"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         reader = csv.DictReader(io.StringIO(self.fetch()))
-        tags: dict[str, object] = {}
+        tag = cache(lambda label: self.node("Tag", label=label))
         for row in reader:
-            as_node = self.iyp.get_node("AS", asn=int(row["asn"]))
+            as_node = self.node("AS", asn=int(row["asn"]))
             for key in ("category1", "category2"):
                 label = row.get(key, "").strip()
-                if not label:
-                    continue
-                if label not in tags:
-                    tags[label] = self.iyp.get_node("Tag", label=label)
-                self.iyp.add_link(
-                    as_node, "CATEGORIZED", tags[label], None, reference
-                )
+                if label:
+                    self.link(as_node, "CATEGORIZED", tag(label))

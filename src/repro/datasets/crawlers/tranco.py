@@ -28,12 +28,11 @@ class TrancoCrawler(Crawler):
     url_data = TRANCO_URL
     url_info = "https://tranco-list.eu"
 
-    def run(self) -> None:
-        reference = self.reference()
-        ranking = self.iyp.get_node("Ranking", name="Tranco top 1M")
+    def parse(self) -> None:
+        ranking = self.node("Ranking", name="Tranco top 1M")
         for row in csv.reader(io.StringIO(self.fetch())):
             if len(row) != 2:
                 continue
             rank, domain_name = int(row[0]), row[1]
-            domain = self.iyp.get_node("DomainName", name=domain_name)
-            self.iyp.add_link(domain, "RANK", ranking, {"rank": rank}, reference)
+            domain = self.node("DomainName", name=domain_name)
+            self.link(domain, "RANK", ranking, {"rank": rank})

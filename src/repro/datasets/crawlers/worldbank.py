@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.datasets.base import Crawler
-from repro.nettypes.countries import alpha2_to_alpha3
+from repro.nettypes.countries import alpha2_to_alpha3, alpha3_to_alpha2
 from repro.simnet.world import World
 
 POPULATION_URL = (
@@ -36,23 +36,15 @@ class WorldBankPopulationCrawler(Crawler):
     url_data = POPULATION_URL
     url_info = "https://www.worldbank.org"
 
-    def run(self) -> None:
-        reference = self.reference()
+    def parse(self) -> None:
         _metadata, records = json.loads(self.fetch())
-        estimate = self.iyp.get_node(
-            "Estimate", name="World Bank Population Estimate"
-        )
+        estimate = self.node("Estimate", name="World Bank Population Estimate")
         for record in records:
             if record.get("value") is None:
                 continue
-            alpha3 = record["countryiso3code"]
             try:
-                from repro.nettypes.countries import alpha3_to_alpha2
-
-                alpha2 = alpha3_to_alpha2(alpha3)
+                alpha2 = alpha3_to_alpha2(record["countryiso3code"])
             except KeyError:
                 continue
-            country = self.iyp.get_node("Country", country_code=alpha2)
-            self.iyp.add_link(
-                country, "POPULATION", estimate, {"value": record["value"]}, reference
-            )
+            country = self.node("Country", country_code=alpha2)
+            self.link(country, "POPULATION", estimate, {"value": record["value"]})

@@ -2,9 +2,10 @@
 
 Every dataset IYP imports is described here: providing organization,
 dataset name (the ``reference_name`` on links), update frequency,
-license, the crawler class, and the simulated-content generator.  The
-pipeline iterates this table; tests assert its size matches the paper
-(46 datasets from ~23 organizations).
+license, the crawler class, and the simulated-content generator.  A
+crawler class states its own organization, name and URL, and its row
+takes them from it.  The pipeline iterates this table; tests assert
+its size matches the paper (46 datasets from ~23 organizations).
 """
 
 from __future__ import annotations
@@ -53,14 +54,19 @@ class DatasetSpec:
     crawler_factory: Callable[[IYP, Fetcher], Crawler]
 
 
-def _spec(org, name, description, frequency, license_, url, generator, factory):
-    return DatasetSpec(org, name, description, frequency, license_, url, generator, factory)
+def _spec(crawler, description, frequency, license_, generator):
+    """The row of a dataset whose crawler class states its own
+    organization, name and URL."""
+    return DatasetSpec(
+        crawler.organization, crawler.name, description, frequency, license_,
+        crawler.url_data, generator, crawler,
+    )
 
 
 DATASETS: list[DatasetSpec] = [
     # --- Alice-LG looking glasses (7 datasets) -------------------------
     *[
-        _spec(
+        DatasetSpec(
             "Alice-LG",
             f"alice-lg.{key}",
             f"IXP route-server looking glass snapshot ({key}).",
@@ -74,147 +80,108 @@ DATASETS: list[DatasetSpec] = [
         )
         for key, url, ix_index in alice_lg.LOOKING_GLASSES
     ],
-    # --- APNIC ----------------------------------------------------------
-    _spec("APNIC", "apnic.as_population", "AS population estimate.",
-          "Daily", "CC BY 4.0", apnic.ASPOP_URL, apnic.generate_aspop,
-          apnic.ASPopulationCrawler),
-    # --- BGPKIT ----------------------------------------------------------
-    _spec("BGPKIT", "bgpkit.pfx2as",
+    # --- APNIC -------------------------------------------------------------
+    _spec(apnic.ASPopulationCrawler, "AS population estimate.",
+          "Daily", "CC BY 4.0", apnic.generate_aspop),
+    # --- BGPKIT ------------------------------------------------------------
+    _spec(bgpkit.PrefixToASNCrawler,
           "Originating AS per prefix seen in all RIS and RouteViews collectors.",
-          "Daily", "BGPKIT AUA", bgpkit.PFX2AS_URL, bgpkit.generate_pfx2as,
-          bgpkit.PrefixToASNCrawler),
-    _spec("BGPKIT", "bgpkit.as2rel", "AS-level relationships inferred from BGP.",
-          "Daily", "BGPKIT AUA", bgpkit.AS2REL_URL, bgpkit.generate_as2rel,
-          bgpkit.ASRelCrawler),
-    _spec("BGPKIT", "bgpkit.peerstats", "Collector peering statistics.",
-          "Daily", "BGPKIT AUA", bgpkit.PEER_STATS_URL, bgpkit.generate_peer_stats,
-          bgpkit.PeerStatsCrawler),
-    # --- BGP.Tools --------------------------------------------------------
-    _spec("BGP.Tools", "bgptools.as_names", "AS names.", "Daily", "ODbL",
-          bgptools.ASNAMES_URL, bgptools.generate_asnames, bgptools.ASNamesCrawler),
-    _spec("BGP.Tools", "bgptools.tags", "AS classification tags.", "Daily", "ODbL",
-          bgptools.TAGS_URL, bgptools.generate_tags, bgptools.ASTagsCrawler),
-    _spec("BGP.Tools", "bgptools.anycast_prefixes", "Anycast prefix tags.",
-          "Daily", "MIT", bgptools.ANYCAST_URL, bgptools.generate_anycast,
-          bgptools.AnycastCrawler),
+          "Daily", "BGPKIT AUA", bgpkit.generate_pfx2as),
+    _spec(bgpkit.ASRelCrawler, "AS-level relationships inferred from BGP.",
+          "Daily", "BGPKIT AUA", bgpkit.generate_as2rel),
+    _spec(bgpkit.PeerStatsCrawler, "Collector peering statistics.",
+          "Daily", "BGPKIT AUA", bgpkit.generate_peer_stats),
+    # --- BGP.Tools ---------------------------------------------------------
+    _spec(bgptools.ASNamesCrawler, "AS names.",
+          "Daily", "ODbL", bgptools.generate_asnames),
+    _spec(bgptools.ASTagsCrawler, "AS classification tags.",
+          "Daily", "ODbL", bgptools.generate_tags),
+    _spec(bgptools.AnycastCrawler, "Anycast prefix tags.",
+          "Daily", "MIT", bgptools.generate_anycast),
     # --- CAIDA -------------------------------------------------------------
-    _spec("CAIDA", "caida.asrank", "Ranking of ASes based on customer cone.",
-          "Monthly", "CAIDA AUA", caida.ASRANK_URL, caida.generate_asrank,
-          caida.ASRankCrawler),
-    _spec("CAIDA", "caida.ixs", "IXP identifiers and locations.",
-          "Monthly", "CAIDA AUA", caida.IXS_URL, caida.generate_ixs,
-          caida.IXsCrawler),
-    # --- Cisco ---------------------------------------------------------------
-    _spec("Cisco", "cisco.umbrella_top1m", "Umbrella popularity list.",
-          "Daily", "Cisco ToS", cisco.UMBRELLA_URL, cisco.generate_umbrella,
-          cisco.UmbrellaCrawler),
-    # --- Citizen Lab ------------------------------------------------------------
-    _spec("Citizen Lab", "citizenlab.urls", "URL testing lists.",
-          "Weekly", "CC BY-NC-SA 4.0", citizenlab.URL_LIST,
-          citizenlab.generate_url_list, citizenlab.URLTestingListCrawler),
-    # --- Cloudflare ---------------------------------------------------------
-    _spec("Cloudflare", "cloudflare.ranking_top", "Radar top domains.",
-          "Daily", "CC BY-NC 4.0", cloudflare.RANKING_URL,
-          cloudflare.generate_ranking, cloudflare.RankingCrawler),
-    _spec("Cloudflare", "cloudflare.dns_top_ases",
+    _spec(caida.ASRankCrawler, "Ranking of ASes based on customer cone.",
+          "Monthly", "CAIDA AUA", caida.generate_asrank),
+    _spec(caida.IXsCrawler, "IXP identifiers and locations.",
+          "Monthly", "CAIDA AUA", caida.generate_ixs),
+    # --- Cisco -------------------------------------------------------------
+    _spec(cisco.UmbrellaCrawler, "Umbrella popularity list.",
+          "Daily", "Cisco ToS", cisco.generate_umbrella),
+    # --- Citizen Lab -------------------------------------------------------
+    _spec(citizenlab.URLTestingListCrawler, "URL testing lists.",
+          "Weekly", "CC BY-NC-SA 4.0", citizenlab.generate_url_list),
+    # --- Cloudflare --------------------------------------------------------
+    _spec(cloudflare.RankingCrawler, "Radar top domains.",
+          "Daily", "CC BY-NC 4.0", cloudflare.generate_ranking),
+    _spec(cloudflare.TopASesCrawler,
           "ASes that queried a domain name the most (1.1.1.1 data).",
-          "Daily", "CC BY-NC 4.0", cloudflare.TOP_ASES_URL,
-          cloudflare.generate_top_ases, cloudflare.TopASesCrawler),
-    _spec("Cloudflare", "cloudflare.dns_top_locations",
+          "Daily", "CC BY-NC 4.0", cloudflare.generate_top_ases),
+    _spec(cloudflare.TopLocationsCrawler,
           "Countries that queried a domain name the most.",
-          "Daily", "CC BY-NC 4.0", cloudflare.TOP_LOCATIONS_URL,
-          cloudflare.generate_top_locations, cloudflare.TopLocationsCrawler),
-    # --- Emile Aben -----------------------------------------------------------
-    _spec("Emile Aben", "emileaben.as_names", "Community short AS names.",
-          "Weekly", "MIT", emileaben.ASNAMES_URL, emileaben.generate_asnames,
-          emileaben.ASNamesCrawler),
-    # --- IHR --------------------------------------------------------------------
-    _spec("IHR", "ihr.hegemony", "Inter-dependence of ASes based on BGP data.",
-          "Daily", "CC BY-NC 4.0", ihr.HEGEMONY_URL, ihr.generate_hegemony,
-          ihr.HegemonyCrawler),
-    _spec("IHR", "ihr.country_dependency", "Country-level AS dependency.",
-          "Daily", "CC BY-NC 4.0", ihr.COUNTRY_DEP_URL,
-          ihr.generate_country_dependency, ihr.CountryDependencyCrawler),
-    _spec("IHR", "ihr.rov", "Route origin validation state per prefix.",
-          "Daily", "CC BY-NC 4.0", ihr.ROV_URL, ihr.generate_rov, ihr.ROVCrawler),
-    # --- Internet Intelligence Lab -----------------------------------------------
-    _spec("Internet Intelligence Lab", "inetintel.as2org",
-          "AS to Organization mapping.", "Quarterly", "CC BY-NC-SA 4.0",
-          inetintel.AS2ORG_URL, inetintel.generate_as2org, inetintel.AS2OrgCrawler),
-    # --- NRO ------------------------------------------------------------------------
-    _spec("NRO", "nro.delegated_stats",
-          "Extended allocation and assignment reports.", "Daily", "NRO ToU",
-          nro.DELEGATED_URL, nro.generate_delegated, nro.DelegatedStatsCrawler),
-    # --- OpenINTEL --------------------------------------------------------------------
-    _spec("OpenINTEL", "openintel.tranco1m",
-          "DNS resolution for Tranco Top 1M domain names.", "Daily",
-          "CC BY-NC 4.0", openintel.TRANCO1M_URL, openintel.generate_tranco1m,
-          openintel.Tranco1MCrawler),
-    _spec("OpenINTEL", "openintel.umbrella1m",
-          "DNS resolution for Umbrella Top 1M domain names.", "Daily",
-          "CC BY-NC 4.0", openintel.UMBRELLA1M_URL, openintel.generate_umbrella1m,
-          openintel.Umbrella1MCrawler),
-    _spec("OpenINTEL", "openintel.ns",
-          "Authoritative nameservers with glue annotations.", "Daily",
-          "CC BY-NC 4.0", openintel.NS_URL, openintel.generate_ns,
-          openintel.NSCrawler),
-    _spec("OpenINTEL", "openintel.dnsgraph", "DNS Dependency Graph.",
-          "Weekly", "CC BY-NC 4.0", openintel.DNSGRAPH_URL,
-          openintel.generate_dnsgraph, openintel.DNSGraphCrawler),
-    # --- PCH ----------------------------------------------------------------------------
-    _spec("PCH", "pch.routing_snapshot", "BGP data collected from PCH.",
-          "Daily", "CC BY-NC-SA 3.0", pch.PCH_URL,
-          pch.generate_routing_snapshot, pch.RoutingSnapshotCrawler),
-    # --- PeeringDB ---------------------------------------------------------------------
-    _spec("PeeringDB", "peeringdb.org", "Organizations registered in PeeringDB.",
-          "Daily", "PeeringDB AUA", peeringdb.ORG_URL, peeringdb.generate_org,
-          peeringdb.OrgCrawler),
-    _spec("PeeringDB", "peeringdb.fac", "Co-location facilities.",
-          "Daily", "PeeringDB AUA", peeringdb.FAC_URL, peeringdb.generate_fac,
-          peeringdb.FacCrawler),
-    _spec("PeeringDB", "peeringdb.ix", "Information related to IXPs.",
-          "Daily", "PeeringDB AUA", peeringdb.IX_URL, peeringdb.generate_ix,
-          peeringdb.IXCrawler),
-    _spec("PeeringDB", "peeringdb.netixlan", "IXP membership of networks.",
-          "Daily", "PeeringDB AUA", peeringdb.IXLAN_URL,
-          peeringdb.generate_netixlan, peeringdb.NetIXLanCrawler),
-    _spec("PeeringDB", "peeringdb.netfac", "Facility presence of networks.",
-          "Daily", "PeeringDB AUA", peeringdb.NETFAC_URL,
-          peeringdb.generate_netfac, peeringdb.NetFacCrawler),
-    # --- RIPE NCC ------------------------------------------------------------------------
-    _spec("RIPE NCC", "ripe.as_names", "Registered AS names and countries.",
-          "Daily", "RIPE ToU", ripe.ASNAMES_URL, ripe.generate_asnames,
-          ripe.ASNamesCrawler),
-    _spec("RIPE NCC", "ripe.rpki", "RPKI route origin authorizations.",
-          "Daily", "RIPE ToU", ripe.RPKI_URL, ripe.generate_rpki,
-          ripe.RPKICrawler),
-    _spec("RIPE NCC", "ripe.atlas_probes", "RIPE Atlas probe metadata.",
-          "Daily", "RIPE ToU", ripe.ATLAS_PROBES_URL,
-          ripe.generate_atlas_probes, ripe.AtlasProbesCrawler),
-    _spec("RIPE NCC", "ripe.atlas_measurements",
-          "RIPE Atlas measurement information.", "Daily", "RIPE ToU",
-          ripe.ATLAS_MEASUREMENTS_URL, ripe.generate_atlas_measurements,
-          ripe.AtlasMeasurementsCrawler),
-    # --- SimulaMet -----------------------------------------------------------------------
-    _spec("SimulaMet", "simulamet.rdns", "Reverse-DNS delegations (rir-data).",
-          "Weekly", "CC BY 4.0", simulamet.RDNS_URL, simulamet.generate_rdns,
-          simulamet.RDNSCrawler),
-    # --- Stanford -------------------------------------------------------------------------
-    _spec("Stanford", "stanford.asdb", "Classification of ASes by business type.",
-          "6-month", "None", stanford.ASDB_URL, stanford.generate_asdb,
-          stanford.ASdbCrawler),
-    # --- Tranco ---------------------------------------------------------------------------
-    _spec("Tranco", "tranco.top1m", "Research-oriented top-sites ranking.",
-          "Daily", "MIT", tranco.TRANCO_URL, tranco.generate_tranco,
-          tranco.TrancoCrawler),
-    # --- Virginia Tech ----------------------------------------------------------------------
-    _spec("Virginia Tech", "rovista.rov", "RoVista: ROV filtering per AS.",
-          "Daily", "None", rovista.ROVISTA_URL, rovista.generate_rovista,
-          rovista.RoVistaCrawler),
-    # --- World Bank -------------------------------------------------------------------------
-    _spec("World Bank", "worldbank.country_pop", "Country population estimate.",
-          "Yearly", "CC BY 4.0", worldbank.POPULATION_URL,
-          worldbank.generate_population, worldbank.WorldBankPopulationCrawler),
+          "Daily", "CC BY-NC 4.0", cloudflare.generate_top_locations),
+    # --- Emile Aben --------------------------------------------------------
+    _spec(emileaben.ASNamesCrawler, "Community short AS names.",
+          "Weekly", "MIT", emileaben.generate_asnames),
+    # --- IHR ---------------------------------------------------------------
+    _spec(ihr.HegemonyCrawler, "Inter-dependence of ASes based on BGP data.",
+          "Daily", "CC BY-NC 4.0", ihr.generate_hegemony),
+    _spec(ihr.CountryDependencyCrawler, "Country-level AS dependency.",
+          "Daily", "CC BY-NC 4.0", ihr.generate_country_dependency),
+    _spec(ihr.ROVCrawler, "Route origin validation state per prefix.",
+          "Daily", "CC BY-NC 4.0", ihr.generate_rov),
+    # --- Internet Intelligence Lab -----------------------------------------
+    _spec(inetintel.AS2OrgCrawler, "AS to Organization mapping.",
+          "Quarterly", "CC BY-NC-SA 4.0", inetintel.generate_as2org),
+    # --- NRO ---------------------------------------------------------------
+    _spec(nro.DelegatedStatsCrawler, "Extended allocation and assignment reports.",
+          "Daily", "NRO ToU", nro.generate_delegated),
+    # --- OpenINTEL ---------------------------------------------------------
+    _spec(openintel.Tranco1MCrawler, "DNS resolution for Tranco Top 1M domain names.",
+          "Daily", "CC BY-NC 4.0", openintel.generate_tranco1m),
+    _spec(openintel.Umbrella1MCrawler,
+          "DNS resolution for Umbrella Top 1M domain names.",
+          "Daily", "CC BY-NC 4.0", openintel.generate_umbrella1m),
+    _spec(openintel.NSCrawler, "Authoritative nameservers with glue annotations.",
+          "Daily", "CC BY-NC 4.0", openintel.generate_ns),
+    _spec(openintel.DNSGraphCrawler, "DNS Dependency Graph.",
+          "Weekly", "CC BY-NC 4.0", openintel.generate_dnsgraph),
+    # --- PCH ---------------------------------------------------------------
+    _spec(pch.RoutingSnapshotCrawler, "BGP data collected from PCH.",
+          "Daily", "CC BY-NC-SA 3.0", pch.generate_routing_snapshot),
+    # --- PeeringDB ---------------------------------------------------------
+    _spec(peeringdb.OrgCrawler, "Organizations registered in PeeringDB.",
+          "Daily", "PeeringDB AUA", peeringdb.generate_org),
+    _spec(peeringdb.FacCrawler, "Co-location facilities.",
+          "Daily", "PeeringDB AUA", peeringdb.generate_fac),
+    _spec(peeringdb.IXCrawler, "Information related to IXPs.",
+          "Daily", "PeeringDB AUA", peeringdb.generate_ix),
+    _spec(peeringdb.NetIXLanCrawler, "IXP membership of networks.",
+          "Daily", "PeeringDB AUA", peeringdb.generate_netixlan),
+    _spec(peeringdb.NetFacCrawler, "Facility presence of networks.",
+          "Daily", "PeeringDB AUA", peeringdb.generate_netfac),
+    # --- RIPE NCC ----------------------------------------------------------
+    _spec(ripe.ASNamesCrawler, "Registered AS names and countries.",
+          "Daily", "RIPE ToU", ripe.generate_asnames),
+    _spec(ripe.RPKICrawler, "RPKI route origin authorizations.",
+          "Daily", "RIPE ToU", ripe.generate_rpki),
+    _spec(ripe.AtlasProbesCrawler, "RIPE Atlas probe metadata.",
+          "Daily", "RIPE ToU", ripe.generate_atlas_probes),
+    _spec(ripe.AtlasMeasurementsCrawler, "RIPE Atlas measurement information.",
+          "Daily", "RIPE ToU", ripe.generate_atlas_measurements),
+    # --- SimulaMet ---------------------------------------------------------
+    _spec(simulamet.RDNSCrawler, "Reverse-DNS delegations (rir-data).",
+          "Weekly", "CC BY 4.0", simulamet.generate_rdns),
+    # --- Stanford ----------------------------------------------------------
+    _spec(stanford.ASdbCrawler, "Classification of ASes by business type.",
+          "6-month", "None", stanford.generate_asdb),
+    # --- Tranco ------------------------------------------------------------
+    _spec(tranco.TrancoCrawler, "Research-oriented top-sites ranking.",
+          "Daily", "MIT", tranco.generate_tranco),
+    # --- Virginia Tech -----------------------------------------------------
+    _spec(rovista.RoVistaCrawler, "RoVista: ROV filtering per AS.",
+          "Daily", "None", rovista.generate_rovista),
+    # --- World Bank --------------------------------------------------------
+    _spec(worldbank.WorldBankPopulationCrawler, "Country population estimate.",
+          "Yearly", "CC BY 4.0", worldbank.generate_population),
 ]
 
 

@@ -73,37 +73,29 @@ def _prefix_trie(iyp: IYP) -> PrefixTrie:
 def link_ips_to_prefixes(iyp: IYP) -> int:
     """Link every IP node to the Prefix node of its longest match."""
     trie = _prefix_trie(iyp)
-    count = 0
+    links = []
     for node in iyp.store.nodes_with_label("IP"):
         try:
             match = trie.longest_match_ip(node.properties["ip"])
         except (InvalidAddressError, ValueError):
             continue
-        if match is None:
-            continue
-        _prefix_text, prefix_node = match
-        iyp.add_link(node, "PART_OF", prefix_node, None, REFINEMENT_REFERENCE)
-        count += 1
-    return count
+        if match is not None:
+            links.append((node, "PART_OF", match[1], None))
+    return iyp.add_links(links, REFINEMENT_REFERENCE)
 
 
 def link_covering_prefixes(iyp: IYP) -> int:
     """Link every Prefix node to its closest covering Prefix node."""
     trie = _prefix_trie(iyp)
-    count = 0
+    links = []
     for node in iyp.store.nodes_with_label("Prefix"):
         try:
             match = trie.covering_prefix(node.properties["prefix"])
         except InvalidPrefixError:
             continue
-        if match is None:
-            continue
-        _prefix_text, covering_node = match
-        if covering_node.id == node.id:
-            continue
-        iyp.add_link(node, "PART_OF", covering_node, None, REFINEMENT_REFERENCE)
-        count += 1
-    return count
+        if match is not None and match[1].id != node.id:
+            links.append((node, "PART_OF", match[1], None))
+    return iyp.add_links(links, REFINEMENT_REFERENCE)
 
 
 def link_urls_to_hostnames(iyp: IYP) -> int:

@@ -499,3 +499,59 @@ class TestFetchErrors:
         crawler = tranco.TrancoCrawler(iyp, fetcher)
         with pytest.raises(FetchError):
             crawler.run()
+
+
+class TestOneWayToWriteADataset:
+    """A crawler states datapoints through ``Crawler.node`` / ``link``;
+    only the loader in ``datasets/base.py`` talks to the facade's write
+    methods.  These two guards keep the next dataset on that path."""
+
+    WRITE_METHODS = {"get_node", "add_link", "batch_get_nodes", "add_links"}
+
+    def test_no_crawler_module_calls_the_facade_write_methods(self):
+        import ast
+        from pathlib import Path
+
+        from repro.datasets import crawlers
+
+        offenders = []
+        modules = sorted(Path(crawlers.__file__).parent.glob("*.py"))
+        assert len(modules) > 20
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text())):
+                # self.iyp.<write method>; reads such as
+                # self.iyp.store.find_nodes(...) stay allowed.
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in self.WRITE_METHODS
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "iyp"
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} .iyp.{node.attr}")
+                if isinstance(node, ast.FunctionDef) and node.name == "run":
+                    offenders.append(f"{path.name}:{node.lineno} defines run()")
+        assert offenders == []
+
+    def test_crawl_lock_scopes_are_bounded_by_columns(self, quarter_world, monkeypatch):
+        import threading
+
+        from repro.graphdb.rwlock import RWLock
+        from repro.pipeline import build_iyp
+
+        outermost = 0
+        acquire_write = RWLock.acquire_write
+
+        def counting(lock):
+            nonlocal outermost
+            if lock._writer != threading.get_ident():
+                outermost += 1
+            acquire_write(lock)
+
+        monkeypatch.setattr(RWLock, "acquire_write", counting)
+        _, report = build_iyp(
+            quarter_world, postprocess=False, validate=False, analytics=False
+        )
+        assert report.ok
+        # One scope per label column and one per link list, for each of
+        # the 46 crawlers — not one per datapoint (22,334 node requests).
+        assert 46 < outermost <= 1000

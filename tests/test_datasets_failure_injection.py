@@ -7,7 +7,8 @@ import pytest
 
 from repro.core import IYP
 from repro.datasets.base import FetchError, StaticFetcher
-from repro.datasets.crawlers import bgpkit, ihr, nro, openintel, ripe, tranco
+from repro.datasets.crawlers import bgpkit, caida, ihr, nro, openintel, ripe, tranco
+from repro.nettypes import InvalidAddressError, InvalidASNError
 from repro.pipeline import build_iyp
 
 
@@ -126,17 +127,80 @@ class TestBuildReportAttribution:
             crawler.run()
 
 
-class TestPartialImportVisibility:
-    def test_corrupt_row_fails_before_any_write(self, iyp):
-        """The pfx2as crawler extracts all identifiers before creating
-        nodes, so a corrupt row anywhere in the file aborts the import
-        before the graph is touched — no half-imported dataset."""
-        records = [
+#: (crawler class, url, payload, expected exception): a valid first
+#: record, then a corrupt one.
+HALF_CORRUPT = {
+    "bgpkit.pfx2as": (
+        bgpkit.PrefixToASNCrawler, bgpkit.PFX2AS_URL,
+        json.dumps([
             {"prefix": "10.0.0.0/8", "asn": 1, "count": 1},
             {"prefix": "10.1.0.0/16"},  # missing asn
-        ]
-        fetcher = StaticFetcher({bgpkit.PFX2AS_URL: json.dumps(records)})
-        with pytest.raises(KeyError):
-            bgpkit.PrefixToASNCrawler(iyp, fetcher).run()
+        ]),
+        KeyError,
+    ),
+    "ripe.rpki": (
+        ripe.RPKICrawler, ripe.RPKI_URL,
+        json.dumps({"roas": [
+            {"asn": "AS1", "prefix": "10.0.0.0/8", "maxLength": 8},
+            {"asn": "ASX", "prefix": "10.1.0.0/16", "maxLength": 16},
+        ]}),
+        InvalidASNError,
+    ),
+    "nro.delegated_stats": (
+        nro.DelegatedStatsCrawler, nro.DELEGATED_URL,
+        "arin|US|asn|7018|1|20000101|allocated|arin-att\n"
+        "arin|US|ipv4|10.0.0.0|many|20000101|allocated|arin-att",
+        ValueError,
+    ),
+    "caida.asrank": (
+        caida.ASRankCrawler, caida.ASRANK_URL,
+        json.dumps({"data": {"asns": {"edges": [
+            {"node": {"asn": "1", "rank": 1, "asnName": "ONE"}},
+            {"node": {"asn": "2", "rank": 2}},  # missing asnName
+        ]}}}),
+        KeyError,
+    ),
+    "openintel.ns": (
+        openintel.NSCrawler, openintel.NS_URL,
+        "\n".join(json.dumps(record) for record in [
+            {"domain": "a.com", "ns": "ns1.a.com", "glue": True,
+             "in_zone": True, "ips": ["10.0.0.1"]},
+            {"domain": "b.com", "ns": "ns1.b.com", "glue": True,
+             "in_zone": True, "ips": ["not-an-ip"]},
+        ]),
+        InvalidAddressError,
+    ),
+    "tranco.top1m": (
+        tranco.TrancoCrawler, tranco.TRANCO_URL,
+        "1,example.com\nsecond,foo.org\n",
+        ValueError,
+    ),
+}
+
+
+class TestPartialImportVisibility:
+    @pytest.mark.parametrize("dataset", sorted(HALF_CORRUPT))
+    def test_corrupt_row_fails_before_any_write(self, iyp, dataset):
+        """A crawler only states datapoints while it parses; the graph
+        is written once the whole file parsed.  So a corrupt row anywhere
+        in the file aborts the import before the graph is touched — no
+        half-imported dataset, whichever crawler."""
+        crawler_cls, url, payload, error = HALF_CORRUPT[dataset]
+        with pytest.raises(error):
+            crawler_cls(iyp, StaticFetcher({url: payload})).run()
         assert iyp.store.node_count == 0
         assert iyp.store.relationship_count == 0
+
+    def test_failed_run_leaves_nothing_for_the_next(self, iyp):
+        """What a failed parse stated is dropped, not loaded by the
+        crawler's next run."""
+        crawler_cls, url, payload, error = HALF_CORRUPT["tranco.top1m"]
+        crawler = crawler_cls(iyp, StaticFetcher({url: payload}))
+        with pytest.raises(error):
+            crawler.run()
+        crawler.fetcher = StaticFetcher({url: "1,other.org\n"})
+        crawler.run()
+        assert [
+            node.properties["name"]
+            for node in iyp.store.nodes_with_label("DomainName")
+        ] == ["other.org"]
