@@ -3,7 +3,7 @@
 Every measure in this module reads the store through the bulk accessors
 of the :class:`repro.graphdb.interface.GraphReadStore` contract
 (``node_ids``, ``label_ids``, ``iter_edges``, ``typed_degrees``,
-``neighbor_ids``) instead of issuing one Cypher match per node, which is
+``expand_ids``) instead of issuing one Cypher match per node, which is
 what the legacy study code did.  Because only the contract is touched,
 every measure runs unchanged against the dict backend and the columnar
 backend (:mod:`repro.columnar`).  The semantics are pinned by equivalence tests against naive
@@ -422,7 +422,7 @@ def k_reach(
     for depth in range(1, k + 1):
         next_frontier: list[int] = []
         for current in frontier:
-            for neighbor in store.neighbor_ids(current, rel_type, direction):
+            for _, neighbor in store.expand_ids(current, direction, rel_type):
                 if neighbor not in seen:
                     seen.add(neighbor)
                     depths[neighbor] = depth

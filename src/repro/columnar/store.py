@@ -48,7 +48,7 @@ import json
 from array import array
 from bisect import bisect_left
 from contextlib import AbstractContextManager
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.graphdb.errors import (
     ConstraintViolationError,
@@ -788,23 +788,50 @@ class ColumnarGraphStore:
 
     def _adj_rel_rows(
         self, side: str, row: int, rel_type: str | None
-    ) -> Iterator[int]:
+    ) -> Sequence[int]:
+        """One node's relationship rows on ``side``: the bucket of
+        ``rel_type``, or every bucket (a node's buckets are contiguous,
+        one per type, in type order)."""
         arrays = self._arrays
         lo, hi = self._bucket_range(side, row)
-        types = arrays[f"{side}_bucket_types"]
-        offsets = arrays[f"{side}_bucket_offsets"]
-        adj = arrays[f"{side}_adj"]
-        tidx = -1
         if rel_type is not None:
-            slot = self._type_slot.get(rel_type)
-            if slot is None:
-                return
-            tidx = slot
-        for bucket in range(lo, hi):
-            if rel_type is not None and types[bucket] != tidx:
-                continue
-            for i in range(offsets[bucket], offsets[bucket + 1]):
-                yield adj[i]
+            tidx = self._type_slot.get(rel_type)
+            types = arrays[f"{side}_bucket_types"]
+            for bucket in range(lo, hi):
+                if types[bucket] == tidx:
+                    lo, hi = bucket, bucket + 1
+                    break
+            else:
+                return ()
+        offsets = arrays[f"{side}_bucket_offsets"]
+        return arrays[f"{side}_adj"][offsets[lo] : offsets[hi]]
+
+    def _expand_rows(
+        self, node_id: int, direction: Direction, rel_type: str | None
+    ) -> list[tuple[int, int]]:
+        """Typed-CSR expansion as ``(relationship row, neighbour row)``
+        pairs, with the ``expand`` / ``rels_expanded`` counters; ``BOTH``
+        deduplicates self-loops exactly like the dict backend (the loop
+        appears in the outgoing list)."""
+        collector = current_collector()
+        if collector is not None:
+            collector.record("expand")
+        row = self._node_row(node_id)
+        result: list[tuple[int, int]] = []
+        if direction is not Direction.IN:
+            rel_end = self._arrays["rel_end"]
+            result = [(r, rel_end[r]) for r in self._adj_rel_rows("out", row, rel_type)]
+        if direction is not Direction.OUT:
+            rel_start = self._arrays["rel_start"]
+            inbound = self._adj_rel_rows("in", row, rel_type)
+            if direction is Direction.BOTH:
+                # A self-loop is already in the outgoing list.
+                result += [(r, rel_start[r]) for r in inbound if rel_start[r] != row]
+            else:
+                result += [(r, rel_start[r]) for r in inbound]
+        if result and collector is not None:
+            collector.record("rels_expanded", len(result))
+        return result
 
     def relationships_of(
         self,
@@ -812,28 +839,24 @@ class ColumnarGraphStore:
         direction: Direction = Direction.BOTH,
         rel_type: str | None = None,
     ) -> list[Relationship]:
-        """Typed-CSR expansion; ``BOTH`` deduplicates self-loops exactly
-        like the dict backend (the loop appears in the outgoing list)."""
-        collector = current_collector()
-        if collector is not None:
-            collector.record("expand")
-        row = self._node_row(node_id)
-        result: list[Relationship] = []
-        if direction in (Direction.OUT, Direction.BOTH):
-            result.extend(
-                self._rel_at(r) for r in self._adj_rel_rows("out", row, rel_type)
-            )
-        if direction in (Direction.IN, Direction.BOTH):
-            dedupe = direction is Direction.BOTH
-            rel_start = self._arrays["rel_start"]
-            rel_end = self._arrays["rel_end"]
-            for r in self._adj_rel_rows("in", row, rel_type):
-                if dedupe and rel_start[r] == rel_end[r]:
-                    continue  # self-loop already in the outgoing list
-                result.append(self._rel_at(r))
-        if result and collector is not None:
-            collector.record("rels_expanded", len(result))
-        return result
+        return [
+            self._rel_at(r) for r, _ in self._expand_rows(node_id, direction, rel_type)
+        ]
+
+    def expand_ids(
+        self,
+        node_id: int,
+        direction: Direction = Direction.BOTH,
+        rel_type: str | None = None,
+    ) -> list[tuple[int, int]]:
+        """``relationships_of`` as ``(relationship id, neighbour id)``
+        pairs, read off the CSR arrays: no relationship is decoded."""
+        rel_ids = self._arrays["rel_ids"]
+        node_ids = self._arrays["node_ids"]
+        return [
+            (rel_ids[r], node_ids[other])
+            for r, other in self._expand_rows(node_id, direction, rel_type)
+        ]
 
     def relationships_with_type(self, rel_type: str) -> list[Relationship]:
         slot = self._type_slot.get(rel_type)
@@ -919,25 +942,6 @@ class ColumnarGraphStore:
             self._types[tidx]: (entry[0], entry[1], entry[2])
             for tidx, entry in totals.items()
         }
-
-    def neighbor_ids(
-        self,
-        node_id: int,
-        rel_type: str | None = None,
-        direction: Direction = Direction.BOTH,
-    ) -> Iterator[int]:
-        """One neighbor id per incident relationship (loops under BOTH
-        are yielded twice, matching the dict backend's BFS primitive)."""
-        row = self._node_row(node_id)
-        node_ids = self._arrays["node_ids"]
-        if direction in (Direction.OUT, Direction.BOTH):
-            rel_end = self._arrays["rel_end"]
-            for r in self._adj_rel_rows("out", row, rel_type):
-                yield node_ids[rel_end[r]]
-        if direction in (Direction.IN, Direction.BOTH):
-            rel_start = self._arrays["rel_start"]
-            for r in self._adj_rel_rows("in", row, rel_type):
-                yield node_ids[rel_start[r]]
 
     def memory_info(self) -> dict[str, int]:
         """Exact array footprint by component (the dict backend reports

@@ -19,7 +19,10 @@ memory without bound.
 MATCH clauses execute through the cost-based planner
 (:mod:`repro.cypher.planner`): WHERE conjuncts are pushed to bind time,
 indexed equality conjuncts become index seeks, and multi-pattern
-clauses are join-reordered.  ``optimize=False`` builds a naive engine
+clauses are join-reordered; a clause of one fixed-length path runs on
+the matcher's batch operator (``op=BatchExpand`` in EXPLAIN and
+PROFILE), every other shape on its backtracking walk.
+``optimize=False`` builds a naive engine
 (textual pattern order, WHERE evaluated on complete bindings only) —
 the reference executor for the optimizer-equivalence test harness and
 the latency benchmarks' baseline.
@@ -81,6 +84,21 @@ _WRITE_CLAUSES = (
     ast.RemoveClause,
     ast.DeleteClause,
 )
+
+#: ``STARTS WITH`` / ``ENDS WITH`` / ``CONTAINS`` / ``=~`` over two
+#: strings (any other operand makes the predicate null).
+_STRING_PREDICATES: dict[str, Callable[[str, str], bool]] = {
+    "starts_with": str.startswith,
+    "ends_with": str.endswith,
+    "contains": str.__contains__,
+    "regex": lambda text, pattern: re.fullmatch(pattern, text) is not None,
+}
+
+
+def _is_number(value: Any) -> bool:
+    """An arithmetic operand: int or float, not bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 
 #: Parse-cache bound: generous for study workloads (dozens of distinct
 #: queries) while keeping an adversarial query stream in check.
@@ -287,6 +305,8 @@ class CypherEngine:
             zip(match_plan.order, match_plan.patterns, strict=True)
         ):
             line = f"{kind} {describe_pattern(pattern, (), self.store)}"
+            if match_plan.expand is not None:
+                line += " op=BatchExpand"
             if total > 1:
                 line += f" join={rank + 1}/{total} pattern={source}"
             if match_plan.estimates is not None:
@@ -469,6 +489,7 @@ class CypherEngine:
         else:
             patterns, pushed, anchors = clause.patterns, None, None
             prefilters, residual = (), clause.where
+        batch = plan if plan is not None and plan.expand is not None else None
         if context.node is not None:
             # PROFILE describes the plan that is about to run: same
             # bound variables, same join order, same pushdown.
@@ -476,6 +497,8 @@ class CypherEngine:
             detail += "; ".join(
                 describe_pattern(pattern, seed, self.store) for pattern in patterns
             )
+            if batch is not None:
+                detail += " op=BatchExpand"
             if plan is not None and plan.reordered:
                 detail += f" join_order=[{','.join(map(str, plan.order))}]"
             if plan is not None and plan.pushed_count():
@@ -484,8 +507,10 @@ class CypherEngine:
         for row in rows:
             matched = False
             if all(is_truthy(self._evaluate(p, row)) for p in prefilters):
-                for binding in self._matcher.match_patterns(
-                    patterns, row, pushed, anchors
+                for binding in (
+                    self._matcher.match_patterns(patterns, row, pushed, anchors)
+                    if batch is None
+                    else self._matcher.expand(batch, row)
                 ):
                     self._tick()
                     if residual is not None:
@@ -1028,6 +1053,8 @@ class CypherEngine:
             return logical_not(value)
         if value is None:
             return None
+        if not _is_number(value):
+            raise CypherRuntimeError(f"cannot negate {value!r}")
         return -value
 
     def _evaluate_binary(
@@ -1060,14 +1087,13 @@ class CypherEngine:
             return list_membership(left, right)
         if left is None or right is None:
             return None
-        if op == "starts_with":
-            return left.startswith(right)
-        if op == "ends_with":
-            return left.endswith(right)
-        if op == "contains":
-            return right in left
-        if op == "regex":
-            return re.fullmatch(right, left) is not None
+        if op in _STRING_PREDICATES:
+            if not (isinstance(left, str) and isinstance(right, str)):
+                return None  # openCypher: a non-string operand is null
+            try:
+                return _STRING_PREDICATES[op](left, right)
+            except re.error as exc:
+                raise CypherRuntimeError(f"invalid regex {right!r}: {exc}") from None
         if op == "+":
             if isinstance(left, list) or isinstance(right, list):
                 left_list = left if isinstance(left, list) else [left]
@@ -1076,25 +1102,30 @@ class CypherEngine:
             if isinstance(left, str) != isinstance(right, str):
                 raise CypherRuntimeError(f"cannot add {left!r} and {right!r}")
             return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if isinstance(left, int) and isinstance(right, int):
-                if right == 0:
-                    raise CypherRuntimeError("integer division by zero")
-                quotient = left // right
-                # Cypher truncates toward zero for integer division.
-                if quotient < 0 and quotient * right != left:
-                    quotient += 1
-                return quotient
-            return left / right
-        if op == "%":
-            return left % right
-        if op == "^":
+        if op not in ("-", "*", "/", "%", "^"):
+            raise CypherRuntimeError(f"unknown operator {op}")
+        if not (_is_number(left) and _is_number(right)):
+            raise CypherRuntimeError(f"cannot apply {op} to {left!r} and {right!r}")
+        if op == "/" and isinstance(left, int) and isinstance(right, int):
+            if right == 0:
+                raise CypherRuntimeError("integer division by zero")
+            quotient = left // right
+            # Cypher truncates toward zero for integer division.
+            if quotient < 0 and quotient * right != left:
+                quotient += 1
+            return quotient
+        try:
+            if op == "-":
+                return left - right
+            if op == "*":
+                return left * right
+            if op == "/":
+                return left / right
+            if op == "%":
+                return left % right
             return float(left**right)
-        raise CypherRuntimeError(f"unknown operator {op}")
+        except (ArithmeticError, TypeError) as exc:
+            raise CypherRuntimeError(f"{left!r} {op} {right!r}: {exc}") from None
 
     def _evaluate_index(
         self, expression: ast.IndexAccess, row: Row, group_rows: list[Row] | None

@@ -10,6 +10,13 @@ relationship isomorphism is enforced: within one MATCH clause a
 relationship is traversed at most once, which is what makes the paper's
 MOAS query (Listing 2) return genuinely distinct origin links.
 
+A planned MATCH of one fixed-length path (``MatchPlan.expand`` set)
+skips the walk: :meth:`PatternMatcher.expand` grows rows of int ids a
+level at a time, so a hub reached by many paths is expanded once.  The
+walk serves every other shape — multi-pattern joins, variable-length
+hops, ``shortestPath``, MERGE, pattern predicates — until the join
+operator replaces it.
+
 Two optimizer hooks plug into the walk (see
 :mod:`repro.cypher.planner`):
 
@@ -30,7 +37,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 from repro.cypher import ast
 from repro.cypher.errors import CypherRuntimeError
-from repro.cypher.planner import Anchor, choose_anchor
+from repro.cypher.planner import Anchor, MatchPlan, choose_anchor
 from repro.cypher.values import equals, is_truthy
 from repro.graphdb.model import Direction, Node, Relationship
 from repro.graphdb.store import GraphStore
@@ -85,6 +92,116 @@ class PatternMatcher:
             zip(patterns, anchors or (None,) * len(patterns), strict=True)
         )
         yield from self._match_rest(steps, binding, frozenset(), pushed)
+
+    def expand(self, plan: MatchPlan, binding: Binding) -> Iterator[Binding]:
+        """The batch operator: the bindings of ``plan``'s one path
+        pattern (``plan.expand`` is set), in exactly the walk's order.
+
+        Expands a level at a time over rows of int ids — the anchor's
+        node id, then a (relationship id, node id) pair per step — and
+        keeps, for this incoming row only, each (step, node) expansion
+        and each (step, node) verdict, so a hub's subtree is read once
+        however many paths reach it.  Per candidate it checks what the
+        walk checks, in the walk's order: isomorphism (only against
+        hops whose types can overlap), the relationship's inline map
+        and pushed filters, then the node's labels, inline map and
+        pushed filters.  ``Node`` / ``Relationship`` objects are built
+        only for the named variables of surviving rows."""
+        store, tick, evaluate = self._store, self._tick, self._evaluate
+        pattern, anchor, pushed = plan.patterns[0], plan.anchors[0], plan.pushed
+
+        def admits(element: ast.NodePattern | ast.RelPattern, entity: Any) -> bool:
+            """Inline map, then — for a newly bound variable — its
+            pushed filters, evaluated as the walk would."""
+            for key, value_expr in element.properties:
+                expected = evaluate(value_expr, binding)
+                if equals(entity.properties.get(key), expected) is not True:
+                    return False
+            variable = element.variable
+            if variable in binding:
+                existing = binding[variable]
+                return isinstance(existing, Node) and existing.id == entity.id
+            if not pushed.get(variable or ""):
+                return True
+            scope = dict(binding)
+            scope[variable] = entity
+            return all(is_truthy(evaluate(p, scope)) for p in pushed[variable])
+
+        def node_verdict(node: ast.NodePattern, node_id: int) -> bool:
+            if node.labels and not store.node_labels(node_id).issuperset(
+                node.labels
+            ):
+                return False
+            variable = node.variable or ""
+            if node.properties or variable in binding or pushed.get(variable):
+                return admits(node, store.get_node(node_id))
+            return True
+
+        start = pattern.nodes[anchor.position]
+        rows: list[tuple[int, ...]] = []
+        binds = 0
+        try:
+            for candidate in self._anchor_candidates(start, anchor, binding):
+                tick()
+                binds += 1
+                if node_verdict(start, candidate.id):
+                    rows.append((candidate.id,))
+        finally:
+            if binds:
+                record_access("bind_attempt", binds)
+        elements: list[tuple[ast.NodePattern | ast.RelPattern, Callable]] = [
+            (start, store.get_node)
+        ]
+        for step in plan.expand:
+            elements += [(step.rel, store.get_relationship), (step.node, store.get_node)]
+            direction = _DIRECTIONS[step.direction]
+            types = step.rel.types or (None,)
+            exclusive, source = step.exclusive, step.source
+            check_rel = bool(step.rel.properties or pushed.get(step.rel.variable or ""))
+            expansions: dict[int, list[tuple[int, int]]] = {}
+            rel_verdicts: dict[int, bool] = {}
+            verdicts: dict[int, bool] = {}
+            grown: list[tuple[int, ...]] = []
+            for row in rows:
+                pairs = expansions.get(row[source])
+                if pairs is None:
+                    pairs = expansions[row[source]] = [
+                        pair
+                        for rel_type in types
+                        for pair in store.expand_ids(row[source], direction, rel_type)
+                    ]
+                for rel_id, other in pairs:
+                    tick()
+                    if exclusive and any(row[i] == rel_id for i in exclusive):
+                        continue
+                    if check_rel:
+                        verdict = rel_verdicts.get(rel_id)
+                        if verdict is None:
+                            verdict = rel_verdicts[rel_id] = admits(
+                                step.rel, store.get_relationship(rel_id)
+                            )
+                        if not verdict:
+                            continue
+                    verdict = verdicts.get(other)
+                    if verdict is None:
+                        verdict = verdicts[other] = node_verdict(step.node, other)
+                    if verdict:
+                        grown.append(row + (rel_id, other))
+            rows = grown
+        # Late materialization: one lookup per named element and id.
+        named = [
+            (index, element.variable, {}, materialize)
+            for index, (element, materialize) in enumerate(elements)
+            if element.variable and element.variable not in binding
+        ]
+        for row in rows:
+            out = dict(binding)
+            for index, variable, built, materialize in named:
+                entity = built.get(row[index])
+                if entity is None:
+                    entity = built[row[index]] = materialize(row[index])
+                out[variable] = entity
+            yield out
 
     def match_single(
         self, pattern: ast.PathPattern, binding: Binding

@@ -135,6 +135,10 @@ class MatchPlan:
     #: ``patterns``), only present when the plan was built with
     #: measured :class:`repro.analytics.GraphStatistics`.
     estimates: tuple[float, ...] | None = None
+    #: The hops of the one path pattern in batch-expansion order when
+    #: the clause runs on :meth:`PatternMatcher.expand` (EXPLAIN's
+    #: ``op=BatchExpand``); None runs the backtracking walk.
+    expand: tuple[ExpandStep, ...] | None = None
 
     @property
     def reordered(self) -> bool:
@@ -222,7 +226,76 @@ def plan_match(
         prefilters=tuple(prefilters),
         residual=conjoin(residual),
         estimates=estimates,
+        expand=_expand_steps(rewritten, anchors, bound),
     )
+
+
+class ExpandStep(NamedTuple):
+    """One hop of a batch expansion: from the node at id-row index
+    ``source`` over ``rel`` (walked ``direction``) to ``node``.  The id
+    row grows by ``(relationship id, node id)`` per step, anchor first."""
+
+    rel: ast.RelPattern
+    node: ast.NodePattern
+    direction: str
+    source: int
+    #: Id-row indexes of earlier relationships this hop's types can
+    #: overlap: the only ones relationship isomorphism must compare.
+    exclusive: tuple[int, ...]
+
+
+def _expand_steps(
+    patterns: tuple[ast.PathPattern, ...],
+    anchors: tuple[Anchor, ...],
+    bound: frozenset[str],
+) -> tuple[ExpandStep, ...] | None:
+    """The batch operator's steps for the one shape it takes — a single
+    fixed-length path with at least one hop, no path variable, no
+    variable named twice, no relationship variable bound by an earlier
+    clause, inline maps over incoming variables only — else None (the
+    walk).  Hops right of the anchor come first, then the left ones,
+    which is the walk's order."""
+    if len(patterns) != 1:
+        return None
+    (pattern,), (anchor,) = patterns, anchors
+    rels = pattern.relationships
+    names = [e.variable for e in (*pattern.nodes, *rels) if e.variable]
+    if (
+        not rels
+        or pattern.path_variable
+        or pattern.shortest
+        or any(rel.is_variable_length for rel in rels)
+        or len(names) != len(set(names))
+        or any(rel.variable in bound for rel in rels if rel.variable)
+        or any(
+            not free_variables(value) <= bound
+            for element in (*pattern.nodes, *rels)
+            for _, value in element.properties
+        )
+    ):
+        return None
+    right = range(anchor.position, len(rels))
+    left = range(anchor.position - 1, -1, -1)
+    order = [(hop, False) for hop in right] + [(hop, True) for hop in left]
+    steps: list[ExpandStep] = []
+    for index, (hop, reverse) in enumerate(order):
+        rel = rels[hop]
+        direction = rel.direction
+        if reverse and direction != "both":
+            direction = "in" if direction == "out" else "out"
+        # Each step leaves from the node the step before it added, except
+        # the first left hop, which leaves from the anchor (row index 0).
+        source = 0 if reverse and hop == anchor.position - 1 else 2 * index
+        exclusive = tuple(
+            2 * earlier + 1
+            for earlier, (other, _) in enumerate(order[:index])
+            if not rel.types
+            or not rels[other].types
+            or set(rel.types) & set(rels[other].types)
+        )
+        target = pattern.nodes[hop if reverse else hop + 1]
+        steps.append(ExpandStep(rel, target, direction, source, exclusive))
+    return tuple(steps)
 
 
 def _as_promotable_equality(
@@ -253,7 +326,14 @@ def _apply_promotions(
 
     def promoted(element: _Element) -> _Element:
         extra = promotions.get(element.variable or "", ())
-        additions = tuple(pair for pair in extra if pair not in element.properties)
+        # Compared as rendered text: the AST's own equality takes the
+        # literal ``true`` for ``1``, which Cypher's ``=`` does not.
+        written = {(key, PLAIN.expression(value)) for key, value in element.properties}
+        additions = tuple(
+            (key, value)
+            for key, value in extra
+            if (key, PLAIN.expression(value)) not in written
+        )
         if not additions:
             return element
         return replace(element, properties=element.properties + additions)

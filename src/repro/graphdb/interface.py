@@ -154,14 +154,15 @@ class GraphReadStore(Protocol):
         """``{rel_type: (out, in, loops)}`` for the types a node touches."""
         ...
 
-    def neighbor_ids(
+    def expand_ids(
         self,
         node_id: int,
-        rel_type: str | None = ...,
         direction: Direction = ...,
-    ) -> Iterator[int]:
-        """Neighbor node ids, one per incident relationship (the BFS
-        primitive — no Relationship objects are materialized)."""
+        rel_type: str | None = ...,
+    ) -> list[tuple[int, int]]:
+        """``(relationship id, neighbour id)`` per incident relationship,
+        in :meth:`relationships_of`'s order and with its counters (the
+        batch matcher's and BFS's primitive — nothing is materialized)."""
         ...
 
     def memory_info(self) -> dict[str, int]:

@@ -356,43 +356,6 @@ class GraphStore:
             )
         return result
 
-    def neighbor_ids(
-        self,
-        node_id: int,
-        rel_type: str | None = None,
-        direction: Direction = Direction.BOTH,
-    ) -> Iterator[int]:
-        """Neighbor node ids, one per incident relationship.
-
-        The BFS primitive behind ``k_reach``: no Relationship objects
-        are materialized.  A self-loop under ``Direction.BOTH`` yields
-        the node twice (once per partition), matching the raw adjacency;
-        traversals dedupe through their visited sets.
-        """
-        relationships = self._relationships
-        if direction in (Direction.OUT, Direction.BOTH):
-            partition = self._outgoing.get(node_id)
-            if partition:
-                buckets: Iterable[Iterable[int]] = (
-                    partition.values()
-                    if rel_type is None
-                    else (partition.get(rel_type, ()),)
-                )
-                for rel_ids in buckets:
-                    for rel_id in rel_ids:
-                        yield relationships[rel_id].end_id
-        if direction in (Direction.IN, Direction.BOTH):
-            partition = self._incoming.get(node_id)
-            if partition:
-                buckets = (
-                    partition.values()
-                    if rel_type is None
-                    else (partition.get(rel_type, ()),)
-                )
-                for rel_ids in buckets:
-                    for rel_id in rel_ids:
-                        yield relationships[rel_id].start_id
-
     def memory_info(self) -> dict[str, int]:
         """Estimated heap footprint in bytes, by component.
 
@@ -983,34 +946,63 @@ class GraphStore:
         self._require_node(node_id)
         relationships = self._relationships
         result: list[Relationship] = []
-        if direction in (Direction.OUT, Direction.BOTH):
-            partition = self._outgoing.get(node_id)
-            if partition:
-                if rel_type is None:
-                    for ids in partition.values():
-                        result.extend(relationships[i] for i in ids)
-                else:
-                    result.extend(
-                        relationships[i] for i in partition.get(rel_type, ())
-                    )
-        if direction in (Direction.IN, Direction.BOTH):
-            partition = self._incoming.get(node_id)
-            if partition:
-                dedupe = direction is Direction.BOTH
-                buckets = (
-                    partition.values()
-                    if rel_type is None
-                    else (partition.get(rel_type, ()),)
-                )
-                for ids in buckets:
-                    for rel_id in ids:
-                        rel = relationships[rel_id]
-                        if dedupe and rel.start_id == rel.end_id:
-                            continue  # self-loop already in the outgoing list
-                        result.append(rel)
+        if direction is not Direction.IN:
+            for ids in self._buckets(self._outgoing, node_id, rel_type):
+                result.extend([relationships[i] for i in ids])
+        if direction is not Direction.OUT:
+            dedupe = direction is Direction.BOTH
+            for ids in self._buckets(self._incoming, node_id, rel_type):
+                for rel_id in ids:
+                    rel = relationships[rel_id]
+                    if dedupe and rel.start_id == node_id:
+                        continue  # self-loop already in the outgoing list
+                    result.append(rel)
         if result and collector is not None:
             collector.record("rels_expanded", len(result))
         return result
+
+    def expand_ids(
+        self,
+        node_id: int,
+        direction: Direction = Direction.BOTH,
+        rel_type: str | None = None,
+    ) -> list[tuple[int, int]]:
+        """``(relationship id, neighbour id)`` per incident relationship,
+        in :meth:`relationships_of`'s order and with its ``expand`` /
+        ``rels_expanded`` counters: the id-level expansion primitive."""
+        collector = current_collector()
+        if collector is not None:
+            collector.record("expand")
+        self._require_node(node_id)
+        relationships = self._relationships
+        result: list[tuple[int, int]] = []
+        if direction is not Direction.IN:
+            for ids in self._buckets(self._outgoing, node_id, rel_type):
+                result.extend([(i, relationships[i].end_id) for i in ids])
+        if direction is not Direction.OUT:
+            dedupe = direction is Direction.BOTH
+            for ids in self._buckets(self._incoming, node_id, rel_type):
+                for rel_id in ids:
+                    start = relationships[rel_id].start_id
+                    if dedupe and start == node_id:
+                        continue  # self-loop already in the outgoing list
+                    result.append((rel_id, start))
+        if result and collector is not None:
+            collector.record("rels_expanded", len(result))
+        return result
+
+    @staticmethod
+    def _buckets(
+        side: dict[int, dict[str, list[int]]], node_id: int, rel_type: str | None
+    ) -> Iterable[list[int]]:
+        """One node's relationship-id lists on one side of the typed
+        adjacency: the ``rel_type`` partition, or all of them."""
+        partition = side.get(node_id)
+        if not partition:
+            return ()
+        if rel_type is None:
+            return partition.values()
+        return (partition.get(rel_type, []),)
 
     def relationships_with_type(self, rel_type: str) -> list[Relationship]:
         """Return all relationships of the given type."""

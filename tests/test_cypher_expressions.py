@@ -97,6 +97,91 @@ class TestStringOperators:
         assert evaluate(engine, "substring('abcdef', 1, 3)") == "bcd"
 
 
+#: An operand of the wrong type: string predicates are null, arithmetic
+#: is a query error (HTTP 400), never a raw Python exception (500).
+NULL_PREDICATES = [
+    "x.asn STARTS WITH 'A'",
+    "x.name ENDS WITH 1",
+    "x.name CONTAINS 1",
+    "x.asn CONTAINS 'A'",
+    "x.name =~ 1",
+    "x.asn =~ 'A.*'",
+]
+BAD_ARITHMETIC = [
+    "x.name - 1",
+    "x.name * 2",
+    "x.asn * [1]",
+    "x.asn % 0",
+    "x.asn / 0.0",
+    "x.asn % 'a'",
+    "x.asn ^ 'a'",
+    "-x.name",
+    "x.name =~ '('",
+]
+
+
+@pytest.fixture(params=("dict", "columnar"))
+def operand_store(request):
+    from repro.columnar import ColumnarGraphStore
+
+    cls = GraphStore if request.param == "dict" else ColumnarGraphStore
+    return cls.from_records([(1, ["AS"], {"asn": 2497, "name": "IIJ"})], [])
+
+
+class TestOperandTypes:
+    @pytest.mark.parametrize("predicate", NULL_PREDICATES)
+    def test_string_predicate_on_a_non_string_is_null(self, operand_store, predicate):
+        engine = CypherEngine(operand_store)
+        query = f"MATCH (x:AS) RETURN {predicate} AS v"
+        assert engine.run(query).column() == [None]
+        assert engine.run(f"MATCH (x:AS) WHERE {predicate} RETURN x").records == []
+
+    @pytest.mark.parametrize("expression", BAD_ARITHMETIC)
+    def test_bad_arithmetic_is_a_query_error(self, operand_store, expression):
+        with pytest.raises(CypherRuntimeError):
+            CypherEngine(operand_store).run(f"MATCH (x:AS) RETURN {expression} AS v")
+
+    def test_numbers_still_compute(self, engine):
+        assert evaluate(engine, "7.5 - 2") == 5.5
+        assert evaluate(engine, "-7 % 3") == 2
+        assert evaluate(engine, "1.0 / 4") == 0.25
+
+    def test_http_status(self, operand_store):
+        import json
+        import threading
+        import urllib.error
+        import urllib.request
+
+        from repro.server import QueryService, create_server
+
+        server = create_server(QueryService(operand_store), port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+
+        def post(query: str) -> tuple[int, dict]:
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{server.server_address[1]}/query",
+                data=json.dumps({"query": query}).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            try:
+                with urllib.request.urlopen(request, timeout=30) as response:
+                    return response.status, json.loads(response.read())
+            except urllib.error.HTTPError as exc:
+                return exc.code, json.loads(exc.read())
+
+        try:
+            for predicate in NULL_PREDICATES:
+                status, body = post(f"MATCH (x:AS) WHERE {predicate} RETURN x")
+                assert (status, body["rows"]) == (200, []), predicate
+            for expression in BAD_ARITHMETIC:
+                status, body = post(f"MATCH (x:AS) RETURN {expression} AS v")
+                assert status == 400, expression
+                assert body["error"]["code"] == "query_error", expression
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
 class TestListsAndMaps:
     def test_index(self, engine):
         assert evaluate(engine, "[10, 20, 30][1]") == 20

@@ -181,9 +181,17 @@ def test_adjacency_parity(both):
                     r.id
                     for r in columnar.relationships_of(node_id, direction, rel_type)
                 )
-            assert Counter(
-                dict_store.neighbor_ids(node_id, None, direction)
-            ) == Counter(columnar.neighbor_ids(node_id, None, direction))
+            for rel_type in (*sorted({rel[1] for rel in RELS}), "ABSENT", None):
+                for backend in both:
+                    assert backend.expand_ids(node_id, direction, rel_type) == [
+                        (r.id, r.other_end(node_id))
+                        for r in backend.relationships_of(
+                            node_id, direction, rel_type
+                        )
+                    ], (backend.backend_name, node_id, direction, rel_type)
+                assert Counter(
+                    dict_store.expand_ids(node_id, direction, rel_type)
+                ) == Counter(columnar.expand_ids(node_id, direction, rel_type))
 
 
 def test_self_loop_semantics(store):
@@ -193,9 +201,10 @@ def test_self_loop_semantics(store):
     assert store.degree_by_type(1, "DEPENDS_ON", Direction.BOTH) == 1
     assert store.degree_by_type(1, "DEPENDS_ON", Direction.OUT) == 1
     assert store.degree_by_type(1, "DEPENDS_ON", Direction.IN) == 1
-    # The BFS primitive sees the loop from both sides (dedupe is the
-    # traversal's job, exactly like the dict backend's partitions).
-    assert Counter(store.neighbor_ids(1, "DEPENDS_ON", Direction.BOTH)) == {1: 2}
+    # The id-level primitive sees the loop once too, with the node
+    # itself as the neighbour, and parallel edges once each.
+    assert store.expand_ids(1, Direction.BOTH, "DEPENDS_ON") == [(15, 1)]
+    assert store.expand_ids(1, Direction.OUT, "PEERS_WITH") == [(11, 2), (16, 2)]
 
 
 def test_relationship_access(store):
