@@ -460,8 +460,3 @@ class Query:
     def parts(self) -> tuple[tuple[Clause, ...], ...]:
         """The clause list of every UNION part, the main one first."""
         return (self.clauses, *(part.clauses for part in self.union_parts))
-
-
-@dataclass(frozen=True)
-class EmptyReturn(Clause):
-    """Internal sentinel for write-only queries (no RETURN clause)."""

@@ -19,13 +19,11 @@ memory without bound.
 MATCH clauses execute through the cost-based planner
 (:mod:`repro.cypher.planner`): WHERE conjuncts are pushed to bind time,
 indexed equality conjuncts become index seeks, and multi-pattern
-clauses are join-reordered; a clause of one fixed-length path runs on
-the matcher's batch operator (``op=BatchExpand`` in EXPLAIN and
-PROFILE), every other shape on its backtracking walk.
-``optimize=False`` builds a naive engine
-(textual pattern order, WHERE evaluated on complete bindings only) —
-the reference executor for the optimizer-equivalence test harness and
-the latency benchmarks' baseline.
+clauses are join-reordered.  Every MATCH, MERGE and pattern predicate
+then runs on one operator, the matcher's batch expansion
+(:meth:`PatternMatcher.expand`); MERGE and a pattern predicate hand it
+a one-pattern plan, made once per clause or predicate and set of bound
+variables.
 
 The engine is safe for concurrent *read* queries: per-run state
 (parameters, the active guard) lives in thread-local storage, and the
@@ -54,7 +52,7 @@ from repro.cypher.guard import QueryGuard
 from repro.cypher.lru import LRUCache
 from repro.cypher.matcher import PatternMatcher
 from repro.cypher.parser import parse
-from repro.cypher.planner import MatchPlan, describe_pattern, plan_match
+from repro.cypher.planner import MatchPlan, plan_match
 from repro.cypher.result import QueryResult, WriteStats
 from repro.cypher.values import (
     compare,
@@ -139,12 +137,8 @@ class CypherEngine:
         self,
         store: GraphStore,
         parse_cache_size: int = DEFAULT_PARSE_CACHE_SIZE,
-        optimize: bool = True,
     ):
         self.store = store
-        #: Optimizer switch: False forces the naive executor (textual
-        #: join order, no pushdown) — the equivalence-testing baseline.
-        self.optimize = optimize
         self._matcher = PatternMatcher(store, self._evaluate, self._tick)
         #: query text -> :class:`Statement` (the parse cache).
         self._statements: LRUCache = LRUCache(parse_cache_size)
@@ -189,6 +183,7 @@ class CypherEngine:
             with self.tracer.span("parse", query_chars=len(query)):
                 tree = self.statement(query).tree
         self._tls.guard = guard
+        self._tls.plans = {}
         try:
             with self.tracer.span("execute") as span:
                 if profiler is None:
@@ -278,35 +273,33 @@ class CypherEngine:
         for index, clauses in enumerate(parts, start=1):
             if len(parts) > 1:
                 plan.append(f"UNION PART {index}/{len(parts)}")
+            bound: frozenset[str] = frozenset()
             for clause in clauses:
                 if isinstance(clause, ast.MatchClause):
-                    plan.extend(self._explain_match(clause))
+                    plan.extend(self._explain_match(clause, bound))
                 elif isinstance(clause, ast.CallClause):
                     plan.append(self._explain_call(clause))
                 else:
                     plan.append(type(clause).__name__.replace("Clause", "").upper())
+                bound = _bound_after(clause, bound)
         warnings = QueryLinter(self.store).lint_tree(tree)
         return Explanation(plan, warnings)
 
-    def _explain_match(self, clause: ast.MatchClause) -> list[str]:
-        """Plan lines for one MATCH: per pattern in join order, the
+    def _explain_match(self, clause: ast.MatchClause, bound: frozenset[str]) -> list[str]:
+        """Plan lines for one MATCH, planned against the variables
+        earlier clauses bind: per pattern in join order, the
         anchor/access-path description; then one line per pushdown
         decision (promoted seeks, bind-time filters, the residual)."""
         kind = "OPTIONAL MATCH" if clause.optional else "MATCH"
-        if not self.optimize:
-            return [
-                f"{kind} {describe_pattern(pattern, (), self.store)}"
-                for pattern in clause.patterns
-            ]
-        match_plan = self._plan_clause(clause, frozenset())
+        match_plan = plan_match(
+            clause.patterns, clause.where, self.store, bound, statistics=self.statistics
+        )
         lines: list[str] = []
         total = len(match_plan.patterns)
-        for rank, (source, pattern) in enumerate(
-            zip(match_plan.order, match_plan.patterns, strict=True)
+        for rank, (source, anchor) in enumerate(
+            zip(match_plan.order, match_plan.describe_anchors(), strict=True)
         ):
-            line = f"{kind} {describe_pattern(pattern, (), self.store)}"
-            if match_plan.expand is not None:
-                line += " op=BatchExpand"
+            line = f"{kind} {anchor}"
             if total > 1:
                 line += f" join={rank + 1}/{total} pattern={source}"
             if match_plan.estimates is not None:
@@ -432,9 +425,7 @@ class CypherEngine:
 
     def _clause_detail(self, clause: ast.Clause) -> str:
         """The annotation shown next to a profiled operator; a MATCH
-        writes its own from the plan it executes (:meth:`_apply_match`)."""
-        if isinstance(clause, ast.MergeClause):
-            return describe_pattern(clause.pattern, (), self.store)
+        or MERGE writes its own from the plan it executes."""
         if isinstance(clause, ast.UnwindClause):
             return f"AS {clause.alias}"
         if isinstance(clause, (ast.WithClause, ast.ReturnClause)):
@@ -458,18 +449,6 @@ class CypherEngine:
 
     # -- reading clauses -------------------------------------------------
 
-    def _plan_clause(
-        self, clause: ast.MatchClause, bound: frozenset[str]
-    ) -> MatchPlan:
-        """Plan one MATCH clause against the current store statistics."""
-        return plan_match(
-            clause.patterns,
-            clause.where,
-            self.store,
-            bound,
-            statistics=self.statistics,
-        )
-
     def _apply_match(
         self, clause: ast.MatchClause, rows: list[Row], context: "_Context"
     ) -> list[Row]:
@@ -479,39 +458,25 @@ class CypherEngine:
         )
         # Rows of one pipeline stage share a variable set, so one plan
         # serves every row of the clause.
-        seed: Row = rows[0] if rows else {}
-        plan: MatchPlan | None = None
-        if self.optimize:
-            plan = self._plan_clause(clause, frozenset(seed))
-            patterns: tuple[ast.PathPattern, ...] = plan.patterns
-            pushed, anchors = plan.pushed or None, plan.anchors
-            prefilters, residual = plan.prefilters, plan.residual
-        else:
-            patterns, pushed, anchors = clause.patterns, None, None
-            prefilters, residual = (), clause.where
-        batch = plan if plan is not None and plan.expand is not None else None
+        bound = frozenset(rows[0] if rows else ())
+        plan = plan_match(
+            clause.patterns, clause.where, self.store, bound, statistics=self.statistics
+        )
+        prefilters, residual = plan.prefilters, plan.residual
         if context.node is not None:
             # PROFILE describes the plan that is about to run: same
             # bound variables, same join order, same pushdown.
             detail = "optional " if clause.optional else ""
-            detail += "; ".join(
-                describe_pattern(pattern, seed, self.store) for pattern in patterns
-            )
-            if batch is not None:
-                detail += " op=BatchExpand"
-            if plan is not None and plan.reordered:
+            detail += "; ".join(plan.describe_anchors())
+            if plan.reordered:
                 detail += f" join_order=[{','.join(map(str, plan.order))}]"
-            if plan is not None and plan.pushed_count():
+            if plan.pushed_count():
                 detail += f" pushed={plan.pushed_count()}"
             context.node.detail = detail
         for row in rows:
             matched = False
             if all(is_truthy(self._evaluate(p, row)) for p in prefilters):
-                for binding in (
-                    self._matcher.match_patterns(patterns, row, pushed, anchors)
-                    if batch is None
-                    else self._matcher.expand(batch, row)
-                ):
+                for binding in self._matcher.expand(plan, row):
                     self._tick()
                     if residual is not None:
                         if not is_truthy(self._evaluate(residual, binding)):
@@ -786,12 +751,27 @@ class CypherEngine:
             binding[node_pattern.variable] = node
         return node
 
+    def _plan_pattern(self, pattern: ast.PathPattern, row: Row) -> MatchPlan:
+        """The one-pattern plan MERGE and a pattern predicate run, made
+        once per run for each pattern and set of bound variables."""
+        key = (id(pattern), frozenset(row))
+        plans = self._tls.__dict__.setdefault("plans", {})
+        if key not in plans:
+            plans[key] = plan_match(
+                (pattern,), None, self.store, key[1], statistics=self.statistics
+            )
+        return plans[key]
+
     def _apply_merge(
         self, clause: ast.MergeClause, rows: list[Row], context: "_Context"
     ) -> list[Row]:
         output: list[Row] = []
+        # Rows of one pipeline stage share a variable set.
+        plan = self._plan_pattern(clause.pattern, rows[0] if rows else {})
+        if context.node is not None:
+            context.node.detail = "; ".join(plan.describe_anchors())
         for row in rows:
-            matches = list(self._matcher.match_single(clause.pattern, row))
+            matches = list(self._matcher.expand(plan, row))
             if matches:
                 for binding in matches:
                     if clause.on_match:
@@ -952,7 +932,8 @@ class CypherEngine:
         if isinstance(expression, ast.Reduce):
             return self._evaluate_reduce(expression, row, group_rows)
         if isinstance(expression, ast.PatternPredicate):
-            return self._matcher.pattern_exists(expression.pattern, row)
+            plan = self._plan_pattern(expression.pattern, row)
+            return any(True for _ in self._matcher.expand(plan, row))
         raise CypherRuntimeError(f"cannot evaluate {expression!r}")
 
     def _evaluate_list_predicate(
@@ -1204,6 +1185,24 @@ def _unique(items: list[Any], key: Callable[[Any], Any]) -> list[Any]:
             seen.add(identity)
             unique.append(item)
     return unique
+
+
+def _bound_after(clause: ast.Clause, bound: frozenset[str]) -> frozenset[str]:
+    """The variables bound once ``clause`` has run after ``bound``."""
+    if isinstance(clause, ast.WithClause):
+        aliases = frozenset(item.alias for item in clause.items)
+        return bound | aliases if clause.star else aliases
+    if isinstance(clause, ast.UnwindClause):
+        return bound | {clause.alias}
+    if isinstance(clause, ast.CallClause):
+        spec = get_procedure(clause.procedure)
+        names = [item.alias for item in clause.yields] or (spec.columns if spec else ())
+        return bound | frozenset(names)
+    if isinstance(clause, ast.MergeClause):
+        return bound | clause.pattern.variables()
+    if isinstance(clause, (ast.MatchClause, ast.CreateClause)):
+        return bound.union(*(pattern.variables() for pattern in clause.patterns))
+    return bound
 
 
 def _merge_stats(target: WriteStats, other: WriteStats) -> None:

@@ -12,7 +12,7 @@ import math
 from typing import Any, Callable
 
 from repro.cypher.errors import CypherRuntimeError
-from repro.cypher.values import sort_key
+from repro.cypher.values import Path, sort_key
 from repro.graphdb.model import Node, Relationship
 
 def _null_safe(func: Callable[..., Any]) -> Callable[..., Any]:
@@ -27,6 +27,8 @@ def _null_safe(func: Callable[..., Any]) -> Callable[..., Any]:
 
 
 def _size(value: Any) -> Any:
+    if isinstance(value, Path):
+        return len(value) // 2 + 1
     if isinstance(value, (list, tuple, str, dict)):
         return len(value)
     raise CypherRuntimeError(f"size() not defined for {type(value).__name__}")
@@ -141,10 +143,10 @@ def _round(value: float, precision: int = 0) -> float:
     return result if precision else float(result)
 
 
-def _start_node(store_getter, value: Any) -> Node:
-    if not isinstance(value, Relationship):
-        raise CypherRuntimeError("startNode() requires a relationship")
-    return store_getter(value.start_id)
+def _length(value: Any) -> Any:
+    if isinstance(value, Path):
+        return len(value) // 2
+    return _size(value)
 
 
 def _path_nodes(value: Any) -> list[Node]:
@@ -163,7 +165,7 @@ SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "nodes": _null_safe(_path_nodes),
     "relationships": _null_safe(_path_relationships),
     "size": _null_safe(_size),
-    "length": _null_safe(_size),
+    "length": _null_safe(_length),
     "labels": _null_safe(_labels),
     "type": _null_safe(_type),
     "id": _null_safe(_id),

@@ -1,654 +1,354 @@
-"""Graph pattern matching for MATCH / MERGE / pattern predicates.
+"""Graph pattern matching for MATCH, MERGE and pattern predicates.
 
-Each path pattern is walked from an anchor element (a bound variable, an
-indexed label+property seek, or the smallest label scan), expanding
-rightward and leftward with backtracking.  The anchor is the planner's
-decision (:func:`repro.cypher.planner.choose_anchor`): a planned MATCH
-hands the matcher the anchors its plan recorded, every other caller has
-the same function choose one against its binding.  Cypher's
-relationship isomorphism is enforced: within one MATCH clause a
-relationship is traversed at most once, which is what makes the paper's
-MOAS query (Listing 2) return genuinely distinct origin links.
+One operator, :meth:`PatternMatcher.expand`, finds every binding.  It
+runs a :class:`repro.cypher.planner.MatchPlan` over rows of int ids, a
+level (:class:`repro.cypher.planner.ExpandStep`) at a time: a pattern's
+anchor candidates, then one hop per level, each later pattern of the
+clause extending the same row.  Per incoming binding it keeps each
+(step, node) expansion and each (step, id) verdict, so a hub reached by
+many paths is read once.  ``Node`` and ``Relationship`` objects are built
+only for the named variables of surviving rows, path values from the id
+columns at the end.
 
-A planned MATCH of one fixed-length path (``MatchPlan.expand`` set)
-skips the walk: :meth:`PatternMatcher.expand` grows rows of int ids a
-level at a time, so a hub reached by many paths is expanded once.  The
-walk serves every other shape — multi-pattern joins, variable-length
-hops, ``shortestPath``, MERGE, pattern predicates — until the join
-operator replaces it.
-
-Two optimizer hooks plug into the walk (see
-:mod:`repro.cypher.planner`):
-
-- **pushed predicates** — a mapping from variable name to WHERE
-  conjuncts that only depend on that variable; each is evaluated the
-  instant its variable binds, pruning the search tree at the earliest
-  possible point instead of filtering complete bindings.
-- **binding reuse** — the walk mutates a single working dict with an
-  undo trail per backtrack point rather than copying the whole binding
-  on every expansion step; a snapshot is taken only when a complete
-  match is yielded, so the copy cost is O(results), not O(steps).
+Rows come out in the order a backtracking walk of the same plan yields
+them: levels grow in row order, each row in adjacency order (depth
+first for a variable-length hop, breadth first for ``shortestPath``).
+Relationship isomorphism holds across the clause, which is what makes
+the paper's MOAS query (Listing 2) return distinct origin links.
+Pushed predicates (:mod:`repro.cypher.planner`) are checked the instant
+their variable binds, after its labels and inline map.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 from repro.cypher import ast
 from repro.cypher.errors import CypherRuntimeError
-from repro.cypher.planner import Anchor, MatchPlan, choose_anchor
-from repro.cypher.values import equals, is_truthy
-from repro.graphdb.model import Direction, Node, Relationship
+from repro.cypher.planner import ExpandStep, MatchPlan
+from repro.cypher.values import Path, equals, is_truthy
+from repro.graphdb.model import Node
 from repro.graphdb.store import GraphStore
 from repro.obs import record_access
 
 Binding = dict[str, Any]
 Evaluator = Callable[[ast.Expression, Binding], Any]
 Tick = Callable[[], None]
-#: Bind-time predicates: variable name -> conjuncts to check on bind.
-Pushed = Mapping[str, tuple[ast.Expression, ...]]
-
-_DIRECTIONS = {"out": Direction.OUT, "in": Direction.IN, "both": Direction.BOTH}
-
-
-def _no_tick() -> None:
-    """Default cancellation hook: do nothing."""
-
+Row = tuple[Any, ...]
 
 class PatternMatcher:
-    """Matches path patterns against a :class:`GraphStore`.
+    """Matches planned patterns against a :class:`GraphStore`.
 
     ``tick`` is a cooperative-cancellation hook called from the matching
     inner loops; the engine wires it to the active query's guard so a
     runaway traversal can be aborted mid-match (admission control).
 
     The matcher holds no per-query state — one instance serves every
-    concurrent query of an engine — so pushed predicates travel through
-    the call chain rather than living on ``self``.
+    concurrent query of an engine — so each call's state and memos live
+    in an :class:`_Expansion` of its own.
     """
 
-    def __init__(self, store: GraphStore, evaluate: Evaluator, tick: Tick = _no_tick):
+    def __init__(self, store: GraphStore, evaluate: Evaluator, tick: Tick):
         self._store = store
         self._evaluate = evaluate
         self._tick = tick
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-
-    def match_patterns(
-        self,
-        patterns: tuple[ast.PathPattern, ...],
-        binding: Binding,
-        pushed: Pushed | None = None,
-        anchors: tuple[Anchor, ...] | None = None,
-    ) -> Iterator[Binding]:
-        """Yield bindings satisfying *all* patterns (one MATCH clause).
-
-        ``anchors`` are the plan's per-pattern anchors; without a plan
-        each pattern's anchor is chosen against the binding it meets."""
-        steps = tuple(
-            zip(patterns, anchors or (None,) * len(patterns), strict=True)
-        )
-        yield from self._match_rest(steps, binding, frozenset(), pushed)
-
     def expand(self, plan: MatchPlan, binding: Binding) -> Iterator[Binding]:
-        """The batch operator: the bindings of ``plan``'s one path
-        pattern (``plan.expand`` is set), in exactly the walk's order.
+        """The bindings of ``plan``'s patterns that extend ``binding``."""
+        call = _Expansion(self, plan, binding)
+        rows: list[Row] = [()]
+        for step in plan.expand:
+            if not rows:
+                return
+            rows = call.start(step, rows) if step.kind == "start" else call.hop(step, rows)
+        yield from call.materialize(rows)
 
-        Expands a level at a time over rows of int ids — the anchor's
-        node id, then a (relationship id, node id) pair per step — and
-        keeps, for this incoming row only, each (step, node) expansion
-        and each (step, node) verdict, so a hub's subtree is read once
-        however many paths reach it.  Per candidate it checks what the
-        walk checks, in the walk's order: isomorphism (only against
-        hops whose types can overlap), the relationship's inline map
-        and pushed filters, then the node's labels, inline map and
-        pushed filters.  ``Node`` / ``Relationship`` objects are built
-        only for the named variables of surviving rows."""
-        store, tick, evaluate = self._store, self._tick, self._evaluate
-        pattern, anchor, pushed = plan.patterns[0], plan.anchors[0], plan.pushed
 
-        def admits(element: ast.NodePattern | ast.RelPattern, entity: Any) -> bool:
-            """Inline map, then — for a newly bound variable — its
-            pushed filters, evaluated as the walk would."""
-            for key, value_expr in element.properties:
-                expected = evaluate(value_expr, binding)
-                if equals(entity.properties.get(key), expected) is not True:
-                    return False
-            variable = element.variable
-            if variable in binding:
-                existing = binding[variable]
-                return isinstance(existing, Node) and existing.id == entity.id
-            if not pushed.get(variable or ""):
-                return True
-            scope = dict(binding)
-            scope[variable] = entity
-            return all(is_truthy(evaluate(p, scope)) for p in pushed[variable])
+class _Expansion:
+    """One :meth:`PatternMatcher.expand` call: its plan, its incoming
+    binding and the nodes it has fetched."""
 
-        def node_verdict(node: ast.NodePattern, node_id: int) -> bool:
-            if node.labels and not store.node_labels(node_id).issuperset(
-                node.labels
-            ):
+    def __init__(self, matcher: PatternMatcher, plan: MatchPlan, binding: Binding):
+        self.store, self.evaluate = matcher._store, matcher._evaluate
+        self.tick, self.plan, self.binding = matcher._tick, plan, binding
+        self.nodes: dict[int, Node] = {}
+
+    def node(self, node_id: int) -> Node:
+        node = self.nodes.get(node_id)
+        if node is None:
+            node = self.nodes[node_id] = self.store.get_node(node_id)
+        return node
+
+    def entity(self, kind: str, value: Any) -> Any:
+        """The value of a ``node``, ``rel`` or ``rels`` column."""
+        if kind == "node":
+            return self.node(value)
+        if kind == "rel":
+            return self.store.get_relationship(value)
+        return [self.store.get_relationship(rel_id) for rel_id in value]
+
+    def scope(self, row: Row) -> Binding:
+        """The binding plus the variables ``row`` holds so far: what an
+        inline map reading earlier variables of the clause evaluates in."""
+        scope = dict(self.binding)
+        for variable, column, kind in self.plan.named:
+            if column < len(row):
+                scope[variable] = self.entity(kind, row[column])
+        return scope
+
+    def pushed(self, variable: str | None, same: int | None) -> tuple[ast.Expression, ...]:
+        """The filters to check when ``variable`` binds here: none where
+        an earlier column already bound it."""
+        return () if same is not None else self.plan.pushed.get(variable or "", ())
+
+    def holds(
+        self, element: ast.NodePattern | ast.RelPattern, entity: Any, scope: Binding
+    ) -> bool:
+        """``element``'s inline map holds for ``entity``."""
+        for key, value in element.properties:
+            if equals(entity.properties.get(key), self.evaluate(value, scope)) is not True:
                 return False
-            variable = node.variable or ""
-            if node.properties or variable in binding or pushed.get(variable):
-                return admits(node, store.get_node(node_id))
-            return True
+        return True
 
-        start = pattern.nodes[anchor.position]
-        rows: list[tuple[int, ...]] = []
+    def admits(
+        self,
+        element: ast.NodePattern | ast.RelPattern,
+        entity: Any,
+        scope: Binding,
+        pushed: tuple[ast.Expression, ...],
+        properties: bool = True,
+    ) -> bool:
+        """Inline map, then the variable: equal to its incoming value,
+        or — newly bound — passing its pushed filters."""
+        if properties and not self.holds(element, entity, scope):
+            return False
+        variable = element.variable
+        if variable in self.binding:
+            return self.binding[variable] == entity
+        if not pushed:
+            return True
+        inner = dict(scope)
+        inner[variable or ""] = entity
+        return all(is_truthy(self.evaluate(p, inner)) for p in pushed)
+
+    # ------------------------------------------------------------------
+    # Levels
+    # ------------------------------------------------------------------
+
+    def start(self, step: ExpandStep, rows: list[Row]) -> list[Row]:
+        """A pattern's first column: the node a row already holds, or its
+        anchor's admitted candidates — found once and crossed with every
+        row, unless an inline map reads the row."""
+        node, source, per_row, tick = step.node, step.source, step.per_row, self.tick
+        pushed = self.pushed(node.variable, source)
         binds = 0
-        try:
-            for candidate in self._anchor_candidates(start, anchor, binding):
+
+        def admitted(row: Row) -> list[int]:
+            nonlocal binds
+            scope = self.scope(row) if per_row else self.binding
+            if source is not None:
+                candidates: Any = (self.node(row[source]),)
+            else:
+                candidates = self.candidates(step, scope)
+            ids = []
+            for candidate in candidates:
                 tick()
                 binds += 1
-                if node_verdict(start, candidate.id):
-                    rows.append((candidate.id,))
-        finally:
-            if binds:
-                record_access("bind_attempt", binds)
-        elements: list[tuple[ast.NodePattern | ast.RelPattern, Callable]] = [
-            (start, store.get_node)
-        ]
-        for step in plan.expand:
-            elements += [(step.rel, store.get_relationship), (step.node, store.get_node)]
-            direction = _DIRECTIONS[step.direction]
-            types = step.rel.types or (None,)
-            exclusive, source = step.exclusive, step.source
-            check_rel = bool(step.rel.properties or pushed.get(step.rel.variable or ""))
-            expansions: dict[int, list[tuple[int, int]]] = {}
-            rel_verdicts: dict[int, bool] = {}
-            verdicts: dict[int, bool] = {}
-            grown: list[tuple[int, ...]] = []
-            for row in rows:
-                pairs = expansions.get(row[source])
-                if pairs is None:
-                    pairs = expansions[row[source]] = [
-                        pair
-                        for rel_type in types
-                        for pair in store.expand_ids(row[source], direction, rel_type)
-                    ]
-                for rel_id, other in pairs:
-                    tick()
-                    if exclusive and any(row[i] == rel_id for i in exclusive):
-                        continue
-                    if check_rel:
-                        verdict = rel_verdicts.get(rel_id)
-                        if verdict is None:
-                            verdict = rel_verdicts[rel_id] = admits(
-                                step.rel, store.get_relationship(rel_id)
-                            )
-                        if not verdict:
-                            continue
-                    verdict = verdicts.get(other)
-                    if verdict is None:
-                        verdict = verdicts[other] = node_verdict(step.node, other)
-                    if verdict:
-                        grown.append(row + (rel_id, other))
-            rows = grown
-        # Late materialization: one lookup per named element and id.
-        named = [
-            (index, element.variable, {}, materialize)
-            for index, (element, materialize) in enumerate(elements)
-            if element.variable and element.variable not in binding
-        ]
-        for row in rows:
-            out = dict(binding)
-            for index, variable, built, materialize in named:
-                entity = built.get(row[index])
-                if entity is None:
-                    entity = built[row[index]] = materialize(row[index])
-                out[variable] = entity
-            yield out
-
-    def match_single(
-        self, pattern: ast.PathPattern, binding: Binding
-    ) -> Iterator[Binding]:
-        """Yield bindings for one pattern (used by MERGE)."""
-        for extended, _rels in self._match_path(pattern, binding, frozenset(), None):
-            yield extended
-
-    def pattern_exists(self, pattern: ast.PathPattern, binding: Binding) -> bool:
-        """Return True when the pattern has at least one match."""
-        for _ in self._match_path(pattern, binding, frozenset(), None):
-            return True
-        return False
-
-    # ------------------------------------------------------------------
-    # Multi-pattern join
-    # ------------------------------------------------------------------
-
-    def _match_rest(
-        self,
-        steps: tuple[tuple[ast.PathPattern, Anchor | None], ...],
-        binding: Binding,
-        used_rels: frozenset[int],
-        pushed: Pushed | None,
-    ) -> Iterator[Binding]:
-        if not steps:
-            yield binding
-            return
-        pattern, anchor = steps[0]
-        for extended, rels in self._match_path(
-            pattern, binding, used_rels, pushed, anchor
-        ):
-            yield from self._match_rest(
-                steps[1:], extended, used_rels | rels, pushed
-            )
-
-    # ------------------------------------------------------------------
-    # Single path
-    # ------------------------------------------------------------------
-
-    def _match_path(
-        self,
-        pattern: ast.PathPattern,
-        binding: Binding,
-        used_rels: frozenset[int],
-        pushed: Pushed | None,
-        planned: Anchor | None = None,
-    ) -> Iterator[tuple[Binding, frozenset[int]]]:
-        chosen = planned or choose_anchor(pattern, binding, self._store)
-        if pattern.shortest:
-            yield from self._match_shortest(
-                pattern, binding, used_rels, pushed, chosen
-            )
-            return
-        anchor = chosen.position  # the walk's fixed point in pattern.nodes
-        # One working dict per path; the walk mutates it in place and
-        # unwinds its own additions when backtracking.
-        work = dict(binding)
-        assigned: dict[int, Node] = {}
-        local_rels: set[int] = set()
-        # Anchor bind attempts are tallied locally and flushed once per
-        # path — a per-attempt record_access would dominate this hot
-        # path.  Walk-phase volume is already accounted row-accurately
-        # by the store's expand / rels_expanded counters.
-        binds = 0
-        try:
-            for candidate in self._anchor_candidates(
-                pattern.nodes[anchor], chosen, work
-            ):
-                self._tick()
-                binds += 1
-                trail: list[str] = []
-                if self._bind_node(
-                    pattern.nodes[anchor], candidate, work, trail, pushed
+                if candidate.labels.issuperset(node.labels) and self.admits(
+                    node, candidate, scope, pushed
                 ):
-                    assigned[anchor] = candidate
-                    yield from self._walk_right(
-                        pattern, anchor, anchor, work, assigned, used_rels,
-                        local_rels, pushed,
-                    )
-                    del assigned[anchor]
-                for key in trail:
-                    del work[key]
+                    self.nodes[candidate.id] = candidate
+                    ids.append(candidate.id)
+            return ids
+
+        try:
+            shared = None if source is not None or per_row else admitted(())
+            grown: list[Row] = []
+            for row in rows:
+                tick()
+                ids = admitted(row) if shared is None else shared
+                grown.extend([row + (node_id,) for node_id in ids])
+            return grown
         finally:
             if binds:
                 record_access("bind_attempt", binds)
 
-    def _walk_right(
-        self,
-        pattern: ast.PathPattern,
-        anchor: int,
-        position: int,
-        work: Binding,
-        assigned: dict[int, Node],
-        used_rels: frozenset[int],
-        local_rels: set[int],
-        pushed: Pushed | None,
-    ) -> Iterator[tuple[Binding, frozenset[int]]]:
-        if position == len(pattern.nodes) - 1:
-            yield from self._walk_left(
-                pattern, anchor, work, assigned, used_rels, local_rels, pushed
-            )
-            return
-        rel_pattern = pattern.relationships[position]
-        next_pattern = pattern.nodes[position + 1]
-        for rels, neighbor in self._step(
-            assigned[position], rel_pattern, used_rels, local_rels, work,
-            reverse=False,
-        ):
-            trail: list[str] = []
-            if self._bind_step(
-                rel_pattern, rels, next_pattern, neighbor, work, trail, pushed
-            ):
-                added = [rel.id for rel in rels]
-                local_rels.update(added)
-                assigned[position + 1] = neighbor
-                yield from self._walk_right(
-                    pattern, anchor, position + 1, work, assigned, used_rels,
-                    local_rels, pushed,
-                )
-                del assigned[position + 1]
-                local_rels.difference_update(added)
-            for key in trail:
-                del work[key]
+    def hop(self, step: ExpandStep, rows: list[Row]) -> list[Row]:
+        """One relationship level: per row, the admitted (relationship,
+        node) pairs leaving the node in column ``step.source``."""
+        store, tick, binding = self.store, self.tick, self.binding
+        rel, node, source = step.rel, step.node, step.source
+        assert rel is not None and source is not None
+        single, per_row, direction = step.kind == "hop", step.per_row, step.direction
+        types = rel.types or (None,)
+        exclusive, exclusive_paths = step.exclusive, step.exclusive_paths
+        same_rel, same_node = step.same_rel, step.same_node
+        rel_pushed = self.pushed(rel.variable, same_rel)
+        node_pushed = self.pushed(node.variable, same_node)
+        # Beyond type and isomorphism; a tuple's inline map is checked
+        # per relationship while searching.
+        check_rel = bool(
+            (single and rel.properties) or rel_pushed or rel.variable in binding
+        )
+        check_node = bool(node.properties or node_pushed or node.variable in binding)
+        expansions: dict[int, list[tuple[int, int]]] = {}
+        rel_verdicts: dict[Any, bool] = {}
+        verdicts: dict[int, bool] = {}
+        grown: list[Row] = []
+        for row in rows:
+            scope = self.scope(row) if per_row else binding
+            if not single:
+                pairs: Any = self.search(step, row, scope)
+            elif (pairs := expansions.get(row[source])) is None:
+                pairs = expansions[row[source]] = [
+                    pair
+                    for rel_type in types
+                    for pair in store.expand_ids(row[source], direction, rel_type)
+                ]
+            for slot, other in pairs:
+                tick()
+                if single:
+                    if exclusive and any(row[i] == slot for i in exclusive):
+                        continue
+                    if exclusive_paths and any(slot in row[i] for i in exclusive_paths):
+                        continue
+                elif step.reverse:
+                    slot = slot[::-1]
+                if check_rel:
+                    verdict = None if per_row else rel_verdicts.get(slot)
+                    if verdict is None:
+                        entity = self.entity("rel" if single else "rels", slot)
+                        verdict = rel_verdicts[slot] = self.admits(
+                            rel, entity, scope, rel_pushed, single
+                        )
+                    if not verdict:
+                        continue
+                if same_rel is not None and row[same_rel] != slot:
+                    continue
+                verdict = None if per_row else verdicts.get(other)
+                if verdict is None:
+                    if node.labels and not store.node_labels(other).issuperset(node.labels):
+                        verdict = False
+                    elif check_node:
+                        # The node's inline map may read the relationship
+                        # just traversed.
+                        node_scope = self.scope(row + (slot,)) if per_row else binding
+                        verdict = self.admits(
+                            node, self.node(other), node_scope, node_pushed
+                        )
+                    else:
+                        verdict = True
+                    verdicts[other] = verdict
+                if verdict and (same_node is None or row[same_node] == other):
+                    grown.append(row + (slot, other))
+        return grown
 
-    def _walk_left(
-        self,
-        pattern: ast.PathPattern,
-        position: int,
-        work: Binding,
-        assigned: dict[int, Node],
-        used_rels: frozenset[int],
-        local_rels: set[int],
-        pushed: Pushed | None,
-    ) -> Iterator[tuple[Binding, frozenset[int]]]:
-        if position == 0:
-            # A complete match: snapshot the working dict — the only
-            # copy this path makes per result.
-            snapshot = dict(work)
-            if pattern.path_variable:
-                snapshot[pattern.path_variable] = self._materialize_path(
-                    pattern, assigned, work
-                )
-            yield snapshot, frozenset(local_rels)
-            return
-        rel_pattern = pattern.relationships[position - 1]
-        prev_pattern = pattern.nodes[position - 1]
-        for rels, neighbor in self._step(
-            assigned[position], rel_pattern, used_rels, local_rels, work,
-            reverse=True,
-        ):
-            trail: list[str] = []
-            if self._bind_step(
-                rel_pattern, rels, prev_pattern, neighbor, work, trail, pushed
-            ):
-                added = [rel.id for rel in rels]
-                local_rels.update(added)
-                assigned[position - 1] = neighbor
-                yield from self._walk_left(
-                    pattern, position - 1, work, assigned, used_rels,
-                    local_rels, pushed,
-                )
-                del assigned[position - 1]
-                local_rels.difference_update(added)
-            for key in trail:
-                del work[key]
+    def search(
+        self, step: ExpandStep, row: Row, scope: Binding
+    ) -> Iterator[tuple[tuple[int, ...], int]]:
+        """A variable-length hop's ``(relationship ids, end node)`` pairs
+        from the row's source node, in traversal order: depth first from
+        a stack, or — ``shortestPath`` — breadth first with one path per
+        end node.  A relationship is used at most once per row; its
+        variable binds later, its inline map is checked here."""
+        store, tick, rel = self.store, self.tick, step.rel
+        assert rel is not None and step.source is not None
+        direction = step.direction
+        used = {row[i] for i in step.exclusive}
+        used.update(rel_id for i in step.exclusive_paths for rel_id in row[i])
 
-    def _materialize_path(
-        self, pattern: ast.PathPattern, assigned: dict[int, Node], binding: Binding
-    ) -> list[Any]:
-        """A path value is the alternating node/relationship list."""
-        elements: list[Any] = []
-        for index, _node_pattern in enumerate(pattern.nodes):
-            elements.append(assigned[index])
-            if index < len(pattern.relationships):
-                rel_pattern = pattern.relationships[index]
-                if rel_pattern.variable and rel_pattern.variable in binding:
-                    elements.append(binding[rel_pattern.variable])
-        return elements
+        def incident(node_id: int) -> Iterator[tuple[int, int]]:
+            for rel_type in rel.types or (None,):
+                for rel_id, other in store.expand_ids(node_id, direction, rel_type):
+                    if rel_id not in used:
+                        yield rel_id, other
 
-    # ------------------------------------------------------------------
-    # shortestPath()
-    # ------------------------------------------------------------------
+        def holds(rel_id: int) -> bool:
+            return self.holds(rel, store.get_relationship(rel_id), scope)
 
-    def _match_shortest(
-        self,
-        pattern: ast.PathPattern,
-        binding: Binding,
-        used_rels: frozenset[int],
-        pushed: Pushed | None,
-        anchor: Anchor,
-    ) -> Iterator[tuple[Binding, frozenset[int]]]:
-        """BFS from each start candidate; one shortest path per end node."""
-        if len(pattern.relationships) != 1:
-            raise CypherRuntimeError(
-                "shortestPath() supports a single relationship pattern"
-            )
-        rel_pattern = pattern.relationships[0]
-        start_pattern, end_pattern = pattern.nodes
-        flipped = False
-        # Anchor the BFS at the cheaper end (BFS explores the same ball
-        # either way; starting from the selective end avoids one scan
-        # per anchor candidate).
-        if anchor.position == 1:
-            start_pattern, end_pattern = end_pattern, start_pattern
-            if rel_pattern.direction != "both":
-                rel_pattern = replace(
-                    rel_pattern,
-                    direction="in" if rel_pattern.direction == "out" else "out",
-                )
-            flipped = True
-        limit = 10**9 if rel_pattern.max_hops == -1 else max(rel_pattern.max_hops, 1)
-        for start_node in self._anchor_candidates(start_pattern, anchor, binding):
-            record_access("bind_attempt")
-            base = dict(binding)
-            if not self._bind_node(start_pattern, start_node, base, None, pushed):
-                continue
-            visited: set[int] = {start_node.id}
-            frontier: list[tuple[Node, list[Relationship]]] = [(start_node, [])]
+        start = row[step.source]
+        if step.kind == "shortest":
+            limit = 10**9 if rel.max_hops == -1 else max(rel.max_hops, 1)
+            visited = {start}
+            frontier: list[tuple[int, tuple[int, ...]]] = [(start, ())]
             depth = 0
             while frontier and depth < limit:
                 depth += 1
-                next_frontier: list[tuple[Node, list[Relationship]]] = []
-                for node, path in frontier:
-                    for rel in self._incident(
-                        node, rel_pattern.direction, rel_pattern.types
-                    ):
-                        self._tick()
-                        if rel.id in used_rels:
+                next_frontier = []
+                for node_id, path in frontier:
+                    for rel_id, other in incident(node_id):
+                        tick()
+                        if other in visited or not holds(rel_id):
                             continue
-                        other = self._store.get_node(rel.other_end(node.id))
-                        if other.id in visited:
-                            continue
-                        if not self._rel_properties_match(rel, rel_pattern, base):
-                            continue
-                        visited.add(other.id)
-                        new_path = path + [rel]
-                        next_frontier.append((other, new_path))
-                        if depth < rel_pattern.min_hops:
-                            continue
-                        extended = dict(base)
-                        if not self._bind_node(
-                            end_pattern, other, extended, None, pushed
-                        ):
-                            continue
-                        if rel_pattern.variable:
-                            extended[rel_pattern.variable] = list(new_path)
-                        if pattern.path_variable:
-                            elements: list = [start_node]
-                            for hop in new_path:
-                                previous = elements[-1]
-                                elements.append(hop)
-                                elements.append(
-                                    self._store.get_node(hop.other_end(previous.id))
-                                )
-                            if flipped:
-                                elements.reverse()
-                            extended[pattern.path_variable] = elements
-                        yield extended, frozenset(r.id for r in new_path)
+                        visited.add(other)
+                        extended = path + (rel_id,)
+                        next_frontier.append((other, extended))
+                        if depth >= rel.min_hops:
+                            yield extended, other
                 frontier = next_frontier
+            return
+        limit = 10**9 if rel.max_hops == -1 else rel.max_hops
+        stack: list[tuple[int, tuple[int, ...]]] = [(start, ())]
+        while stack:
+            tick()
+            node_id, path = stack.pop()
+            if len(path) >= rel.min_hops:
+                yield path, node_id
+            if len(path) < limit:
+                stack.extend(
+                    (other, path + (rel_id,))
+                    for rel_id, other in incident(node_id)
+                    if rel_id not in path and holds(rel_id)
+                )
 
     # ------------------------------------------------------------------
-    # Anchor candidates
+    # Anchor candidates and materialization
     # ------------------------------------------------------------------
 
-    def _anchor_candidates(
-        self, node: ast.NodePattern, anchor: Anchor, binding: Binding
-    ) -> Iterator[Node]:
-        """The nodes ``anchor`` says to try for its ``node`` pattern."""
+    def candidates(self, step: ExpandStep, scope: Binding) -> Iterator[Node]:
+        """The nodes the step's anchor says to try for its node."""
+        anchor, variable = step.anchor, step.node.variable
+        assert anchor is not None
         if anchor.access == "bound":
-            value = binding[node.variable]
+            value = scope[variable or ""]
             if value is None:
                 return
             if not isinstance(value, Node):
-                raise CypherRuntimeError(f"variable {node.variable!r} is not a node")
+                raise CypherRuntimeError(f"variable {variable!r} is not a node")
             yield value
-        elif anchor.seek is not None:
+        elif anchor.seek is not None and anchor.label is not None:
             key, value_expr = anchor.seek
-            value = self._evaluate(value_expr, binding)
-            yield from self._store.find_nodes(anchor.label, key, value)
+            value = self.evaluate(value_expr, scope)
+            yield from self.store.find_nodes(anchor.label, key, value)
         elif anchor.label is not None:
-            yield from self._store.nodes_with_label(anchor.label)
+            yield from self.store.nodes_with_label(anchor.label)
         else:
             # Stream the full scan: clauses drain the matcher before any
             # mutation clause runs, so the store cannot change mid-iteration.
-            yield from self._store.iter_nodes()
+            yield from self.store.iter_nodes()
 
-    # ------------------------------------------------------------------
-    # Single step (fixed- and variable-length relationships)
-    # ------------------------------------------------------------------
-
-    def _step(
-        self,
-        current: Node,
-        rel_pattern: ast.RelPattern,
-        used_rels: frozenset[int],
-        local_rels: set[int],
-        binding: Binding,
-        reverse: bool,
-    ) -> Iterator[tuple[list[Relationship], Node]]:
-        direction = rel_pattern.direction
-        if reverse and direction != "both":
-            direction = "in" if direction == "out" else "out"
-        if (
-            rel_pattern.variable
-            and rel_pattern.variable in binding
-            and not rel_pattern.is_variable_length
-        ):
-            bound = binding[rel_pattern.variable]
-            if not isinstance(bound, Relationship):
-                return
-            if bound.id in used_rels or bound.id in local_rels:
-                return
-            if not self._rel_touches(bound, current, direction):
-                return
-            yield [bound], self._store.get_node(bound.other_end(current.id))
-            return
-        if not rel_pattern.is_variable_length:
-            for rel in self._incident(current, direction, rel_pattern.types):
-                self._tick()
-                if rel.id in used_rels or rel.id in local_rels:
-                    continue
-                if not self._rel_properties_match(rel, rel_pattern, binding):
-                    continue
-                yield [rel], self._store.get_node(rel.other_end(current.id))
-            return
-        # Variable-length: DFS with per-path relationship uniqueness.
-        limit = 10**9 if rel_pattern.max_hops == -1 else rel_pattern.max_hops
-        stack: list[tuple[Node, list[Relationship]]] = [(current, [])]
-        while stack:
-            self._tick()
-            node, path = stack.pop()
-            if len(path) >= rel_pattern.min_hops:
-                yield list(path), node
-            if len(path) >= limit:
-                continue
-            path_ids = {rel.id for rel in path}
-            for rel in self._incident(node, direction, rel_pattern.types):
-                if rel.id in used_rels or rel.id in local_rels or rel.id in path_ids:
-                    continue
-                if not self._rel_properties_match(rel, rel_pattern, binding):
-                    continue
-                stack.append(
-                    (self._store.get_node(rel.other_end(node.id)), path + [rel])
-                )
-
-    def _incident(
-        self, node: Node, direction: str, types: tuple[str, ...]
-    ) -> Iterator[Relationship]:
-        if types:
-            for rel_type in types:
-                yield from self._store.relationships_of(
-                    node.id, _DIRECTIONS[direction], rel_type
-                )
-        else:
-            yield from self._store.relationships_of(node.id, _DIRECTIONS[direction])
-
-    @staticmethod
-    def _rel_touches(rel: Relationship, node: Node, direction: str) -> bool:
-        if direction == "out":
-            return rel.start_id == node.id
-        if direction == "in":
-            return rel.end_id == node.id
-        return node.id in (rel.start_id, rel.end_id)
-
-    def _rel_properties_match(
-        self, rel: Relationship, rel_pattern: ast.RelPattern, binding: Binding
-    ) -> bool:
-        for key, value_expr in rel_pattern.properties:
-            expected = self._evaluate(value_expr, binding)
-            if equals(rel.properties.get(key), expected) is not True:
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Binding helpers
-    # ------------------------------------------------------------------
-
-    def _check_pushed(
-        self, variable: str, binding: Binding, pushed: Pushed | None
-    ) -> bool:
-        """Evaluate bind-time predicates for a freshly-bound variable."""
-        if not pushed:
-            return True
-        for predicate in pushed.get(variable, ()):
-            if not is_truthy(self._evaluate(predicate, binding)):
-                return False
-        return True
-
-    def _bind_node(
-        self,
-        node_pattern: ast.NodePattern,
-        node: Node,
-        binding: Binding,
-        trail: list[str] | None = None,
-        pushed: Pushed | None = None,
-    ) -> bool:
-        """Bind a node into the working dict.
-
-        Keys added are appended to ``trail`` so the caller can unwind on
-        backtrack; a False return still records its additions (the
-        caller unwinds unconditionally).
-        """
-        if node_pattern.labels and not all(
-            label in node.labels for label in node_pattern.labels
-        ):
-            return False
-        for key, value_expr in node_pattern.properties:
-            expected = self._evaluate(value_expr, binding)
-            if equals(node.properties.get(key), expected) is not True:
-                return False
-        variable = node_pattern.variable
-        if variable:
-            if variable in binding:
-                existing = binding[variable]
-                if not isinstance(existing, Node) or existing.id != node.id:
-                    return False
-                # Re-binding an already-bound variable: pushed predicates
-                # were checked when it first bound.
-                return True
-            binding[variable] = node
-            if trail is not None:
-                trail.append(variable)
-            if not self._check_pushed(variable, binding, pushed):
-                return False
-        return True
-
-    def _bind_step(
-        self,
-        rel_pattern: ast.RelPattern,
-        rels: list[Relationship],
-        node_pattern: ast.NodePattern,
-        node: Node,
-        binding: Binding,
-        trail: list[str] | None = None,
-        pushed: Pushed | None = None,
-    ) -> bool:
-        variable = rel_pattern.variable
-        if variable:
-            value: Any = list(rels) if rel_pattern.is_variable_length else rels[0]
-            if variable in binding:
-                if binding[variable] != value:
-                    return False
-            else:
-                binding[variable] = value
-                if trail is not None:
-                    trail.append(variable)
-                if not self._check_pushed(variable, binding, pushed):
-                    return False
-        return self._bind_node(node_pattern, node, binding, trail, pushed)
+    def materialize(self, rows: list[Row]) -> Iterator[Binding]:
+        """One binding per row: one lookup per named element and id."""
+        nodes, get_node = self.nodes, self.store.get_node
+        get_relationship = self.store.get_relationship
+        for row in rows:
+            out = dict(self.binding)
+            for variable, column, kind in self.plan.named:
+                if kind == "node":  # the hot case, looked up inline
+                    node = nodes.get(row[column])
+                    if node is None:
+                        node = nodes[row[column]] = get_node(row[column])
+                    out[variable] = node
+                else:
+                    out[variable] = self.entity(kind, row[column])
+            for variable, first, rel_columns in self.plan.paths:
+                current = row[first]
+                path = Path([self.node(current)])
+                for column in rel_columns:
+                    slot = row[column]
+                    for rel_id in slot if isinstance(slot, tuple) else (slot,):
+                        relationship = get_relationship(rel_id)
+                        current = relationship.other_end(current)
+                        path += (relationship, self.node(current))
+                out[variable] = path
+            yield out

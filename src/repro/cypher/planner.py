@@ -1,9 +1,9 @@
 """Cost-based planning for one MATCH clause.
 
-The naive executor matched patterns in textual order and evaluated the
-whole WHERE expression only after the full pattern product had been
-enumerated.  The planner turns each MATCH clause into a
-:class:`MatchPlan` that the engine and matcher execute instead:
+Matching patterns in textual order and evaluating the whole WHERE only
+after the full pattern product is enumerated gives the right answer
+slowly.  The planner turns each MATCH clause into a :class:`MatchPlan`
+that the engine and the matcher's batch operator execute instead:
 
 - **Conjunct decomposition** — WHERE is split on top-level ``AND`` into
   conjuncts, each classified independently.  The conjunction is true
@@ -30,9 +30,13 @@ enumerated.  The planner turns each MATCH clause into a
   run before any cartesian product.  Result multisets are order
   independent — relationship isomorphism is enforced over the whole
   clause regardless of pattern order — so reordering is safe.
+- **Expansion steps** — the ordered patterns become one list of
+  :class:`ExpandStep`, the levels the batch operator grows its id rows
+  by: each later pattern extends the same row, anchored on a node the
+  row already holds or on its own anchor.
 
 Everything that cannot be classified stays in ``residual`` and is
-evaluated exactly where the naive executor evaluated the full WHERE.
+evaluated on complete bindings.
 """
 
 from __future__ import annotations
@@ -41,14 +45,15 @@ from dataclasses import dataclass, field, replace
 from typing import Collection, Mapping, NamedTuple, TypeVar
 
 from repro.cypher import ast
+from repro.cypher.errors import CypherRuntimeError
 from repro.cypher.render import PLAIN
+from repro.graphdb.model import Direction
 from repro.graphdb.store import GraphStore
 
 __all__ = [
     "Anchor",
     "MatchPlan",
     "choose_anchor",
-    "describe_pattern",
     "plan_match",
     "split_conjuncts",
     "free_variables",
@@ -56,6 +61,10 @@ __all__ = [
 ]
 
 _Element = TypeVar("_Element", ast.NodePattern, ast.RelPattern)
+Named = tuple[str, int, str]
+PathColumns = tuple[str, int, tuple[int, ...]]
+#: A relationship's direction when it is walked against its pattern.
+_REVERSED = {"out": "in", "in": "out", "both": "both"}
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +126,18 @@ class MatchPlan:
     patterns: tuple[ast.PathPattern, ...]
     #: ``order[i]`` is the textual index of ``patterns[i]``.
     order: tuple[int, ...]
-    #: ``anchors[i]`` is where the walk of ``patterns[i]`` starts, chosen
-    #: against the incoming variables plus everything ``patterns[:i]``
-    #: bind — the matcher executes it as given.
+    #: ``anchors[i]`` is where ``patterns[i]`` starts, chosen against the
+    #: incoming variables plus everything ``patterns[:i]`` bind — the
+    #: matcher executes it as given.
     anchors: tuple[Anchor, ...]
+    #: The batch operator's steps over every pattern, in plan order.
+    expand: tuple[ExpandStep, ...]
+    #: ``(variable, column, kind)`` per variable the clause introduces;
+    #: kind is ``node``, ``rel`` or ``rels`` (a variable-length list).
+    named: tuple[Named, ...]
+    #: ``(path variable, first node's column, relationship columns in
+    #: pattern order)`` per named path.
+    paths: tuple[PathColumns, ...]
     #: Bind-time predicates, keyed by the variable that triggers them.
     pushed: dict[str, tuple[ast.Expression, ...]] = field(default_factory=dict)
     #: Promoted equalities per variable, for EXPLAIN: (key, value expr).
@@ -135,10 +152,6 @@ class MatchPlan:
     #: ``patterns``), only present when the plan was built with
     #: measured :class:`repro.analytics.GraphStatistics`.
     estimates: tuple[float, ...] | None = None
-    #: The hops of the one path pattern in batch-expansion order when
-    #: the clause runs on :meth:`PatternMatcher.expand` (EXPLAIN's
-    #: ``op=BatchExpand``); None runs the backtracking walk.
-    expand: tuple[ExpandStep, ...] | None = None
 
     @property
     def reordered(self) -> bool:
@@ -148,6 +161,19 @@ class MatchPlan:
         return sum(len(preds) for preds in self.pushed.values()) + sum(
             len(pairs) for pairs in self.promoted.values()
         )
+
+    def describe_anchors(self) -> list[str]:
+        """Where each pattern starts, in plan order, for EXPLAIN and
+        PROFILE: anchor element, access path, estimated cardinality."""
+        lines = []
+        for pattern, anchor in zip(self.patterns, self.anchors, strict=True):
+            node = pattern.nodes[anchor.position]
+            label = f":{node.labels[0]}" if node.labels else "(any)"
+            lines.append(
+                f"anchor={label} pos={anchor.position} "
+                f"access={anchor.access} est={anchor.cost}"
+            )
+        return lines
 
     def describe_predicates(self) -> list[str]:
         """EXPLAIN lines for the pushdown decisions, one per predicate."""
@@ -217,85 +243,134 @@ def plan_match(
             pushed.setdefault(variable, []).append(conjunct)
     rewritten = tuple(_apply_promotions(p, promotions) for p in patterns)
     order, anchors, estimates = _order_patterns(rewritten, store, bound, statistics)
+    ordered = tuple(rewritten[i] for i in order)
+    expand, named, paths = _expand_steps(ordered, anchors, bound)
     return MatchPlan(
-        patterns=tuple(rewritten[i] for i in order),
+        patterns=ordered,
         order=order,
         anchors=anchors,
+        expand=expand,
+        named=named,
+        paths=paths,
         pushed={var: tuple(preds) for var, preds in pushed.items()},
         promoted={var: tuple(pairs) for var, pairs in promotions.items()},
         prefilters=tuple(prefilters),
         residual=conjoin(residual),
         estimates=estimates,
-        expand=_expand_steps(rewritten, anchors, bound),
     )
 
 
 class ExpandStep(NamedTuple):
-    """One hop of a batch expansion: from the node at id-row index
-    ``source`` over ``rel`` (walked ``direction``) to ``node``.  The id
-    row grows by ``(relationship id, node id)`` per step, anchor first."""
+    """One level of a batch expansion, which grows rows of ids.
 
-    rel: ast.RelPattern
+    A ``start`` step begins a pattern with its node's id, drawn from
+    ``anchor`` or copied from column ``source``.  Any other step leaves
+    the node in column ``source`` over ``rel`` (walked ``direction``,
+    ``reverse`` if right to left) and adds the relationship — an id, or
+    for ``varlength`` / ``shortest`` an id tuple in pattern order — and
+    ``node``.  ``exclusive`` / ``exclusive_paths``: columns of earlier
+    ids / id tuples whose types can overlap, the only ones isomorphism
+    compares.  ``same_node`` / ``same_rel``: the column already holding
+    the variable.  ``per_row``: an inline map reads a variable bound
+    earlier in the clause, so verdicts are per row, not per id."""
+
+    kind: str
+    rel: ast.RelPattern | None
     node: ast.NodePattern
-    direction: str
-    source: int
-    #: Id-row indexes of earlier relationships this hop's types can
-    #: overlap: the only ones relationship isomorphism must compare.
+    anchor: Anchor | None
+    direction: Direction | None
+    source: int | None
     exclusive: tuple[int, ...]
+    exclusive_paths: tuple[int, ...]
+    same_node: int | None
+    same_rel: int | None
+    reverse: bool
+    per_row: bool
 
 
 def _expand_steps(
     patterns: tuple[ast.PathPattern, ...],
     anchors: tuple[Anchor, ...],
     bound: frozenset[str],
-) -> tuple[ExpandStep, ...] | None:
-    """The batch operator's steps for the one shape it takes — a single
-    fixed-length path with at least one hop, no path variable, no
-    variable named twice, no relationship variable bound by an earlier
-    clause, inline maps over incoming variables only — else None (the
-    walk).  Hops right of the anchor come first, then the left ones,
-    which is the walk's order."""
-    if len(patterns) != 1:
+) -> tuple[tuple[ExpandStep, ...], tuple[Named, ...], tuple[PathColumns, ...]]:
+    """The batch operator's steps for a clause's patterns in plan order,
+    each pattern from its anchor: hops right of it first, then the left
+    ones, which is the order a backtracking walk takes.  Also returns
+    the :attr:`MatchPlan.named` and :attr:`MatchPlan.paths` columns."""
+    steps: list[ExpandStep] = []
+    named: dict[str, Named] = {}
+    earlier: dict[bool, list[tuple[int, ast.RelPattern]]] = {True: [], False: []}
+    paths: list[PathColumns] = []
+
+    def claim(variable: str | None, column: int, kind: str) -> int | None:
+        """The column already holding ``variable``, or None after noting
+        that ``column`` introduces it."""
+        if not variable or variable in bound:
+            return None
+        if variable in named:
+            return named[variable][1]
+        named[variable] = (variable, column, kind)
         return None
-    (pattern,), (anchor,) = patterns, anchors
-    rels = pattern.relationships
-    names = [e.variable for e in (*pattern.nodes, *rels) if e.variable]
-    if (
-        not rels
-        or pattern.path_variable
-        or pattern.shortest
-        or any(rel.is_variable_length for rel in rels)
-        or len(names) != len(set(names))
-        or any(rel.variable in bound for rel in rels if rel.variable)
-        or any(
+
+    def per_row(*elements: ast.NodePattern | ast.RelPattern) -> bool:
+        return any(
             not free_variables(value) <= bound
-            for element in (*pattern.nodes, *rels)
+            for element in elements
             for _, value in element.properties
         )
-    ):
-        return None
-    right = range(anchor.position, len(rels))
-    left = range(anchor.position - 1, -1, -1)
-    order = [(hop, False) for hop in right] + [(hop, True) for hop in left]
-    steps: list[ExpandStep] = []
-    for index, (hop, reverse) in enumerate(order):
-        rel = rels[hop]
-        direction = rel.direction
-        if reverse and direction != "both":
-            direction = "in" if direction == "out" else "out"
-        # Each step leaves from the node the step before it added, except
-        # the first left hop, which leaves from the anchor (row index 0).
-        source = 0 if reverse and hop == anchor.position - 1 else 2 * index
-        exclusive = tuple(
-            2 * earlier + 1
-            for earlier, (other, _) in enumerate(order[:index])
-            if not rel.types
-            or not rels[other].types
-            or set(rel.types) & set(rels[other].types)
+
+    def overlapping(rel: ast.RelPattern, single: bool) -> tuple[int, ...]:
+        return tuple(
+            column
+            for column, other in earlier[single]
+            if not rel.types or not other.types or set(rel.types) & set(other.types)
         )
-        target = pattern.nodes[hop if reverse else hop + 1]
-        steps.append(ExpandStep(rel, target, direction, source, exclusive))
-    return tuple(steps)
+
+    width = 0
+    for pattern, anchor in zip(patterns, anchors, strict=True):
+        rels = pattern.relationships
+        node_columns = [0] * len(pattern.nodes)
+        rel_columns = [0] * len(rels)
+        start = pattern.nodes[anchor.position]
+        source = claim(start.variable, width, "node")
+        if source is not None and named[start.variable or ""][2] != "node":
+            raise CypherRuntimeError(f"variable {start.variable!r} is not a node")
+        steps.append(
+            ExpandStep(
+                "start", None, start, anchor, None, source, (), (), source, None,
+                False, per_row(start),
+            )
+        )
+        node_columns[anchor.position] = width
+        width += 1
+        right = [(hop, False) for hop in range(anchor.position, len(rels))]
+        left = [(hop, True) for hop in range(anchor.position - 1, -1, -1)]
+        for hop, reverse in right + left:
+            rel = rels[hop]
+            direction = Direction(_REVERSED[rel.direction] if reverse else rel.direction)
+            kind = "varlength" if rel.is_variable_length else "hop"
+            kind = "shortest" if pattern.shortest else kind
+            single = kind == "hop"
+            # A hop leaves from the node the hop before it reached; the
+            # first left hop leaves from the anchor.
+            source = node_columns[hop + 1 if reverse else hop]
+            target = pattern.nodes[hop if reverse else hop + 1]
+            same_rel = claim(rel.variable, width, "rel" if single else "rels")
+            same_node = claim(target.variable, width + 1, "node")
+            steps.append(
+                ExpandStep(
+                    kind, rel, target, None, direction, source,
+                    overlapping(rel, True), overlapping(rel, False),
+                    same_node, same_rel, reverse, per_row(rel, target),
+                )
+            )
+            earlier[single].append((width, rel))
+            rel_columns[hop] = width
+            node_columns[hop if reverse else hop + 1] = width + 1
+            width += 2
+        if pattern.path_variable:
+            paths.append((pattern.path_variable, node_columns[0], tuple(rel_columns)))
+    return tuple(steps), tuple(named.values()), tuple(paths)
 
 
 def _as_promotable_equality(
@@ -435,9 +510,7 @@ def _hop_fanout(
     reverse: bool,
 ) -> float:
     """Mean number of neighbours one expansion step yields."""
-    direction = rel.direction
-    if reverse and direction != "both":
-        direction = "in" if direction == "out" else "out"
+    direction = _REVERSED[rel.direction] if reverse else rel.direction
     label: str | None = None
     if source.labels:
         label = min(
@@ -465,13 +538,12 @@ def _hop_fanout(
 
 
 # ---------------------------------------------------------------------------
-# Anchor selection — the one cost model, shared by planned and un-planned
-# matching (the naive oracle, MERGE, pattern predicates)
+# Anchor selection — the one cost model (MATCH, MERGE, pattern predicates)
 # ---------------------------------------------------------------------------
 
 
 class Anchor(NamedTuple):
-    """Where one pattern's walk starts and how its candidates are
+    """Where one pattern's expansion starts and how its candidates are
     produced; the matcher executes it without consulting the store's
     statistics again."""
 
@@ -520,20 +592,6 @@ def choose_anchor(
     costs = [_node_cost(node, available, store) for node in pattern.nodes]
     position = min(range(len(costs)), key=lambda index: costs[index][0])
     return Anchor(position, *costs[position])
-
-
-def describe_pattern(
-    pattern: ast.PathPattern, available: Collection[str], store: GraphStore
-) -> str:
-    """One pattern's anchor for EXPLAIN and PROFILE: anchor element,
-    access path, and estimated cardinality."""
-    anchor = choose_anchor(pattern, available, store)
-    node = pattern.nodes[anchor.position]
-    label = f":{node.labels[0]}" if node.labels else "(any)"
-    return (
-        f"anchor={label} pos={anchor.position} "
-        f"access={anchor.access} est={anchor.cost}"
-    )
 
 
 def render_expression(expression: ast.Expression | None) -> str:

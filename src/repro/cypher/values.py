@@ -16,6 +16,13 @@ from repro.graphdb.model import Node, Relationship
 _NUMERIC = (int, float)
 
 
+class Path(list):
+    """A path value: its nodes and relationships alternating, in pattern
+    order, from the first node to the last.  Everything that takes a
+    list takes it; ``length()`` counts its relationships and ``size()``
+    its nodes."""
+
+
 def is_truthy(value: Any) -> bool:
     """WHERE semantics: only boolean true passes; null and false do not."""
     return value is True

@@ -1,15 +1,15 @@
-"""The batch Expand operator against the walk it stands beside.
+"""The batch Expand operator against the reference walk.
 
-A planned MATCH of one fixed-length path runs on
-:meth:`PatternMatcher.expand` (``MatchPlan.expand`` set, EXPLAIN's
-``op=BatchExpand``); every other shape runs on the backtracking walk,
-:meth:`PatternMatcher.match_patterns`.  The walk is the oracle here: a
-second engine routes the same :class:`MatchPlan` through it, and both
-must return the same records *in the same order*, with the same PROFILE
-row counts, on both backends — for the paper's listings, the lifecycle
-lap and HTTP mix, the ``EXPERIMENTS.md`` fences, the seeded random
-queries and random multigraphs.  The guard, failure and OPTIONAL
-semantics of the batch path are pinned separately.
+Every MATCH, MERGE and pattern predicate runs on
+:meth:`PatternMatcher.expand`.  The backtracking walk in
+:mod:`tests.reference_matcher` is the oracle: :func:`walking` routes
+the same :class:`MatchPlan` through it, and both must return the same
+records *in the same order*, with the same PROFILE row counts, on both
+backends — for the paper's listings, the lifecycle lap and HTTP mix,
+the ``EXPERIMENTS.md`` fences, the seeded random queries, every pattern
+shape, and random multigraphs.  The planner-free
+:func:`naive_engine` must agree on the result multisets.  The guard,
+failure and OPTIONAL semantics of the operator are pinned separately.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.cypher.planner import plan_match
 from repro.cypher.values import hash_key
 from repro.graphdb import Direction, GraphStore
 from repro.lint.extract import extract_queries
+from tests.reference_matcher import ReferenceMatcher, naive_engine, walking
 from tests.test_optimizer_equivalence import EXPERIMENTS, PAPER_LISTINGS, QueryGenerator
 
 # The lifecycle benchmark's notebook lap and HTTP mix, as texts.
@@ -66,16 +67,6 @@ LAP_AND_MIX = {
 }
 
 
-def walking(engine: CypherEngine) -> CypherEngine:
-    """``engine`` with every batch-planned MATCH run by the walk, from
-    the same plan."""
-    matcher = engine._matcher
-    matcher.expand = lambda plan, binding: matcher.match_patterns(  # type: ignore[method-assign]
-        plan.patterns, binding, plan.pushed or None, plan.anchors
-    )
-    return engine
-
-
 def ordered(result) -> list[tuple]:
     return [
         tuple(hash_key(record[column]) for column in result.columns)
@@ -83,17 +74,10 @@ def ordered(result) -> list[tuple]:
     ]
 
 
-def batch_matches(profile) -> int:
-    return sum(
-        node.operator == "Match" and "op=BatchExpand" in node.detail
-        for node in profile.walk()
-    )
-
-
 def assert_same_as_walk(store, query: str, parameters: dict | None = None):
-    """Profile ``query`` on the batch path and on the walk; the records
+    """Profile ``query`` on the operator and on the walk; the records
     (order included) and every operator's row count must agree.
-    Returns the batch run's result and profile."""
+    Returns the operator run's result and profile."""
     result, profile = CypherEngine(store).profile(query, parameters)
     walked, walked_profile = walking(CypherEngine(store)).profile(query, parameters)
     assert result.columns == walked.columns, query
@@ -102,6 +86,14 @@ def assert_same_as_walk(store, query: str, parameters: dict | None = None):
         (n.operator, n.rows) for n in walked_profile.walk()
     ], query
     return result, profile
+
+
+def assert_same_as_references(store, query: str, parameters: dict | None = None):
+    """:func:`assert_same_as_walk`, and the naive engine's multiset."""
+    result, _ = assert_same_as_walk(store, query, parameters)
+    naive = naive_engine(store).run(query, parameters)
+    assert Counter(ordered(result)) == Counter(ordered(naive)), query
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -132,36 +124,45 @@ def parameters(small_iyp):
 
 @pytest.mark.parametrize("name", sorted(PAPER_LISTINGS))
 def test_paper_listings(graph, parameters, name):
-    result, profile = assert_same_as_walk(graph, PAPER_LISTINGS[name], parameters)
+    result, _ = assert_same_as_walk(graph, PAPER_LISTINGS[name], parameters)
     assert result.records
-    # Every listing has at least one single-path MATCH.
-    assert batch_matches(profile) >= 1
+
+
+def test_listing_2_as_two_patterns(graph):
+    """The MOAS join written as two patterns sharing ``p``: one
+    isomorphism set across the clause, the same prefixes as Listing 2."""
+    joined = (
+        "MATCH (x:AS)-[:ORIGINATE]-(p:Prefix), (p)-[:ORIGINATE]-(y:AS) "
+        "WHERE x.asn <> y.asn RETURN DISTINCT p.prefix"
+    )
+    result = assert_same_as_references(graph, joined)
+    listing = CypherEngine(graph).run(PAPER_LISTINGS["LISTING_2"])
+    assert result.records
+    assert Counter(ordered(result)) == Counter(ordered(listing))
 
 
 @pytest.mark.parametrize("name", sorted(LAP_AND_MIX))
 def test_lap_and_http_mix(graph, parameters, name):
-    result, profile = assert_same_as_walk(graph, LAP_AND_MIX[name], parameters)
+    result, _ = assert_same_as_walk(graph, LAP_AND_MIX[name], parameters)
     if name in ("typed_expansion", "moas_asns", "as_name", "peerings"):
-        assert result.records and batch_matches(profile) == 1
+        assert result.records
 
 
 def test_experiments_fences(graph):
     fences = extract_queries(EXPERIMENTS)
     assert fences, "EXPERIMENTS.md lost its cypher fences"
-    batched = 0
     for _, query in fences:
-        _, profile = assert_same_as_walk(graph, query)
-        batched += batch_matches(profile)
-    assert batched >= 2
+        result, _ = assert_same_as_walk(graph, query)
+        assert result.records, query
 
 
 def test_seeded_random_queries(graph, small_iyp):
     generator = QueryGenerator(small_iyp.store, seed=20240825)
-    batched = 0
+    nonempty = 0
     for _ in range(30):
-        _, profile = assert_same_as_walk(graph, generator.query())
-        batched += batch_matches(profile)
-    assert batched >= 5
+        result, _ = assert_same_as_walk(graph, generator.query())
+        nonempty += bool(result.records)
+    assert nonempty >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -202,59 +203,142 @@ def multigraphs(draw):
 
 @st.composite
 def path_queries(draw):
-    """A one-path MATCH of one to three hops — labels, inline maps,
-    untyped and overlapping-type hops in every direction — optionally
-    OPTIONAL, behind a MATCH that binds one of its nodes, with a WHERE
-    that is pushed, promoted, prefiltered or residual."""
-    hops = draw(st.integers(1, 3))
+    """A MATCH of one path of zero to three hops — labels, inline maps,
+    untyped and overlapping-type hops in every direction, variable-length
+    hops, the last node possibly naming the first again (a cycle), a
+    named path — or of a ``shortestPath``, or of two patterns joined on a
+    node or disjoint; optionally OPTIONAL, behind a MATCH that binds one
+    of its nodes or its first relationship, with a WHERE that is pushed,
+    promoted, prefiltered, residual or a pattern predicate.  Or the path
+    as a MERGE after a MATCH of its ends.  Returns ``(query, writes)``."""
+    shape = draw(st.sampled_from(("path", "path", "shortest", "join", "merge")))
+    hops = 1 if shape in ("shortest", "merge") else draw(st.integers(0, 3))
+    names = [f"n{i}" for i in range(hops + 1)]
+    if hops >= 2 and draw(st.booleans()):
+        names[-1] = "n0"  # a cycle: the variable is named twice
+    single = hops and shape != "shortest"
+    bound = draw(st.sampled_from((None, "node", "rel") if single else (None, "node")))
+    varlength: dict[str, str] = {}
 
-    def node(index: int) -> str:
+    def node(name: str) -> str:
+        if shape == "merge":
+            return f"({name})"  # bound by the MATCH before it
         label = draw(st.sampled_from(("", ":A", ":B", ":A:B")))
-        return f"(n{index}{label}{draw(st.sampled_from(LITERALS))})"
+        return f"({name}{label}{draw(st.sampled_from(LITERALS))})"
 
     def rel(index: int) -> str:
+        name = f"r{index}"
         types = draw(st.sampled_from(("", ":R", ":S", ":R|S")))
-        left, right = draw(st.sampled_from((("-", "->"), ("<-", "-"), ("-", "-"))))
-        return f"{left}[r{index}{types}{draw(st.sampled_from(LITERALS))}]{right}"
+        arrows = (("-", "->"), ("<-", "-"), ("-", "-"))
+        if shape == "shortest":
+            length = draw(st.sampled_from(("*..3", "*")))
+        elif shape == "merge":
+            types, arrows, length = ":R", (("-", "->"), ("<-", "-")), ""
+        elif index == 0 and bound == "rel":
+            length = ""  # the bound relationship is a single one
+        else:
+            length = draw(st.sampled_from(("",) * 3 + ("*0..3", "*2", "*..3")))
+        if length:
+            varlength[name] = length
+        left, right = draw(st.sampled_from(arrows))
+        inline = "" if shape == "merge" else draw(st.sampled_from(LITERALS))
+        return f"{left}[{name}{types}{length}{inline}]{right}"
 
-    pattern = node(0) + "".join(rel(i) + node(i + 1) for i in range(hops))
-    bound = draw(st.none() | st.integers(0, hops))
-    prefix = "" if bound is None else f"MATCH (n{bound}) "
+    pattern = node(names[0]) + "".join(
+        rel(i) + node(names[i + 1]) for i in range(hops)
+    )
+    variables = sorted(set(names))
+    rels = [f"r{i}" for i in range(hops)]
+    if shape == "shortest":
+        pattern = f"p = shortestPath({pattern})"
+    elif shape == "path" and draw(st.booleans()):
+        pattern = f"p = {pattern}"
+    elif shape == "join":
+        if draw(st.booleans()):
+            shared = draw(st.sampled_from(variables))
+            types = draw(st.sampled_from(("", ":R", ":S")))
+            second = f"({shared})-[s0{types}]-{node('m0')}"
+            rels.append("s0")
+        else:
+            second = node("m0")  # disjoint: a cartesian pair
+        pattern += ", " + second
+        variables.append("m0")
+    prefix = ""
+    if bound == "node":
+        prefix = f"MATCH ({draw(st.sampled_from(variables))}) "
+    elif bound == "rel":
+        prefix = "MATCH ()-[r0]->() "
+    if shape == "merge":
+        prefix = f"MATCH ({names[0]}), ({names[1]}) "
     where = draw(
         st.sampled_from(
             (
                 "",
                 " WHERE n0.p = 1",
-                f" WHERE n{hops}.p = true",
-                " WHERE r0.p IS NOT NULL",
-                f" WHERE n0.p <> n{hops}.p",
-                " WHERE n1.p > 0 AND r0.p <= 1",
+                f" WHERE {names[-1]}.p = true",
+                f" WHERE {variables[-1]}.p <> n0.p",
+                f" WHERE NOT (n0)-->({names[-1]})",
+                " WHERE (n0)-[:R]-()",
             )
+            + ((" WHERE r0.p IS NOT NULL",) if hops and "r0" not in varlength else ())
         )
     )
+    columns = [f"id({name}) AS {name}" for name in variables]
+    columns += [
+        f"[x IN {name} | id(x)] AS {name}" if name in varlength
+        else f"id({name}) AS {name}"
+        for name in rels
+    ]
+    if pattern.startswith("p = "):
+        columns += [
+            "[x IN nodes(p) | id(x)] AS pn",
+            "[x IN relationships(p) | id(x)] AS pr",
+            "length(p) AS pl",
+        ]
+    if shape == "merge":
+        return f"{prefix}MERGE {pattern} RETURN {', '.join(columns)}", True
     keyword = "OPTIONAL MATCH" if draw(st.booleans()) else "MATCH"
-    columns = [f"id(n{i}) AS n{i}" for i in range(hops + 1)]
-    columns += [f"id(r{i}) AS r{i}" for i in range(hops)]
-    return f"{prefix}{keyword} {pattern}{where} RETURN {', '.join(columns)}"
+    return f"{prefix}{keyword} {pattern}{where} RETURN {', '.join(columns)}", False
 
 
 @settings(
-    max_examples=150,
+    max_examples=200,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(graph=multigraphs(), query=path_queries())
-def test_random_multigraphs(graph, query):
+@given(graph=multigraphs(), generated=path_queries())
+def test_random_multigraphs(graph, generated):
     nodes, rels = graph
+    query, writes = generated
+    if writes:
+        # Each engine MERGEs into a fresh copy: the same ids get created.
+        runs = [
+            (engine.profile(query), engine.store)
+            for engine in (
+                CypherEngine(GraphStore.from_records(nodes, rels)),
+                walking(CypherEngine(GraphStore.from_records(nodes, rels))),
+            )
+        ]
+        naive_store = GraphStore.from_records(nodes, rels)
+        naive = naive_engine(naive_store).run(query)
+        ((result, profile), store), ((walked, walked_profile), walked_store) = runs
+        assert ordered(result) == ordered(walked), query
+        assert [(n.operator, n.rows) for n in profile.walk()] == [
+            (n.operator, n.rows) for n in walked_profile.walk()
+        ], query
+        assert Counter(ordered(result)) == Counter(ordered(naive)), query
+        assert (
+            store.relationship_count
+            == walked_store.relationship_count
+            == naive_store.relationship_count
+        ), query
+        return
     stores = [
         cls.from_records(nodes, rels) for cls in (GraphStore, ColumnarGraphStore)
     ]
     answers = []
     for store in stores:
-        result, profile = assert_same_as_walk(store, query)
-        assert batch_matches(profile) == 1, query
-        naive = CypherEngine(store, optimize=False).run(query)
-        assert Counter(ordered(result)) == Counter(ordered(naive)), query
+        result = assert_same_as_references(store, query)
         answers.append(Counter(ordered(result)))
         # The store primitive under the operator, on the same graph.
         for node_id, _, _ in nodes:
@@ -275,11 +359,11 @@ def test_promoted_equality_keeps_its_literal_type():
     store = GraphStore.from_records([(1, [], {"p": 1})], [(100, "R", 1, 1, {})])
     query = "MATCH (a)-[r]->(b {p: 1}) WHERE b.p = true RETURN a"
     assert CypherEngine(store).run(query).records == []
-    assert CypherEngine(store, optimize=False).run(query).records == []
+    assert naive_engine(store).run(query).records == []
 
 
 # ---------------------------------------------------------------------------
-# Guard, failure and OPTIONAL semantics of the batch path
+# Guard, failure and OPTIONAL semantics of the operator
 # ---------------------------------------------------------------------------
 
 NODES = [
@@ -333,10 +417,8 @@ def outcome(engine: CypherEngine, query: str):
     ],
 )
 def test_raising_predicates_raise_where_the_walk_raises(store, query, raises):
-    batch, walk = CypherEngine(store), walking(CypherEngine(store))
-    assert "op=BatchExpand" in batch.explain(query).plan[0]
-    got = outcome(batch, query)
-    assert got == outcome(walk, query)
+    got = outcome(CypherEngine(store), query)
+    assert got == outcome(walking(CypherEngine(store)), query)
     assert isinstance(got, tuple) is raises
 
 
@@ -365,23 +447,24 @@ def test_optional_pads_a_row_whose_prefilter_fails(store):
         "MATCH (a:AS) OPTIONAL MATCH (a)-[:PEERS_WITH]->(b) "
         "WHERE a.asn < 2 RETURN a.asn AS asn, b.asn AS peer"
     )
-    result, profile = assert_same_as_walk(store, query)
-    assert batch_matches(profile) == 1
+    result, _ = assert_same_as_walk(store, query)
     assert [(r["asn"], r["peer"]) for r in result.records] == [
         (1, 2), (1, 2), (2, None), (3, None),
     ]
 
 
 def test_memos_live_only_while_the_clause_runs(store):
-    matcher = CypherEngine(store)._matcher
+    engine = CypherEngine(store)
+    matcher = engine._matcher
     (clause, _) = parse(
         "MATCH (a:AS)-[:PEERS_WITH]-(b)-[:PEERS_WITH]-(c) RETURN c"
     ).clauses
     plan = plan_match(clause.patterns, clause.where, store)
-    assert plan.expand is not None
     state = dict(vars(matcher))
     bindings = matcher.expand(plan, {})
-    walked = matcher.match_patterns(plan.patterns, {}, None, plan.anchors)
+    walked = ReferenceMatcher(store, engine._evaluate).match_patterns(
+        plan.patterns, {}, None, plan.anchors
+    )
     assert [(b["a"].id, b["b"].id, b["c"].id) for b in bindings] == [
         (b["a"].id, b["b"].id, b["c"].id) for b in walked
     ]
@@ -389,6 +472,27 @@ def test_memos_live_only_while_the_clause_runs(store):
     # and the matcher kept nothing.
     assert bindings.gi_frame is None
     assert vars(matcher) == state
+
+
+# ---------------------------------------------------------------------------
+# Every pattern shape, one by one
+# ---------------------------------------------------------------------------
+
+
+def operator_runs(store, query: str) -> int:
+    """How many times ``query`` calls the operator (one call per
+    incoming row of each MATCH, MERGE or pattern predicate)."""
+    engine = CypherEngine(store)
+    matcher, calls = engine._matcher, []
+    expand = matcher.expand
+
+    def counting(plan, binding):
+        calls.append(plan)
+        return expand(plan, binding)
+
+    matcher.expand = counting  # type: ignore[method-assign]
+    engine.run(query)
+    return len(calls)
 
 
 @pytest.mark.parametrize(
@@ -400,11 +504,116 @@ def test_memos_live_only_while_the_clause_runs(store):
         ("MATCH p = shortestPath((a:AS {asn: 1})-[*]-(b:AS {asn: 3})) RETURN p", 0),
         ("MATCH (a:AS)-[r:PEERS_WITH]->(b)-[r:PEERS_WITH]->(c) RETURN c", 0),
         ("MATCH (a:AS) RETURN a", 0),
-        # The second MATCH meets ``r`` bound: only the first is batched.
+        # The second MATCH meets ``r`` bound.
         ("MATCH (a:AS)-[r:PEERS_WITH]->(b) MATCH (b)<-[r]-(c) RETURN c", 1),
         ("MATCH (a:AS) WHERE (a)-[:PEERS_WITH]->() RETURN a", 0),
     ],
 )
 def test_walk_keeps_every_other_shape(store, query, batched):
-    _, profile = assert_same_as_walk(store, query)
-    assert batch_matches(profile) == batched
+    """The shapes the walk ran alone while the operator took only a
+    single fixed-length path (``batched``: how many of the query's
+    MATCH clauses it took then) all run on the operator now, with the
+    walk's answer."""
+    assert_same_as_references(store, query)
+    assert operator_runs(store, query) > batched
+
+
+SHAPES = {
+    # Multi-pattern joins: on a shared node, and a disjoint cartesian pair.
+    "join": "MATCH (a:AS)-[:PEERS_WITH]->(b), (b)-[:PEERS_WITH]->(c) RETURN a, b, c",
+    "join_reordered": (
+        "MATCH (a:AS)-[:PEERS_WITH]-(b), (n:Name {name: 'one'})-[:NAME]-(a) "
+        "RETURN a, b, n"
+    ),
+    "cartesian": "MATCH (a:AS), (o:Organization) RETURN a, o",
+    "cartesian_then_join": (
+        "MATCH (o:Organization), (a:AS)-[:PEERS_WITH]->(b) RETURN o, a, b"
+    ),
+    # Variable-length hops in each direction.
+    "varlength_zero_out": "MATCH (a:AS)-[r:PEERS_WITH*0..]->(b) RETURN a, r, b",
+    "varlength_zero_in": "MATCH (a:AS)<-[r:PEERS_WITH*0..]-(b) RETURN a, r, b",
+    "varlength_zero_both": "MATCH (a:AS)-[r*0..]-(b) RETURN a, r, b",
+    "varlength_two_out": "MATCH (a)-[r*2]->(b) RETURN a, r, b",
+    "varlength_two_in": "MATCH (a:AS)<-[r:PEERS_WITH*2]-(b) RETURN a, r, b",
+    "varlength_two_both": "MATCH (a:AS)-[r:PEERS_WITH*2]-(b:AS) RETURN a, r, b",
+    "varlength_upto_out": "MATCH (a)-[r*..3]->(b:AS {asn: 3}) RETURN a, r, b",
+    "varlength_upto_in": "MATCH (a:AS {asn: 1})<-[r*..3]-(b) RETURN a, r, b",
+    "varlength_upto_both": "MATCH (a:AS {asn: 3})-[r*..3]-(b) RETURN a, r, b",
+    "varlength_mid_anchor": (
+        "MATCH (x)-[r*..2]-(a:AS {asn: 2})-[s*..2]->(y) RETURN x, r, a, s, y"
+    ),
+    # shortestPath anchored at either end.
+    "shortest_left": (
+        "MATCH p = shortestPath((a:AS {asn: 1})-[r*..4]-(b:AS)) RETURN p, r, b"
+    ),
+    "shortest_right": (
+        "MATCH (b:AS {asn: 3}) MATCH p = shortestPath((a:AS)-[r*..4]-(b)) "
+        "RETURN p, r, a"
+    ),
+    # Path variables.
+    "path_fixed": "MATCH p = (a:AS)-[:PEERS_WITH]->(b)-[:NAME|PEERS_WITH]-(c) RETURN p",
+    "path_varlength": "MATCH p = (a:AS {asn: 3})<-[:PEERS_WITH*..2]-(b) RETURN p",
+    "path_two": (
+        "MATCH p = (a:AS {asn: 1})-[:NAME]->(n), q = (a)-[:MANAGED_BY]->(o) "
+        "RETURN p, q"
+    ),
+    # A variable named twice, cycles included.
+    "named_twice": "MATCH (a:AS)-[:PEERS_WITH]->(b), (a)-[:NAME]->(n) RETURN a, b, n",
+    "cycle": "MATCH (a:AS)-[:PEERS_WITH]-(b)-[:PEERS_WITH]-(a) RETURN a, b",
+    "self_loop": "MATCH (a)-[r:DEPENDS_ON]->(a) RETURN a, r",
+    # A relationship variable bound by an earlier clause.
+    "bound_relationship": (
+        "MATCH (a:AS)-[r:PEERS_WITH]->(b) MATCH (x)-[r]-(y) RETURN r, x, y"
+    ),
+    "bound_relationship_typed": (
+        "MATCH (a:AS)-[r:PEERS_WITH]->(b) MATCH (x)-[r:NAME]-(y) RETURN r, x, y"
+    ),
+    # Pattern predicates.
+    "not_pattern": "MATCH (a:AS), (b:AS) WHERE NOT (a)-->(b) RETURN a, b",
+    "pattern_in_return": "MATCH (a:AS) RETURN a, (a)-[:NAME]->() AS named",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_every_shape_matches_the_references(store, name):
+    result = assert_same_as_references(store, SHAPES[name])
+    assert result.records or name == "bound_relationship_typed"
+
+
+@pytest.mark.parametrize(
+    "hop", ["[r:NAME]", "[r {w: 1}]", "[r:PEERS_WITH {w: 1}]"]
+)
+def test_a_bound_relationship_must_still_fit_its_hop(store, hop):
+    """A relationship an earlier clause bound matches a later hop only if
+    its type and inline map fit that hop (the walk used to skip both)."""
+    query = f"MATCH (a:AS)-[r:PEERS_WITH]->(b) MATCH (x)-{hop}-(y) RETURN r, x, y"
+    assert assert_same_as_references(store, query).records == []
+
+
+@pytest.mark.parametrize(
+    "query, created",
+    [
+        # Matches: the two parallel peerings, nothing created.
+        ("MATCH (a:AS {asn: 1}), (b:AS {asn: 2}) MERGE (a)-[r:PEERS_WITH]->(b) "
+         "RETURN a, r, b", 0),
+        # Creates: no AS 3 -> AS 1 peering yet.
+        ("MATCH (a:AS {asn: 3}), (b:AS {asn: 1}) MERGE (a)-[r:PEERS_WITH]->(b) "
+         "RETURN a, r, b", 1),
+        # One row matches, one creates.
+        ("UNWIND [1, 4] AS n MERGE (a:AS {asn: n}) RETURN a", 0),
+    ],
+)
+def test_merge_matches_and_creates_like_the_walk(query, created):
+    stores = [
+        GraphStore.from_records(NODES, RELS, [("AS", "asn")]) for _ in range(3)
+    ]
+    engines = [
+        CypherEngine(stores[0]),
+        walking(CypherEngine(stores[1])),
+        naive_engine(stores[2]),
+    ]
+    results = [engine.run(query) for engine in engines]
+    assert ordered(results[0]) == ordered(results[1])
+    assert Counter(ordered(results[0])) == Counter(ordered(results[2]))
+    assert {result.stats.relationships_created for result in results} == {created}
+    assert len({store.node_count for store in stores}) == 1

@@ -6,6 +6,9 @@ filter / residual), greedy join ordering, expression rendering, and the
 EXPLAIN / PROFILE surfaces that expose the plan.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cypher import CypherEngine, ast
@@ -17,6 +20,7 @@ from repro.cypher.planner import (
     split_conjuncts,
 )
 from repro.graphdb import GraphStore
+from repro.lint.extract import extract_queries
 
 
 def match_clause(query: str) -> ast.MatchClause:
@@ -337,14 +341,6 @@ class TestExplainSurface:
             "RETURN",
         ]
 
-    def test_explain_without_optimizer_has_no_plan_lines(self, engine):
-        naive = CypherEngine(engine.store, optimize=False)
-        lines = list(
-            naive.explain("MATCH (a:AS) WHERE a.asn = 7 RETURN a")
-        )
-        text = "\n".join(lines)
-        assert "pushed" not in text and "join=" not in text
-
     def test_profile_detail_reports_pushdown_and_join_order(self, engine):
         _, root = engine.profile(
             "MATCH (x:Prefix)<-[:ORIGINATE]-(a:AS), (b:AS {asn: 3}) "
@@ -358,3 +354,75 @@ class TestExplainSurface:
         _, root = engine.profile("MATCH (a:AS) WHERE a.asn = 7 RETURN a")
         match = next(node for node in root.children if node.operator == "Match")
         assert "index seek" in match.detail
+
+
+# ---------------------------------------------------------------------------
+# EXPLAIN plans what PROFILE runs
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+ANCHOR = re.compile(
+    r"anchor=(\S+) pos=(\d+) access=(bound|index seek|label scan|all-nodes scan)"
+)
+
+
+def study_queries() -> list[tuple[str, str]]:
+    """Every module-level query of the studies (the six listings among
+    them) and every ``cypher`` fence of EXPERIMENTS.md."""
+    queries = []
+    for path in sorted((ROOT / "src" / "repro" / "studies").glob("*.py")):
+        queries += extract_queries(path)
+    return queries + extract_queries(ROOT / "EXPERIMENTS.md")
+
+
+def test_explain_plans_every_match_as_profile_runs_it(small_iyp):
+    """Each MATCH has the same anchors and access paths in EXPLAIN as in
+    PROFILE: EXPLAIN plans it against what earlier clauses bind."""
+    run = small_iyp.engine.run
+    parameters = {
+        "org_name": run(
+            "MATCH (o:Organization) RETURN o.name AS name ORDER BY name"
+        ).records[0]["name"],
+        "domain": run(
+            "MATCH (d:DomainName) RETURN d.name AS name ORDER BY name"
+        ).records[0]["name"],
+    }
+    queries = study_queries()
+    assert len(queries) >= 25
+    optional = 0
+    for name, query in queries:
+        lines = small_iyp.engine.explain(query).plan
+        _, profile = small_iyp.engine.profile(query, parameters)
+        explained = [
+            anchor
+            for line in lines
+            if line.startswith(("MATCH ", "OPTIONAL MATCH "))
+            for anchor in ANCHOR.findall(line)
+        ]
+        profiled = [
+            anchor
+            for node in profile.walk()
+            if node.operator == "Match"
+            for anchor in ANCHOR.findall(node.detail)
+        ]
+        assert explained and explained == profiled, name
+        optional += sum(line.startswith("OPTIONAL MATCH") for line in lines)
+    # The OPTIONAL MATCH lines of the RiPKI and sneak-peek studies start
+    # from a bound variable.
+    assert optional >= 5
+
+
+def test_explain_plans_against_earlier_clauses():
+    store = GraphStore()
+    for i in range(3):
+        store.create_node({"N"}, {"i": i})
+    engine = CypherEngine(store)
+    lines = list(
+        engine.explain(
+            "MATCH (a:N {i: 1}) OPTIONAL MATCH (x:N)-[:E]->(a) "
+            "WITH a, x UNWIND [1] AS one MATCH (a)-[:E]->(y) RETURN x, y"
+        )
+    )
+    matches = [line for line in lines if "MATCH" in line]
+    assert "pos=1 access=bound" in matches[1]
+    assert "pos=0 access=bound" in matches[2]

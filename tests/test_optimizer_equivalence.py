@@ -3,8 +3,10 @@
 The cost-based planner (predicate pushdown, seek promotion, join
 reordering) must never change query *results* — only how fast they
 arrive.  This suite runs three families of queries through the
-optimized engine and a forced-naive engine (``optimize=False``) and
-asserts identical result multisets:
+engine and the planner-free reference executor
+(:func:`tests.reference_matcher.naive_engine`: textual pattern order,
+no pushdown, WHERE on complete bindings) and asserts identical result
+multisets:
 
 1. every paper listing from :mod:`repro.studies.queries`,
 2. every ``cypher`` fence in ``EXPERIMENTS.md``,
@@ -31,6 +33,7 @@ from repro.cypher.values import hash_key
 from repro.graphdb import GraphStore
 from repro.lint.extract import extract_queries
 from repro.studies import queries as listings
+from tests.reference_matcher import naive_engine
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
@@ -49,7 +52,7 @@ def assert_equivalent(store, query: str, parameters: dict | None = None) -> int:
     Returns the row count so callers can assert non-triviality.
     """
     optimized = CypherEngine(store).run(query, parameters)
-    naive = CypherEngine(store, optimize=False).run(query, parameters)
+    naive = naive_engine(store).run(query, parameters)
     assert optimized.columns == naive.columns, query
     assert result_multiset(optimized) == result_multiset(naive), query
     return len(optimized.records)
@@ -331,7 +334,7 @@ class TestVariableLengthUnderReordering:
         plan_lines = "\n".join(engine.explain(query))
         assert "join=1/2 pattern=1" in plan_lines  # marker seek runs first
         optimized = CypherEngine(chain_store).run(query)
-        naive = CypherEngine(chain_store, optimize=False).run(query)
+        naive = naive_engine(chain_store).run(query)
         assert result_multiset(optimized) == result_multiset(naive)
         # Nodes 0..2 reach node 3 within three hops.
         assert sorted(r["s.asn"] for r in optimized.records) == [0, 1, 2]
