@@ -55,6 +55,28 @@ def pytest_sessionfinish(session, exitstatus):
     out.write_text(report.replace("=" * 72, "") + "\n", encoding="utf-8")
 
 
+class _Benchmark:
+    """The ``benchmark`` fixture the paper-result tests call their code
+    through: ``benchmark(fn, *args, **kwargs)`` calls it once, and
+    ``benchmark.pedantic(fn, args=..., kwargs=..., rounds=...)`` once per
+    round; both return the last result.  Timing is the lifecycle
+    benchmark's job (``benchmarks/lifecycle``)."""
+
+    def __call__(self, fn, *args, **kwargs):
+        return fn(*args, **kwargs)
+
+    def pedantic(self, fn, args=(), kwargs=None, rounds=1, iterations=1):
+        result = None
+        for _ in range(rounds):
+            result = fn(*args, **(kwargs or {}))
+        return result
+
+
+@pytest.fixture
+def benchmark():
+    return _Benchmark()
+
+
 @pytest.fixture(scope="session")
 def bench_world():
     """The medium synthetic world used by all benchmarks."""

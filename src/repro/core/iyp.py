@@ -202,26 +202,6 @@ class IYP:
         """Execute a Cypher query against the knowledge graph."""
         return self.engine.run(query, parameters)
 
-    def literal_search(self, needle: str, limit: int = 100) -> list[Node]:
-        """Literal keyword search: every node with the string anywhere in
-        its properties.
-
-        This is the approach Figure 3 contrasts semantic search against:
-        searching for ``'7018'`` literally hits AS 7018 but also any IP,
-        prefix, or hostname containing those characters.  Provided so
-        users can see the difference on their own data.
-        """
-        needle = needle.lower()
-        matches: list[Node] = []
-        for node in self.store.iter_nodes():
-            for value in node.properties.values():
-                if needle in str(value).lower():
-                    matches.append(node)
-                    break
-            if len(matches) >= limit:
-                break
-        return matches
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -139,8 +139,9 @@ class Crawler(abc.ABC):
     dataset and state its datapoints — ``self.node(label, key=value)``
     per node a record names, ``self.link(start, TYPE, end, props)`` per
     link.  Nothing reaches the graph while ``parse`` runs; :meth:`run`
-    then loads the whole dataset, one facade call per label and one for
-    the links.
+    then loads the whole dataset: one facade call per label, one store
+    scope for the nodes' extra properties and one for their extra
+    labels, and one facade call for the links.
 
     Two failure rules follow.  An exception in ``parse`` — a malformed
     record, or an identifier with no canonical form, which ``node``
@@ -165,8 +166,8 @@ class Crawler(abc.ABC):
         # label -> (identifying property, canonical values, their handles),
         # labels in first-touch order and rows in request order.
         self._columns: dict[str, tuple[str, list[Any], list[int]]] = {}
-        # Requests that carry extra properties: (handle, label, extras, key).
-        self._described: list[tuple] = []
+        # Requests that carry extra properties: (handle, extras).
+        self._described: list[tuple[int, Mapping[str, Any]]] = []
         self._labels: list[tuple[int, str]] = []
         self._links: list[tuple] = []  # (start, type, end, properties)
 
@@ -194,17 +195,16 @@ class Crawler(abc.ABC):
         until :meth:`run` resolves it.
 
         Every call is one request, as a :meth:`IYP.get_node` is: naming
-        an identifier twice merges it the second time.  A request with
-        ``properties`` (non-identifying extras) stays a single
-        ``IYP.get_node`` call, made when the dataset is loaded.
+        an identifier twice merges it the second time.  ``properties``
+        (non-identifying extras) are merged into the node once the
+        dataset's nodes are loaded, in request order.
         """
         (key_prop, value), = key.items()
         value = self.iyp.canonicalize(label, key_prop, value)
         handle = self._handles
         self._handles += 1
         if properties:
-            self._described.append((handle, label, properties, {key_prop: value}))
-            return handle
+            self._described.append((handle, properties))
         column = self._columns.get(label)
         if column is None:
             column = self._columns[label] = (key_prop, [], [])
@@ -242,12 +242,14 @@ class Crawler(abc.ABC):
     def _load(self) -> None:
         iyp = self.iyp
         nodes: list[Any] = [None] * self._handles
-        for handle, label, properties, key in self._described:
-            nodes[handle] = iyp.get_node(label, properties, **key)
         for label, (key_prop, values, handles) in self._columns.items():
             by_key = iyp.batch_get_nodes(label, key_prop, values)
             for handle, value in zip(handles, values):
                 nodes[handle] = by_key[value]
+        if self._described:
+            with iyp.store.batch_mutation():
+                for handle, properties in self._described:
+                    iyp.store.update_node(nodes[handle].id, properties)
         if self._labels:
             with iyp.store.batch_mutation():
                 for node_id, label in dict.fromkeys(

@@ -58,21 +58,6 @@ def generate_top_locations(world: World) -> str:
     return json.dumps({"success": True, "result": result})
 
 
-def generate_datasets(world: World) -> str:
-    """Radar dataset catalogue (metadata only)."""
-    return json.dumps(
-        {
-            "success": True,
-            "result": {
-                "datasets": [
-                    {"id": 1, "title": "Cloudflare Radar Top Domains"},
-                    {"id": 2, "title": "Cloudflare Radar DNS Top ASes"},
-                ]
-            },
-        }
-    )
-
-
 class RankingCrawler(Crawler):
     """Loads the Radar top-domains bucket as a Ranking."""
 

@@ -19,10 +19,6 @@ class ConstraintViolationError(GraphError):
     """Raised when a write violates a uniqueness constraint."""
 
 
-class InvalidPropertyError(GraphError):
-    """Raised when a property value has an unsupported type."""
-
-
 class DanglingEndpointError(GraphError):
     """Raised by bulk loaders for a relationship whose endpoint id does
     not exist in the node records.

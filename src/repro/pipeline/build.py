@@ -20,7 +20,8 @@ so any build can seed the next incremental one), crawlers whose inputs
 did not change are skipped entirely, changed crawlers re-run against
 the live store with change tracking on, links they no longer assert are
 retired, and the refinement pass re-runs only when the churn touched
-structure it actually reads.  The net effect of the whole build lands
+structure it actually reads — as one more source under the same
+retirement rule.  The net effect of the whole build lands
 in ``report.delta`` as an ordered
 :class:`~repro.delta.records.DeltaBatch` ready for
 :meth:`~repro.graphdb.store.GraphStore.apply_delta` on a replica.  The
@@ -286,10 +287,17 @@ def _rels_by_source(store: GraphStore, sources: set[str]) -> dict[str, set[int]]
 
 
 def _retire_stale(
-    store: GraphStore, stale: set[int], dangling: set[int]
+    store: GraphStore,
+    before: set[int],
+    events: list[ChangeEvent],
+    dangling: set[int],
 ) -> int:
-    """Delete relationships a re-run no longer asserted; collect their
-    endpoints so orphaned value nodes can be dropped afterwards."""
+    """The retirement rule, one for every dataset: of the links a source
+    held ``before`` it re-ran, delete those its re-run (``events``) did
+    not touch, and collect their endpoints so orphaned nodes can be
+    dropped afterwards.  Returns how many were deleted."""
+    touched = {event.entity_id for event in events if event.kind in _TOUCH_KINDS}
+    stale = before - touched
     for rel_id in sorted(stale):
         rel = store.get_relationship(rel_id)
         dangling.add(rel.start_id)
@@ -298,18 +306,26 @@ def _retire_stale(
     return len(stale)
 
 
-def _drop_orphans(store: GraphStore, candidates: set[int]) -> int:
-    """Delete nodes left with no relationships at all.
+def _drop_orphans(
+    store: GraphStore, candidates: set[int], pending: set[int]
+) -> int:
+    """Delete the candidate nodes no link keeps alive.
 
     Every IYP node exists because some link references it (crawlers and
     refinement only create nodes to connect them), so a node orphaned by
     stale-link retirement would not exist in a from-scratch rebuild
-    either.
+    either.  A link in ``pending`` — output of a source that is about to
+    re-run and re-state what it still derives — keeps nothing alive: it
+    goes with its node and leaves ``pending``.
     """
     count = 0
     for node_id in sorted(candidates):
-        if store.has_node(node_id) and store.degree(node_id) == 0:
-            store.delete_node(node_id)
+        if not store.has_node(node_id):
+            continue
+        incident = {rel.id for rel in store.relationships_of(node_id)}
+        if incident <= pending:
+            pending -= incident
+            store.delete_node(node_id, detach=True)
             count += 1
     return count
 
@@ -447,7 +463,9 @@ def build_iyp(
     checksums match the previous build are skipped; changed ones re-run
     under change tracking, after which links they stopped asserting are
     retired (and value nodes orphaned by that, dropped).  The refinement
-    pass re-runs only when the churn touched structure it reads.  The
+    pass re-runs only when the churn touched structure it reads; until
+    it has, its links keep no node alive, and afterwards those it did
+    not re-state are retired like a crawler's.  The
     whole build's net effect lands in ``report.delta``; when archiving,
     the entry is a binary delta against ``archive_base`` instead of a
     full snapshot.  Validation and analytics advance ``previous``'s
@@ -651,35 +669,35 @@ def _build_incremental(
                 # is stale.  A failed run retires nothing — its old
                 # links outlive the failure, exactly like a failed full
                 # rebuild would keep serving the old snapshot.
-                touched = {
-                    event.entity_id
-                    for event in events[mark:]
-                    if event.kind in _TOUCH_KINDS
-                }
-                stale = before.get(crawler.name, set()) - touched
-                run.relationships_deleted = _retire_stale(store, stale, dangling)
+                run.relationships_deleted = _retire_stale(
+                    store, before.get(crawler.name, set()), events[mark:],
+                    dangling,
+                )
         for name in sorted(removed):
-            _retire_stale(store, before.get(name, set()), dangling)
-        orphans_dropped = _drop_orphans(store, dangling)
-        if postprocess:
-            if _postprocess_affected(store, events):
-                refinement = REFINEMENT_REFERENCE.dataset_name
-                refinement_before = _rels_by_source(store, {refinement})
-                mark = len(events)
-                with tracer.span("postprocess"):
-                    report.refinement_counts = run_postprocessing(iyp)
-                touched = {
-                    event.entity_id
-                    for event in events[mark:]
-                    if event.kind in _TOUCH_KINDS
-                }
-                stale = refinement_before[refinement] - touched
-                refinement_dangling: set[int] = set()
-                _retire_stale(store, stale, refinement_dangling)
-                _drop_orphans(store, refinement_dangling)
-            else:
-                report.postprocess_skipped = True
-                report.refinement_counts = dict(previous.refinement_counts)
+            _retire_stale(store, before.get(name, set()), [], dangling)
+        # The refinement re-runs as one more source, after the crawlers
+        # it reads.  Until it re-states its links they are stale, so they
+        # keep no node alive: a node only the pass still links is dropped
+        # here, and re-created if the new graph still implies it.
+        rerun = postprocess and _postprocess_affected(store, events)
+        refined: set[int] = set()
+        if rerun:
+            refinement = REFINEMENT_REFERENCE.dataset_name
+            refined = _rels_by_source(store, {refinement})[refinement]
+            for rel_id in refined:
+                rel = store.get_relationship(rel_id)
+                dangling.update((rel.start_id, rel.end_id))
+        orphans_dropped = _drop_orphans(store, dangling, refined)
+        if rerun:
+            mark = len(events)
+            with tracer.span("postprocess"):
+                report.refinement_counts = run_postprocessing(iyp)
+            # The endpoints of what it retires all kept a crawler's link
+            # through the drop above, so nothing more is orphaned.
+            _retire_stale(store, refined, events[mark:], set())
+        elif postprocess:
+            report.postprocess_skipped = True
+            report.refinement_counts = dict(previous.refinement_counts)
     with tracer.span("extract_delta"):
         report.delta = delta_from_changelog(store, events)
     return _Churn(events, len(removed), orphans_dropped)

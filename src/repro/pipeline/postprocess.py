@@ -10,14 +10,13 @@ the data is made explicit:
 5. HostNames are linked (PART_OF) to their registrable DomainName, and
    DomainNames to their parent zones (PARENT), up to the TLD;
 6. every Country node gets its three-letter code and common name.
-
-All links added here carry the ``iyp.refinement`` provenance so they
-can be told apart from imported data.
 """
 
 from __future__ import annotations
 
 from repro.core import IYP, Reference
+from repro.datasets.base import Crawler
+from repro.graphdb import Node
 from repro.nettypes import (
     InvalidAddressError,
     InvalidPrefixError,
@@ -29,7 +28,8 @@ from repro.nettypes import (
     registered_domain,
 )
 from repro.nettypes.countries import UnknownCountryError, lookup
-from repro.nettypes.dns import normalize_name, parent_zones, public_suffix
+from repro.nettypes.dns import parent_zones, public_suffix
+from repro.ontology import DATASET_PROPERTY
 
 REFINEMENT_REFERENCE = Reference(
     organization="IYP",
@@ -38,154 +38,150 @@ REFINEMENT_REFERENCE = Reference(
 )
 
 
-def add_address_families(iyp: IYP) -> int:
+class Refinement(Crawler):
+    """The refinement pass: a crawler whose input is the graph.  A step
+    counts what it states (links, nodes with properties); nothing loads
+    before all have run, so one reads what an earlier step named."""
+
+    name = REFINEMENT_REFERENCE.dataset_name
+
+    def reference(self) -> Reference:
+        return REFINEMENT_REFERENCE
+
+    def parse(self) -> None:
+        self.prefixes = PrefixTrie()  # both prefix steps look up in it
+        for node in self.iyp.store.nodes_with_label("Prefix"):
+            try:
+                self.prefixes.insert(node.properties["prefix"], node)
+            except InvalidPrefixError:
+                continue
+        self.hostnames: dict[str, int] = {}  # URL-step names the graph lacks
+        self.stated: set[tuple[Node | int, str, Node | int]] = set()
+        self.counts = {}
+        for name, step, _labels, _props in STEPS:
+            before = len(self.stated) + len(self._described)
+            step(self)
+            self.counts[name] = len(self.stated) + len(self._described) - before
+
+    def link(self, start, rel_type, end, properties=None) -> None:
+        """State a link unless this run did, or another dataset provides
+        it either way: a re-run re-states all it derives."""
+        between = self.iyp.store.relationships_between
+        if (start, rel_type, end) in self.stated or (
+            isinstance(start, Node) and isinstance(end, Node) and any(
+                rel.properties.get(DATASET_PROPERTY) != self.name
+                for rel in between(start.id, end.id, rel_type)
+                + between(end.id, start.id, rel_type)
+            )
+        ):
+            return
+        self.stated.add((start, rel_type, end))
+        super().link(start, rel_type, end, properties)
+
+
+def add_address_families(refinement: Refinement) -> None:
     """Set the ``af`` property on every IP and Prefix node."""
-    count = 0
-    for node in iyp.store.nodes_with_label("IP"):
-        if "af" in node.properties:
-            continue
-        try:
-            iyp.store.update_node(node.id, {"af": address_family(node.properties["ip"])})
-            count += 1
-        except InvalidAddressError:
-            continue
-    for node in iyp.store.nodes_with_label("Prefix"):
-        if "af" in node.properties:
-            continue
-        try:
-            iyp.store.update_node(node.id, {"af": prefix_af(node.properties["prefix"])})
-            count += 1
-        except InvalidPrefixError:
-            continue
-    return count
+    for label, key, family in (("IP", "ip", address_family),
+                               ("Prefix", "prefix", prefix_af)):
+        for node in refinement.iyp.store.nodes_with_label(label):
+            try:
+                af = family(node.properties[key])
+            except (InvalidAddressError, InvalidPrefixError):
+                continue
+            refinement.node(label, {"af": af}, **{key: node.properties[key]})
 
 
-def _prefix_trie(iyp: IYP) -> PrefixTrie:
-    trie = PrefixTrie()
-    for node in iyp.store.nodes_with_label("Prefix"):
-        try:
-            trie.insert(node.properties["prefix"], node)
-        except InvalidPrefixError:
-            continue
-    return trie
-
-
-def link_ips_to_prefixes(iyp: IYP) -> int:
+def link_ips_to_prefixes(refinement: Refinement) -> None:
     """Link every IP node to the Prefix node of its longest match."""
-    trie = _prefix_trie(iyp)
-    links = []
-    for node in iyp.store.nodes_with_label("IP"):
+    for node in refinement.iyp.store.nodes_with_label("IP"):
         try:
-            match = trie.longest_match_ip(node.properties["ip"])
-        except (InvalidAddressError, ValueError):
+            match = refinement.prefixes.longest_match_ip(node.properties["ip"])
+        except ValueError:
             continue
         if match is not None:
-            links.append((node, "PART_OF", match[1], None))
-    return iyp.add_links(links, REFINEMENT_REFERENCE)
+            refinement.link(node, "PART_OF", match[1])
 
 
-def link_covering_prefixes(iyp: IYP) -> int:
+def link_covering_prefixes(refinement: Refinement) -> None:
     """Link every Prefix node to its closest covering Prefix node."""
-    trie = _prefix_trie(iyp)
-    links = []
-    for node in iyp.store.nodes_with_label("Prefix"):
+    for node in refinement.iyp.store.nodes_with_label("Prefix"):
         try:
-            match = trie.covering_prefix(node.properties["prefix"])
+            match = refinement.prefixes.covering_prefix(node.properties["prefix"])
         except InvalidPrefixError:
             continue
         if match is not None and match[1].id != node.id:
-            links.append((node, "PART_OF", match[1], None))
-    return iyp.add_links(links, REFINEMENT_REFERENCE)
+            refinement.link(node, "PART_OF", match[1])
 
 
-def link_urls_to_hostnames(iyp: IYP) -> int:
+def link_urls_to_hostnames(refinement: Refinement) -> None:
     """Link every URL node to the HostName it embeds."""
-    count = 0
-    for node in iyp.store.nodes_with_label("URL"):
+    store = refinement.iyp.store
+    for node in store.nodes_with_label("URL"):
         try:
-            hostname = hostname_of_url(node.properties["url"])
+            name = hostname_of_url(node.properties["url"])
         except InvalidURLError:
             continue
-        host_node = iyp.get_node("HostName", name=hostname)
-        iyp.add_link(node, "PART_OF", host_node, None, REFINEMENT_REFERENCE)
-        count += 1
-    return count
+        host = refinement.node("HostName", name=name)
+        if not store.find_nodes("HostName", "name", name):
+            refinement.hostnames.setdefault(name, host)
+        refinement.link(node, "PART_OF", host)
 
 
-def link_name_hierarchy(iyp: IYP) -> int:
-    """HostName -> registrable DomainName (PART_OF) and zone cuts (PARENT).
+def link_name_hierarchy(refinement: Refinement) -> None:
+    """HostName -> registrable DomainName (PART_OF) and zone cuts (PARENT)
+    up to the TLD.  Crawlers already create most HostName PART_OF links;
+    this fills the gaps (e.g. hostnames named by the URL step)."""
+    store = refinement.iyp.store
+    hosts, zones = (
+        [(node.properties.get("name"), node) for node in store.nodes_with_label(label)]
+        for label in ("HostName", "DomainName")
+    )
+    # name -> the graph's DomainName (the first, as merges find), or a handle
+    domains: dict[str | None, Node | int] = dict(reversed(zones))
 
-    Crawlers already create most HostName PART_OF links; this pass fills
-    gaps (e.g. hostnames created by the URL step) and builds the
-    DomainName PARENT chain up to the TLD.
-    """
-    count = 0
-    for node in iyp.store.nodes_with_label("HostName"):
-        name = node.properties.get("name")
-        if not name:
+    def domain(name: str) -> Node | int:
+        if name not in domains:
+            domains[name] = refinement.node("DomainName", name=name)
+        return domains[name]
+
+    for name, host in [*hosts, *refinement.hostnames.items()]:
+        registrable = registered_domain(name) if name else None
+        if registrable is not None:
+            refinement.link(host, "PART_OF", domain(registrable))
+    # Zone cuts of the graph's DomainNames and the new registrable ones.
+    named = [(name, end) for name, end in domains.items() if isinstance(end, int)]
+    for name, child in zones + named:
+        if not name or name == (suffix := public_suffix(name)):
             continue
-        registrable = registered_domain(name)
-        if registrable is None:
-            continue
-        existing = [
-            rel
-            for rel in iyp.store.relationships_of(node.id, rel_type="PART_OF")
-        ]
-        domain_node = iyp.get_node("DomainName", name=registrable)
-        if not any(
-            rel.other_end(node.id) == domain_node.id for rel in existing
-        ):
-            iyp.add_link(node, "PART_OF", domain_node, None, REFINEMENT_REFERENCE)
-            count += 1
-    # Zone cuts: registrable domain -> public suffix zones.
-    for node in list(iyp.store.nodes_with_label("DomainName")):
-        name = node.properties.get("name")
-        if not name or "." not in name:
-            continue
-        suffix = public_suffix(normalize_name(name))
-        if name == suffix:
-            continue
-        chain = [zone for zone in parent_zones(name) if len(zone) >= len(suffix)]
-        child = node
-        for zone in chain:
-            parent_node = iyp.get_node("DomainName", name=zone)
-            existing = iyp.store.relationships_between(
-                parent_node.id, child.id, "PARENT"
-            )
-            if not existing:
-                iyp.add_link(parent_node, "PARENT", child, None, REFINEMENT_REFERENCE)
-                count += 1
-            child = parent_node
-    return count
+        for zone in parent_zones(name):
+            if len(zone) < len(suffix):
+                break
+            parent = domain(zone)
+            refinement.link(parent, "PARENT", child)
+            child = parent
 
 
-def complete_country_codes(iyp: IYP) -> int:
+def complete_country_codes(refinement: Refinement) -> None:
     """Give every Country node alpha-3 code and common name properties."""
-    count = 0
-    for node in iyp.store.nodes_with_label("Country"):
+    for node in refinement.iyp.store.nodes_with_label("Country"):
         code = node.properties.get("country_code", "")
-        if "alpha3" in node.properties and "name" in node.properties:
-            continue
         try:
             info = lookup(code)
         except UnknownCountryError:
             continue
-        iyp.store.update_node(node.id, {"alpha3": info.alpha3, "name": info.name})
-        count += 1
-    return count
+        refinement.node("Country", {"alpha3": info.alpha3, "name": info.name},
+                        country_code=code)
 
 
 #: Every refinement step, in order: (count name, function, the node
 #: labels whose structure it reads, the properties it reads on them).
 #: A step added here joins the incremental build's skip rule with it.
 STEPS = (
-    ("af_properties", add_address_families,
-     {"IP", "Prefix"}, {"ip", "prefix", "af"}),
+    ("af_properties", add_address_families, {"IP", "Prefix"}, {"ip", "prefix", "af"}),
     ("ip_part_of_prefix", link_ips_to_prefixes, {"IP", "Prefix"}, {"ip", "prefix"}),
     ("prefix_part_of_prefix", link_covering_prefixes, {"Prefix"}, {"prefix"}),
     ("url_part_of_hostname", link_urls_to_hostnames, {"URL"}, {"url"}),
-    ("hostname_hierarchy", link_name_hierarchy,
-     {"HostName", "DomainName"}, {"name"}),
+    ("hostname_hierarchy", link_name_hierarchy, {"HostName", "DomainName"}, {"name"}),
     ("country_codes", complete_country_codes,
      {"Country"}, {"country_code", "alpha3", "name"}),
 )
@@ -201,5 +197,8 @@ READ_PROPERTIES = frozenset().union(*(props for _, _, _, props in STEPS))
 
 
 def run_postprocessing(iyp: IYP) -> dict[str, int]:
-    """Run every refinement step; returns per-step link/property counts."""
-    return {name: step(iyp) for name, step, _labels, _props in STEPS}
+    """Run every refinement step; returns per-step link/property counts.
+    A step that raises leaves the store untouched."""
+    refinement = Refinement(iyp, None)  # its input is the graph, not a URL
+    refinement.run()
+    return refinement.counts

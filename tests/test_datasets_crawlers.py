@@ -532,26 +532,88 @@ class TestOneWayToWriteADataset:
                     offenders.append(f"{path.name}:{node.lineno} defines run()")
         assert offenders == []
 
-    def test_crawl_lock_scopes_are_bounded_by_columns(self, quarter_world, monkeypatch):
+    def test_refinement_module_calls_no_per_datapoint_write(self):
+        import ast
+        from pathlib import Path
+
+        from repro.pipeline import postprocess
+
+        offenders = [
+            f"postprocess.py:{node.lineno} .{node.attr}"
+            for node in ast.walk(ast.parse(Path(postprocess.__file__).read_text()))
+            if isinstance(node, ast.Attribute)
+            and node.attr in {"update_node", "get_node", "add_link", "add_links"}
+        ]
+        assert offenders == []
+
+    @staticmethod
+    def _count_write_scopes(monkeypatch) -> list[int]:
+        """Count outermost write-lock acquisitions from here on."""
         import threading
 
         from repro.graphdb.rwlock import RWLock
-        from repro.pipeline import build_iyp
 
-        outermost = 0
+        outermost = [0]
         acquire_write = RWLock.acquire_write
 
         def counting(lock):
-            nonlocal outermost
             if lock._writer != threading.get_ident():
-                outermost += 1
+                outermost[0] += 1
             acquire_write(lock)
 
         monkeypatch.setattr(RWLock, "acquire_write", counting)
+        return outermost
+
+    def test_crawl_lock_scopes_are_bounded_by_columns(self, quarter_world, monkeypatch):
+        from repro.pipeline import build_iyp
+
+        outermost = self._count_write_scopes(monkeypatch)
         _, report = build_iyp(
             quarter_world, postprocess=False, validate=False, analytics=False
         )
         assert report.ok
         # One scope per label column and one per link list, for each of
         # the 46 crawlers — not one per datapoint (22,334 node requests).
-        assert 46 < outermost <= 1000
+        assert 46 < outermost[0] <= 1000
+
+    def test_build_lock_scopes_are_bounded_by_columns(self, quarter_world, monkeypatch):
+        from repro.pipeline import build_iyp
+
+        outermost = self._count_write_scopes(monkeypatch)
+        _, report = build_iyp(quarter_world)
+        assert report.ok
+        # The refinement pass loads like a crawler (4,326 scopes when it
+        # wrote per datapoint); validation and analytics add a few.
+        assert 46 < outermost[0] <= 200
+
+    def test_failed_refinement_step_leaves_the_store_untouched(
+        self, quarter_world, monkeypatch
+    ):
+        from repro.core.diff import snapshot_diff
+        from repro.graphdb import GraphStore
+        from repro.pipeline import build_iyp, postprocess, run_postprocessing
+
+        iyp, _ = build_iyp(
+            quarter_world, postprocess=False, validate=False, analytics=False
+        )
+        before = GraphStore.from_records(
+            [(n.id, set(n.labels), dict(n.properties)) for n in iyp.store.iter_nodes()],
+            [(r.id, r.type, r.start_id, r.end_id, dict(r.properties))
+             for r in iyp.store.iter_relationships()],
+        )
+        version = iyp.store.version
+
+        def failing(refinement):
+            postprocess.link_name_hierarchy(refinement)
+            assert refinement.stated  # links stated, none loaded yet
+            raise RuntimeError("synthetic failure")
+
+        steps = [
+            (name, failing if name == "hostname_hierarchy" else step, labels, props)
+            for name, step, labels, props in postprocess.STEPS
+        ]
+        monkeypatch.setattr(postprocess, "STEPS", tuple(steps))
+        with pytest.raises(RuntimeError, match="synthetic failure"):
+            run_postprocessing(iyp)
+        assert iyp.store.version == version
+        assert snapshot_diff(before, iyp.store).unchanged

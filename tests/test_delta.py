@@ -805,3 +805,44 @@ class TestIncrementalBuild:
         assert entry.kind == "delta" and entry.base == "week-1"
         assert report2.archived_as == "week-2"
         assert_stores_equivalent(iyp.store, archive.load("week-2"))
+
+
+def _move_nameserver(world) -> None:
+    name = sorted(world.nameservers)[0]
+    server = world.nameservers[name]
+    server.ips = [server.ips[0], "198.51.100.77"]
+
+
+def _drop_last_tranco_entry(world) -> None:
+    world.tranco.pop()
+
+
+class TestIncrementalRefinement:
+    """An incremental build that re-runs the refinement pass ends where
+    a scratch build of the new world starts: the pass's previous links
+    are stale until re-stated, and keep no node alive."""
+
+    @pytest.mark.parametrize(
+        "edit", [_move_nameserver, _drop_last_tranco_entry],
+        ids=["nameserver", "tranco"],
+    )
+    def test_refresh_equals_rebuild(self, quarter_world, edit):
+        iyp, report = build_iyp(quarter_world, validate=False, analytics=False)
+        replica = copy_store(iyp.store)
+        new_world = copy.deepcopy(quarter_world)
+        edit(new_world)
+
+        _iyp, report2 = build_iyp(
+            new_world, incremental=True, previous=report, iyp=iyp,
+            validate=False, analytics=False,
+        )
+        assert not report2.postprocess_skipped
+        assert sum(run.skipped for run in report2.crawler_runs) >= 40
+        scratch, scratch_report = build_iyp(
+            new_world, validate=False, analytics=False
+        )
+        assert_stores_equivalent(scratch.store, iyp.store)
+        replica.apply_delta(report2.delta)
+        assert_stores_equivalent(scratch.store, replica)
+        # Totals, as a scratch build counts them, not increments.
+        assert report2.refinement_counts == scratch_report.refinement_counts

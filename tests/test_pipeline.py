@@ -5,14 +5,6 @@ import pytest
 from repro.core import IYP
 from repro.lint import GraphValidator
 from repro.pipeline import build_iyp, run_postprocessing
-from repro.pipeline.postprocess import (
-    add_address_families,
-    complete_country_codes,
-    link_covering_prefixes,
-    link_ips_to_prefixes,
-    link_name_hierarchy,
-    link_urls_to_hostnames,
-)
 
 
 class TestBuild:
@@ -78,8 +70,7 @@ class TestRefinementSteps:
         iyp = IYP()
         iyp.get_node("IP", ip="10.0.0.1")
         iyp.get_node("Prefix", prefix="2001:db8::/32")
-        count = add_address_families(iyp)
-        assert count == 2
+        assert run_postprocessing(iyp)["af_properties"] == 2
         assert iyp.run("MATCH (i:IP) RETURN i.af").value() == 4
         assert iyp.run("MATCH (p:Prefix) RETURN p.af").value() == 6
 
@@ -88,7 +79,7 @@ class TestRefinementSteps:
         iyp.get_node("Prefix", prefix="10.0.0.0/8")
         iyp.get_node("Prefix", prefix="10.1.0.0/16")
         iyp.get_node("IP", ip="10.1.2.3")
-        link_ips_to_prefixes(iyp)
+        run_postprocessing(iyp)
         assert iyp.run(
             "MATCH (:IP {ip:'10.1.2.3'})-[:PART_OF]->(p:Prefix) RETURN p.prefix"
         ).value() == "10.1.0.0/16"
@@ -97,7 +88,7 @@ class TestRefinementSteps:
         iyp = IYP()
         iyp.get_node("Prefix", prefix="10.0.0.0/8")
         iyp.get_node("Prefix", prefix="10.1.0.0/16")
-        link_covering_prefixes(iyp)
+        run_postprocessing(iyp)
         assert iyp.run(
             "MATCH (:Prefix {prefix:'10.1.0.0/16'})-[:PART_OF]->(p:Prefix) "
             "RETURN p.prefix"
@@ -106,7 +97,7 @@ class TestRefinementSteps:
     def test_url_to_hostname(self):
         iyp = IYP()
         iyp.get_node("URL", url="https://www.example.com/page")
-        link_urls_to_hostnames(iyp)
+        run_postprocessing(iyp)
         assert iyp.run(
             "MATCH (:URL)-[:PART_OF]->(h:HostName) RETURN h.name"
         ).value() == "www.example.com"
@@ -114,7 +105,7 @@ class TestRefinementSteps:
     def test_name_hierarchy(self):
         iyp = IYP()
         iyp.get_node("HostName", name="a.b.example.com")
-        link_name_hierarchy(iyp)
+        run_postprocessing(iyp)
         assert iyp.run(
             "MATCH (:HostName)-[:PART_OF]->(d:DomainName) RETURN d.name"
         ).value() == "example.com"
@@ -126,7 +117,7 @@ class TestRefinementSteps:
     def test_country_completion(self):
         iyp = IYP()
         iyp.get_node("Country", country_code="NL")
-        complete_country_codes(iyp)
+        run_postprocessing(iyp)
         row = iyp.run(
             "MATCH (c:Country) RETURN c.alpha3 AS a3, c.name AS name"
         ).single()
@@ -136,9 +127,12 @@ class TestRefinementSteps:
         iyp = IYP()
         iyp.get_node("Prefix", prefix="10.0.0.0/8")
         iyp.get_node("IP", ip="10.1.2.3")
-        run_postprocessing(iyp)
+        iyp.get_node("URL", url="https://www.example.com/page")
+        iyp.get_node("HostName", name="a.b.example.org")
+        counts = run_postprocessing(iyp)
         rels = iyp.store.relationship_count
-        run_postprocessing(iyp)
+        # A re-run re-states what it derives: the same totals, no new links.
+        assert run_postprocessing(iyp) == counts
         assert iyp.store.relationship_count == rels
 
     def test_refinement_links_carry_provenance(self, small_iyp):
