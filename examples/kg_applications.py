@@ -17,11 +17,11 @@ Run:  python examples/kg_applications.py
 
 from repro.analysis import (
     TransEConfig,
-    as_pagerank,
     rank_agreement,
     run_inference,
     train_transe,
 )
+from repro.analytics import pagerank
 from repro.pipeline import build_iyp
 from repro.simnet import WorldConfig, build_world
 
@@ -70,7 +70,7 @@ def main() -> None:
         print(f"     d={distance:.3f}  :{label} {key}")
 
     print("\n4. Centrality: PageRank over the AS subgraph vs CAIDA ASRank")
-    scores = as_pagerank(iyp)
+    scores = pagerank(iyp.store)
     top = sorted(scores, key=lambda asn: -scores[asn])[:5]
     for asn in top:
         print(f"   AS{asn:<8} pagerank={scores[asn]:.4f} "

@@ -13,7 +13,7 @@ for.  This package implements working versions of each:
   subgraph, comparable against CAIDA's ASRank and IHR hegemony.
 """
 
-from repro.analysis.centrality import as_pagerank, rank_agreement
+from repro.analysis.centrality import rank_agreement
 from repro.analysis.embeddings import TransEConfig, TransEModel, train_transe
 from repro.analysis.reasoning import (
     DEFAULT_RULES,
@@ -26,7 +26,6 @@ __all__ = [
     "InferenceRule",
     "TransEConfig",
     "TransEModel",
-    "as_pagerank",
     "rank_agreement",
     "run_inference",
     "train_transe",

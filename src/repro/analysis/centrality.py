@@ -1,53 +1,16 @@
 """Centrality of ASes in the knowledge graph vs published rankings.
 
-PageRank over the AS-level subgraph (PEERS_WITH and DEPENDS_ON links)
-gives an independent importance measure; comparing it against CAIDA's
-ASRank (imported as RANK links) quantifies how much of the published
-ranking is recoverable from graph structure alone.
+PageRank over the AS-level subgraph (PEERS_WITH and DEPENDS_ON links,
+:func:`repro.analytics.pagerank`) gives an independent importance
+measure; comparing it against CAIDA's ASRank (imported as RANK links)
+quantifies how much of the published ranking is recoverable from graph
+structure alone.
 """
 
 from __future__ import annotations
 
+from repro.analytics import pagerank
 from repro.core import IYP
-
-
-def as_pagerank(
-    iyp: IYP,
-    damping: float = 0.85,
-    iterations: int = 40,
-) -> dict[int, float]:
-    """PageRank over AS-to-AS links; returns asn -> score."""
-    rows = iyp.run(
-        """
-        MATCH (a:AS)-[r]->(b:AS)
-        WHERE type(r) IN ['PEERS_WITH', 'DEPENDS_ON']
-        RETURN a.asn AS src, b.asn AS dst
-        """
-    ).records
-    asns = sorted(
-        {row["src"] for row in rows} | {row["dst"] for row in rows}
-    )
-    if not asns:
-        return {}
-    index = {asn: i for i, asn in enumerate(asns)}
-    out_links: list[list[int]] = [[] for _ in asns]
-    for row in rows:
-        out_links[index[row["src"]]].append(index[row["dst"]])
-    n = len(asns)
-    rank = [1.0 / n] * n
-    for _ in range(iterations):
-        incoming = [0.0] * n
-        dangling = 0.0
-        for i, targets in enumerate(out_links):
-            if not targets:
-                dangling += rank[i]
-                continue
-            share = rank[i] / len(targets)
-            for j in targets:
-                incoming[j] += share
-        base = (1.0 - damping) / n + damping * dangling / n
-        rank = [base + damping * incoming[i] for i in range(n)]
-    return {asn: rank[index[asn]] for asn in asns}
 
 
 def asrank_positions(iyp: IYP) -> dict[int, int]:
@@ -63,14 +26,14 @@ def asrank_positions(iyp: IYP) -> dict[int, int]:
 
 def rank_agreement(iyp: IYP, top_k: int = 20) -> float:
     """Overlap between PageRank's and ASRank's top-k AS sets, in [0, 1]."""
-    pagerank = as_pagerank(iyp)
+    scores = pagerank(iyp.store)
     asrank = asrank_positions(iyp)
-    if not pagerank or not asrank:
+    if not scores or not asrank:
         return 0.0
     top_pagerank = {
         asn
         for asn, _score in sorted(
-            pagerank.items(), key=lambda kv: -kv[1]
+            scores.items(), key=lambda kv: -kv[1]
         )[:top_k]
     }
     top_asrank = {

@@ -11,9 +11,9 @@ pure-Python references (``tests/test_analytics_equivalence.py``), and
 two of the helpers deliberately replicate pre-existing code paths
 bit-for-bit:
 
-* :func:`pagerank` reproduces the float-accumulation order of
-  ``repro.analysis.centrality.as_pagerank`` so scores are identical,
-  not merely close.
+* :func:`pagerank` reproduces the float-accumulation order of the
+  Cypher-driven reference PageRank in the equivalence tests, so scores
+  are identical, not merely close.
 * :func:`transitive_closure` reproduces the memoized cycle-tolerant DFS
   the synthetic-world builder uses for customer cones.
 
@@ -290,11 +290,10 @@ def pagerank(
 ) -> dict[Any, float]:
     """PageRank over the directed AS-to-AS subgraph, keyed by ``key``.
 
-    The accumulation order replicates
-    ``repro.analysis.centrality.as_pagerank`` exactly — ranks are
-    summed per ascending source index with identical per-edge shares —
-    so the returned floats are bit-identical to the Cypher-driven
-    implementation, independent of edge-list construction order.
+    Ranks are summed per ascending source index with identical per-edge
+    shares, so the returned floats are bit-identical to the
+    Cypher-driven reference in ``tests/test_analytics_equivalence.py``,
+    independent of edge-list construction order.
     Dangling mass is redistributed uniformly each iteration.
     """
     key_of: dict[int, Any] = {}

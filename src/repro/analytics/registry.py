@@ -2,9 +2,10 @@
 
 Each procedure wraps one measure from :mod:`repro.analytics.measures`
 behind a stable name, a fixed column tuple, and a deterministic row
-order, so the same registry serves three consumers: the Cypher engine's
-``CALL`` clause, the build-time precompute
-(:mod:`repro.analytics.report`), and the ``repro analytics`` CLI.
+order, so the same registry serves two consumers: the Cypher engine's
+``CALL`` clause (``repro query "CALL algo.pagerank() ..."`` on the
+command line) and the build-time precompute
+(:mod:`repro.analytics.report`).
 Procedures flagged ``precompute`` run with default arguments at build
 time and their rows are cached in the snapshot archive; the engine
 serves the cache whenever a zero-argument ``CALL`` hits a store whose

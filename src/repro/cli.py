@@ -12,7 +12,7 @@ The offline analogue of the IYP project's operational scripts::
     python -m repro archive list --dir archive
     python -m repro inventory
     python -m repro ontology
-    python -m repro studies --scale small
+    python -m repro report --snapshot iyp.iyp2
     python -m repro info --snapshot iyp.iyp2
 
 ``query`` and ``serve`` share one admission-control path
@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 
 from repro.core import IYP
+from repro.cypher.errors import CypherError, QueryAbortedError
 from repro.datasets.registry import DATASETS, organizations
 from repro.graphdb import load_snapshot, save_snapshot
 from repro.ontology import ENTITIES, RELATIONSHIPS
@@ -123,35 +124,24 @@ def cmd_query(args: argparse.Namespace) -> int:
     executes the query for real and prints the annotated operator tree
     (rows, store hits, timings) above the results.
     """
-    from repro.cypher.errors import QueryAbortedError
     from repro.server.admission import AdmissionController
 
     iyp = _load_iyp(args.snapshot)
-    if args.explain:
-        explanation = iyp.engine.explain(args.query)
-        for step in explanation.plan:
-            print(step)
-        _print_warnings(explanation.warnings)
-        return 0
     params = _parse_params(args.param)
     controller = AdmissionController(
         max_concurrent=1,
         default_timeout=args.timeout,
         default_max_rows=args.limit,
     )
-    try:
-        with controller.slot():
-            if args.profile:
-                result, plan = iyp.engine.profile(
-                    args.query, params, guard=controller.guard()
-                )
-                print(plan.render())
-                print()
-            else:
-                result = iyp.engine.run(args.query, params, guard=controller.guard())
-    except QueryAbortedError as exc:
-        print(f"query aborted: {exc}", file=sys.stderr)
-        return 1
+    with controller.slot():
+        if args.profile:
+            result, plan = iyp.engine.profile(
+                args.query, params, guard=controller.guard()
+            )
+            print(plan.render())
+            print()
+        else:
+            result = iyp.engine.run(args.query, params, guard=controller.guard())
     print(result.to_table(max_rows=args.limit or 50))
     if result.stats:
         stats = result.stats
@@ -205,12 +195,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     additionally enables the index-aware checks (LNT008).
     """
     from repro.lint import QueryLinter, fails_strict
-
-    if getattr(args, "python", False):
-        # Concurrency-safety mode: the sources are Python files/dirs.
-        return cmd_check_concurrency(
-            argparse.Namespace(paths=args.sources, strict=args.strict)
-        )
 
     store = load_snapshot(args.snapshot) if args.snapshot else None
     linter = QueryLinter(store)
@@ -295,21 +279,6 @@ def cmd_validate_graph(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_info(args: argparse.Namespace) -> int:
-    """Summarize a snapshot: size, labels, relationship types."""
-    iyp = _load_iyp(args.snapshot)
-    summary = iyp.summary()
-    print(f"nodes:         {summary['nodes']:,}")
-    print(f"relationships: {summary['relationships']:,}")
-    print("labels:")
-    for label, count in summary["labels"].items():
-        print(f"  :{label:<26} {count:>8,}")
-    print("relationship types:")
-    for rel_type, count in summary["relationship_types"].items():
-        print(f"  :{rel_type:<26} {count:>8,}")
-    return 0
-
-
 def _print_diff(diff, verbose: bool) -> None:
     """Shared rendering for ``repro diff`` and ``repro archive diff``."""
     summary = diff.summary()
@@ -387,47 +356,6 @@ def cmd_ontology(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_studies(args: argparse.Namespace) -> int:
-    """Run every reproduction study and print the headline numbers."""
-    from repro.studies import (
-        compare_origin_datasets,
-        run_combined_study,
-        run_dns_robustness_study,
-        run_ripki_study,
-        run_spof_study,
-    )
-
-    config = _SCALES[args.scale](seed=args.seed)
-    world = build_world(config)
-    iyp, report = build_iyp(world)
-    print(f"graph: {report.nodes:,} nodes / {report.relationships:,} rels\n")
-
-    ripki = run_ripki_study(iyp)
-    print("RiPKI (Table 2):", {k: round(v, 1) for k, v in ripki.table2_row().items()})
-    dns = run_dns_robustness_study(iyp)
-    print("DNS practices (Table 3):", {k: round(v, 1) for k, v in dns.table3_row().items()})
-    print(
-        "Shared infra (Table 4): "
-        f"NS med/max {dns.cno_by_ns.median}/{dns.cno_by_ns.maximum}, "
-        f"/24 med/max {dns.cno_by_slash24.median}/{dns.cno_by_slash24.maximum}"
-    )
-    combined = run_combined_study(iyp)
-    print(
-        "NS RPKI (5.1.1): "
-        f"prefixes {combined.ns_prefixes_covered_pct:.1f}%, "
-        f"domains {combined.domains_on_covered_ns_pct:.1f}%"
-    )
-    spof = run_spof_study(iyp)
-    top = spof.top_countries(3)
-    print("SPoF top countries (Fig 5):", [c for c, _ in top])
-    comparison = compare_origin_datasets(iyp)
-    print(
-        f"Dataset diff (6.1): {comparison.total} disagreements, "
-        f"IPv6-dominated={comparison.ipv6_dominated}"
-    )
-    return 0
-
-
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     """Validate a world configuration's internal consistency."""
     from repro.simnet.validate import validate_world
@@ -467,16 +395,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     hot-swaps the live store, and ``--watch`` polls the archive so new
     builds go live without a restart (see
     :class:`repro.archive.ArchiveWatcher` for how each entry is taken).
+    One process serves the dict store; ``--workers N`` (N > 1) serves
+    the columnar pool instead.
     """
     from repro.server import QueryService, create_server
-    from repro.server.metrics import Metrics
 
     if args.watch is not None and not args.archive:
         print("--watch requires --archive", file=sys.stderr)
         return 1
-    # One registry across build and serving, so pipeline counters show
-    # up on the served /metrics endpoint.
-    metrics = Metrics()
     archive = None
     snapshot_label = None
     if args.archive:
@@ -486,26 +412,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if not archive.entries():
             print(f"archive {args.archive}/ has no snapshots", file=sys.stderr)
             return 1
-        selector = args.snapshot or "latest"
+        selector = "latest" if args.snapshot == DEFAULT_SNAPSHOT else args.snapshot
         entry = archive.resolve(selector)
         print(f"Loading archived snapshot {entry.label} ({entry.filename})...")
         store = archive.load(entry)
         snapshot_label = entry.label
-    elif args.snapshot:
+    else:
         print(f"Loading snapshot {args.snapshot}...")
         store = load_snapshot(args.snapshot)
-    else:
-        print(f"Building synthetic world (scale={args.scale}, seed={args.seed})...")
-        world = build_world(_SCALES[args.scale](seed=args.seed))
-        iyp, report = build_iyp(world, metrics=metrics)
-        print(
-            f"Built {report.nodes:,} nodes / {report.relationships:,} "
-            f"relationships in {report.total_seconds:.1f}s"
-        )
-        store = iyp.store
-    if args.workers > 1 and args.backend != "columnar":
-        print("--workers N (N>1) requires --backend columnar", file=sys.stderr)
-        return 1
     # The service options, spelled once for the in-process service and
     # for the copy each pool worker builds.
     options = {
@@ -517,14 +431,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         "slow_query_seconds": args.slow_query_threshold,
         "snapshot_label": snapshot_label,
     }
-    if args.backend == "columnar":
-        if args.workers > 1:
-            return _serve_pool(args, store, archive, options)
-        from repro.columnar import ColumnarGraphStore
-
-        print("Building columnar arrays (read-only backend)...")
-        store = ColumnarGraphStore.from_store(store)
-    service = QueryService(store, metrics=metrics, archive=archive, **options)
+    if args.workers > 1:
+        return _serve_pool(args, store, archive, options)
+    service = QueryService(store, archive=archive, **options)
     watcher = _start_watcher(args, service, archive)
     server = create_server(service, args.host, args.port)
     host, port = server.server_address[:2]
@@ -622,20 +531,14 @@ def _serve_pool(args: argparse.Namespace, store, archive, options: dict) -> int:
     return 0
 
 
-def cmd_store_info(args: argparse.Namespace) -> int:
-    """Describe a graph store: composition plus the estimated memory
-    footprint of each backend for the same data."""
+def cmd_info(args: argparse.Namespace) -> int:
+    """Describe a snapshot: composition, indexes and constraints, and
+    the estimated memory footprint of each backend for the same data."""
     import json
 
     from repro.columnar import ColumnarGraphStore
 
-    if args.snapshot:
-        print(f"Loading snapshot {args.snapshot}...", file=sys.stderr)
-        store = load_snapshot(args.snapshot)
-    else:
-        world = build_world(_SCALES[args.scale](seed=args.seed))
-        iyp, _report = build_iyp(world)
-        store = iyp.store
+    store = load_snapshot(args.snapshot)
     columnar = ColumnarGraphStore.from_store(store)
     info = {
         "nodes": store.node_count,
@@ -656,31 +559,20 @@ def cmd_store_info(args: argparse.Namespace) -> int:
         return 0
     print(f"nodes:         {info['nodes']:,}")
     print(f"relationships: {info['relationships']:,}")
-    print("labels:")
-    for label, count in info["labels"].items():
-        print(f"  {label:<24} {count:>10,}")
-    print("relationship types:")
-    for rel_type, count in info["relationship_types"].items():
-        print(f"  {rel_type:<24} {count:>10,}")
-    print(f"indexes:       {', '.join(':'.join(p) for p in info['indexes']) or '-'}")
-    print(
-        "constraints:   "
-        f"{', '.join(':'.join(p) for p in info['constraints']) or '-'}"
-    )
+    for section in ("labels", "relationship_types"):
+        print(section.replace("_", " ") + ":")
+        for name, count in info[section].items():
+            print(f"  :{name:<26} {count:>8,}")
+    for section in ("indexes", "constraints"):
+        pairs = ", ".join(":".join(pair) for pair in info[section])
+        print(f"{section + ':':<15}{pairs or '-'}")
     print("estimated memory footprint (bytes):")
     backends = info["backends"]
-    components = sorted(
-        {key for sizes in backends.values() for key in sizes}
-    )
-    header = f"  {'component':<22}" + "".join(
-        f"{name:>14}" for name in sorted(backends)
-    )
-    print(header)
-    for component in components:
-        row = f"  {component:<22}"
-        for name in sorted(backends):
-            row += f"{backends[name].get(component, 0):>14,}"
-        print(row)
+    names = sorted(backends)
+    print(f"  {'component':<22}" + "".join(f"{name:>14}" for name in names))
+    for component in sorted({key for sizes in backends.values() for key in sizes}):
+        sizes = "".join(f"{backends[name].get(component, 0):>14,}" for name in names)
+        print(f"  {component:<22}{sizes}")
     return 0
 
 
@@ -868,64 +760,6 @@ def cmd_archive_add(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analytics(args: argparse.Namespace) -> int:
-    """Run one ``algo.*`` procedure against a snapshot.
-
-    ``repro analytics list`` enumerates the registry; any other measure
-    name (with or without the ``algo.`` prefix) loads the snapshot, runs
-    the procedure, and prints the top rows.  ``--arg`` passes positional
-    procedure arguments; values parse as JSON with a plain-string
-    fallback, mirroring ``query --param``.
-    """
-    import json
-
-    from repro.analytics import PROCEDURES, ProcedureContext, get_procedure, suggest
-
-    if args.measure == "list":
-        print(f"{'procedure':<28} {'columns':<24} {'precomputed':<12} summary")
-        print("-" * 100)
-        for spec in PROCEDURES.values():
-            columns = ",".join(spec.columns)
-            flag = "yes" if spec.precompute else "no"
-            print(f"{spec.name:<28} {columns:<24} {flag:<12} {spec.summary}")
-        return 0
-    name = args.measure if "." in args.measure else f"algo.{args.measure}"
-    spec = get_procedure(name)
-    if spec is None:
-        hint = ""
-        hints = suggest(name)
-        if hints:
-            hint = f" (did you mean {' or '.join(hints)}?)"
-        print(f"unknown procedure {name!r}{hint}", file=sys.stderr)
-        return 1
-    call_args = []
-    for raw in args.arg or ():
-        try:
-            call_args.append(json.loads(raw))
-        except json.JSONDecodeError:
-            call_args.append(raw)
-    iyp = _load_iyp(args.snapshot)
-    try:
-        rows = spec.run(ProcedureContext(iyp.store), *call_args)
-    except (TypeError, ValueError) as exc:
-        print(f"bad arguments for {spec.name}{spec.signature}: {exc}", file=sys.stderr)
-        return 1
-    print(f"{spec.name}{spec.signature}: {len(rows)} row(s)")
-    if rows:
-        widths = {column: max(len(column), 12) for column in spec.columns}
-        print("  ".join(column.ljust(widths[column]) for column in spec.columns))
-        for record in rows[: args.top]:
-            print(
-                "  ".join(
-                    str(record[column]).ljust(widths[column])
-                    for column in spec.columns
-                )
-            )
-        if len(rows) > args.top:
-            print(f"... {len(rows) - args.top} more row(s)")
-    return 0
-
-
 def cmd_docs(args: argparse.Namespace) -> int:
     """Generate the documentation pages from registry and ontology."""
     from repro.docs import write_docs
@@ -982,18 +816,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute the query and print the annotated operator tree "
              "(rows, store hits, timings) above the results",
     )
-    query.add_argument(
-        "--explain", action="store_true",
-        help="print the execution plan and lint warnings without "
-             "running the query",
-    )
     query.set_defaults(func=cmd_query)
 
     serve = sub.add_parser("serve", help="serve a snapshot over HTTP")
     serve.add_argument(
-        "--snapshot",
-        help="snapshot to serve (default: build a world); with --archive "
-             "this is an archive selector instead of a file path",
+        "--snapshot", default=DEFAULT_SNAPSHOT,
+        help=f"snapshot file to serve (default {DEFAULT_SNAPSHOT}); with "
+             "--archive an archive selector instead (default: latest)",
     )
     serve.add_argument(
         "--archive", metavar="DIR",
@@ -1007,8 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
              "store in place, anything else is loaded and hot-swapped "
              "(requires --archive)",
     )
-    serve.add_argument("--scale", choices=sorted(_SCALES), default="small")
-    serve.add_argument("--seed", type=int, default=20240501)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8734)
     serve.add_argument(
@@ -1036,30 +863,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable span tracing and per-query profiling",
     )
     serve.add_argument(
-        "--backend", choices=("dict", "columnar"), default="dict",
-        help="store backend: the mutable dict-of-objects store, or the "
-             "read-only columnar array store (shareable across processes)",
-    )
-    serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="with --backend columnar: pre-fork N query processes "
-             "attached to one shared-memory graph segment",
+        help="N > 1 pre-forks N query processes attached to one "
+             "shared-memory columnar graph segment (default: one "
+             "process serving the dict store)",
     )
     serve.set_defaults(func=cmd_serve)
-
-    store_info = sub.add_parser(
-        "store-info",
-        help="graph composition and per-backend memory footprint",
-    )
-    store_info.add_argument(
-        "--snapshot", help="snapshot file to inspect (default: build a world)"
-    )
-    store_info.add_argument("--scale", choices=sorted(_SCALES), default="small")
-    store_info.add_argument("--seed", type=int, default=20240501)
-    store_info.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    store_info.set_defaults(func=cmd_store_info)
 
     top = sub.add_parser(
         "top", help="live statement monitor against a running server"
@@ -1121,11 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot",
         help="lint against this snapshot's indexes too (enables LNT008)",
     )
-    lint.add_argument(
-        "--python", action="store_true",
-        help="treat SOURCEs as Python files/dirs and run the "
-             "concurrency-safety analyzer instead of the query linter",
-    )
     lint.set_defaults(func=cmd_lint)
 
     concurrency = sub.add_parser(
@@ -1152,8 +956,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.set_defaults(func=cmd_validate_graph)
 
-    info = sub.add_parser("info", help="summarize a snapshot")
+    info = sub.add_parser(
+        "info", help="snapshot composition and per-backend memory footprint"
+    )
     info.add_argument("--snapshot", default=DEFAULT_SNAPSHOT)
+    info.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     info.set_defaults(func=cmd_info)
 
     diff = sub.add_parser("diff", help="diff two snapshots by identity")
@@ -1231,11 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
     ontology = sub.add_parser("ontology", help="list entities and relationships")
     ontology.set_defaults(func=cmd_ontology)
 
-    studies = sub.add_parser("studies", help="run all reproduction studies")
-    studies.add_argument("--scale", choices=sorted(_SCALES), default="small")
-    studies.add_argument("--seed", type=int, default=20240501)
-    studies.set_defaults(func=cmd_studies)
-
     selfcheck = sub.add_parser(
         "selfcheck", help="validate a world configuration's consistency"
     )
@@ -1251,33 +1053,20 @@ def build_parser() -> argparse.ArgumentParser:
     docs = sub.add_parser("docs", help="generate documentation pages")
     docs.add_argument("--output", default="documentation")
     docs.set_defaults(func=cmd_docs)
-
-    analytics = sub.add_parser(
-        "analytics", help="run a graph analytics procedure on a snapshot"
-    )
-    analytics.add_argument(
-        "measure",
-        help="procedure name (with or without the algo. prefix), or "
-        "'list' to enumerate the registry",
-    )
-    analytics.add_argument("--snapshot", default=DEFAULT_SNAPSHOT)
-    analytics.add_argument(
-        "--arg",
-        action="append",
-        help="positional procedure argument (repeatable, JSON or string)",
-    )
-    analytics.add_argument(
-        "--top", type=int, default=20, help="rows to print (default 20)"
-    )
-    analytics.set_defaults(func=cmd_analytics)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """CLI entry point.  A Cypher error (syntax, runtime, unknown
+    procedure, budget abort) is one line on stderr and exit code 1."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except CypherError as exc:
+        aborted = isinstance(exc, QueryAbortedError)
+        print(f"{'query aborted' if aborted else type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

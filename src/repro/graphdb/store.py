@@ -168,7 +168,7 @@ class GraphStore:
 
     @property
     def backend_name(self) -> str:
-        """Short backend identifier for /stats and ``repro store-info``."""
+        """Short backend identifier for /stats and ``repro info``."""
         return "dict"
 
     @property

@@ -5,8 +5,8 @@ validator: an ``ast``-based pass over the serving stack that checks the
 lock contracts declared through :mod:`repro.concurrency` (class-level
 ``GUARDED_BY`` maps and ``@guarded_by`` decorators) and the ``_locked``
 naming convention, and builds the static acquires-while-holding graph to
-find potential deadlocks.  Run it with ``repro check-concurrency`` (or
-``repro lint --python``); CI keeps the repo at zero findings.
+find potential deadlocks.  Run it with ``repro check-concurrency``; CI
+keeps the repo at zero findings.
 
 Codes (documented in ``documentation/linting.md``):
 

@@ -146,12 +146,9 @@ class _PartLinter:
                 self._walk_pattern(clause.pattern, register_binds=False)
                 for item in clause.on_create + clause.on_match:
                     self._set_item(item)
-            elif isinstance(clause, ast.SetClause):
+            elif isinstance(clause, (ast.SetClause, ast.RemoveClause)):
                 for item in clause.items:
                     self._set_item(item)
-            elif isinstance(clause, ast.RemoveClause):
-                for item in clause.items:
-                    self._expr(item.subject)
             elif isinstance(clause, ast.DeleteClause):
                 for expression in clause.expressions:
                     self._expr(expression)

@@ -7,10 +7,9 @@ fuse identical entities (Fusion), and finishes with the refinement pass
 
 Each crawler runs under its own telemetry scope: a tracer span, a
 thread-local :class:`~repro.obs.record.AccessCollector` counting the
-store mutations it caused (nodes/relationships created vs merged), a
-structured JSON log line on ``repro.pipeline``, and — when a metrics
-registry is passed — Prometheus counters.  The per-crawler numbers land
-in :class:`BuildReport.crawler_runs`.
+store mutations it caused (nodes/relationships created vs merged), and a
+structured JSON log line on ``repro.pipeline``.  The per-crawler numbers
+land in :class:`BuildReport.crawler_runs`.
 
 Incremental builds (``build_iyp(..., incremental=True)``) reuse the
 previous build's store and :class:`BuildReport` instead of starting
@@ -53,7 +52,6 @@ from repro.pipeline.postprocess import (
     REFINEMENT_REFERENCE,
     run_postprocessing,
 )
-from repro.server.metrics import Metrics
 from repro.simnet.world import World
 
 log = logging.getLogger("repro.pipeline")
@@ -201,21 +199,10 @@ class BuildReport:
         return report
 
 
-def _record_crawler_metrics(metrics: Metrics, run: CrawlerRun) -> None:
-    status = "error" if run.error else "ok"
-    metrics.inc("crawler_runs_total", labels={"crawler": run.name, "status": status})
-    metrics.inc("crawler_seconds_total", run.seconds)
-    metrics.inc("crawler_nodes_created_total", run.nodes_created)
-    metrics.inc("crawler_nodes_merged_total", run.nodes_merged)
-    metrics.inc("crawler_relationships_created_total", run.relationships_created)
-    metrics.inc("crawler_relationships_merged_total", run.relationships_merged)
-
-
 def _execute_crawler(
     crawler: Any,
     fetcher: RecordingFetcher,
     report: BuildReport,
-    metrics: Metrics | None,
     tracer: Tracer,
     raise_on_error: bool,
 ) -> CrawlerRun:
@@ -244,8 +231,6 @@ def _execute_crawler(
         run.relationships_merged = hits.get("rel_merged", 0)
         report.crawler_runs.append(run)
         report.crawler_seconds[crawler.name] = run.seconds
-        if metrics is not None:
-            _record_crawler_metrics(metrics, run)
         log.info("crawler %s", json.dumps(run.to_dict(), sort_keys=True))
     return run
 
@@ -420,7 +405,6 @@ def build_iyp(
     postprocess: bool = True,
     iyp: IYP | None = None,
     raise_on_error: bool = True,
-    metrics: Metrics | None = None,
     tracer: Tracer | None = None,
     validate: bool = True,
     analytics: bool = True,
@@ -434,10 +418,8 @@ def build_iyp(
 
     ``dataset_names`` restricts the import to a subset (useful for
     focused tests and the dataset-comparison study); by default every
-    dataset in the registry is imported.  Pass ``metrics`` to accumulate
-    per-crawler Prometheus counters into an existing registry (e.g. the
-    one a co-located query service will expose), and ``tracer`` to hang
-    the build's span tree off a live tracer.
+    dataset in the registry is imported.  Pass ``tracer`` to hang the
+    build's span tree off a live tracer.
 
     With ``validate`` (the default) the finished graph is swept by the
     ontology schema validator; the per-crawler violation report lands in
@@ -496,15 +478,13 @@ def build_iyp(
             prior_schema, prior_analytics = _advanceable(previous, store)
             churn = _build_incremental(
                 iyp, crawlers, previous, fetcher, report,
-                postprocess=postprocess, metrics=metrics, tracer=tracer,
+                postprocess=postprocess, tracer=tracer,
                 raise_on_error=raise_on_error,
                 all_sources=dataset_names is None,
             )
         else:
             for crawler in crawlers:
-                _execute_crawler(
-                    crawler, fetcher, report, metrics, tracer, raise_on_error
-                )
+                _execute_crawler(crawler, fetcher, report, tracer, raise_on_error)
             if postprocess:
                 with tracer.span("postprocess"):
                     report.refinement_counts = run_postprocessing(iyp)
@@ -524,11 +504,6 @@ def build_iyp(
                     span.attributes.update(
                         nodes_rechecked=rechecked[0],
                         relationships_rechecked=rechecked[1],
-                    )
-            if metrics is not None:
-                for code, count in report.schema_report.by_code().items():
-                    metrics.inc(
-                        "schema_violations_total", count, labels={"code": code}
                     )
             if not report.schema_report.ok:
                 log.warning(
@@ -613,7 +588,6 @@ def _build_incremental(
     report: BuildReport,
     *,
     postprocess: bool,
-    metrics: Metrics | None,
     tracer: Tracer,
     raise_on_error: bool,
     all_sources: bool,
@@ -654,15 +628,9 @@ def _build_incremental(
                 )
                 report.crawler_runs.append(run)
                 report.crawler_seconds[crawler.name] = 0.0
-                if metrics is not None:
-                    metrics.inc(
-                        "crawler_skips_total", labels={"crawler": crawler.name}
-                    )
                 continue
             mark = len(events)
-            run = _execute_crawler(
-                crawler, fetcher, report, metrics, tracer, raise_on_error
-            )
+            run = _execute_crawler(crawler, fetcher, report, tracer, raise_on_error)
             if run.error is None:
                 # Everything the re-run created, merged, or updated is
                 # still asserted; the rest of its previous contribution

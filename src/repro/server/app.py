@@ -288,7 +288,6 @@ class QueryService:
         default_timeout: float | None = 30.0,
         default_max_rows: int | None = 100_000,
         cache_size: int = 256,
-        metrics: Metrics | None = None,
         tracing: bool = True,
         slow_query_seconds: float = 1.0,
         archive: Any | None = None,
@@ -316,12 +315,10 @@ class QueryService:
             default_timeout=default_timeout,
             default_max_rows=default_max_rows,
         )
-        #: One registry for everything — query serving, pipeline
-        #: telemetry, observability gauges — so /metrics and /stats stay
-        #: single-sourced.  Callers may pass a pre-populated registry
-        #: (e.g. one the build pipeline already wrote crawler counters
-        #: into).
-        self.metrics = metrics or Metrics()
+        #: One registry for everything — query serving and
+        #: observability gauges — so /metrics and /stats stay
+        #: single-sourced.
+        self.metrics = Metrics()
         self.slowlog = SlowQueryLog(threshold_seconds=slow_query_seconds)
         #: pg_stat_statements-style per-fingerprint aggregates (None when
         #: disabled — the overhead-guard baseline).  With stats enabled a

@@ -4,12 +4,12 @@ import pytest
 
 from repro.analysis import (
     InferenceRule,
-    as_pagerank,
     rank_agreement,
     run_inference,
     train_transe,
 )
 from repro.analysis.embeddings import TransEConfig, extract_triples
+from repro.analytics import pagerank
 from repro.core import IYP, Reference
 from repro.graphdb import GraphStore
 
@@ -153,12 +153,12 @@ class TestEmbeddings:
 
 class TestCentrality:
     def test_pagerank_sums_to_one(self, small_iyp):
-        scores = as_pagerank(small_iyp)
+        scores = pagerank(small_iyp.store)
         assert scores
         assert abs(sum(scores.values()) - 1.0) < 1e-6
 
     def test_tier1s_rank_high(self, small_iyp, small_world):
-        scores = as_pagerank(small_iyp)
+        scores = pagerank(small_iyp.store)
         ordered = sorted(scores, key=lambda asn: -scores[asn])
         top = set(ordered[:30])
         tier1 = {
@@ -172,5 +172,5 @@ class TestCentrality:
         assert 0.0 < agreement <= 1.0
 
     def test_empty_graph(self, empty_iyp):
-        assert as_pagerank(empty_iyp) == {}
+        assert pagerank(empty_iyp.store) == {}
         assert rank_agreement(empty_iyp) == 0.0

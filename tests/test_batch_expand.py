@@ -362,6 +362,28 @@ def test_promoted_equality_keeps_its_literal_type():
     assert naive_engine(store).run(query).records == []
 
 
+@pytest.mark.parametrize("backend", (GraphStore, ColumnarGraphStore))
+def test_inline_map_reads_an_earlier_variable_of_the_pattern(backend):
+    """``{tag: p.tag}`` on ``q`` is evaluated in the row's scope, where
+    ``p`` is already bound: only same-tag peers match."""
+    nodes = [
+        (1, ["AS"], {"asn": 1, "tag": "x"}),
+        (2, ["AS"], {"asn": 2, "tag": "x"}),
+        (3, ["AS"], {"asn": 3, "tag": "y"}),
+        (4, ["AS"], {"asn": 4}),
+    ]
+    rels = [
+        (100 + index, "PEERS_WITH", start, end, {})
+        for index, (start, end) in enumerate(((1, 2), (1, 3), (3, 2), (2, 1), (4, 1)))
+    ]
+    query = (
+        "MATCH (p:AS)-[:PEERS_WITH]->(q:AS {tag: p.tag}) "
+        "RETURN p.asn AS p, q.asn AS q ORDER BY p, q"
+    )
+    result = assert_same_as_references(backend.from_records(nodes, rels), query)
+    assert [(r["p"], r["q"]) for r in result.records] == [(1, 2), (2, 1)]
+
+
 # ---------------------------------------------------------------------------
 # Guard, failure and OPTIONAL semantics of the operator
 # ---------------------------------------------------------------------------

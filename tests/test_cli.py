@@ -139,25 +139,37 @@ class TestServeParser:
         assert args.func.__name__ == "cmd_serve"
 
     # The retired serve flag is spelled in two halves so that grepping
-    # the tree for it finds nothing.
+    # the tree for it finds nothing.  Each retired command or flag names
+    # what replaces it: `report`, `query "CALL algo..."`, `info`,
+    # `explain`, `check-concurrency`, `build` + `--snapshot`, `--workers`.
     @pytest.mark.parametrize("argv", [
         ["serve", "--archive", "a", "--" + "follow", "5"],
         ["build", "--format", "v1"],
+        ["studies"],
+        ["analytics", "list"],
+        ["store-info"],
+        ["query", "RETURN 1", "--explain"],
+        ["lint", "--python", "src/repro/server"],
+        ["serve", "--scale", "small"],
+        ["serve", "--seed", "7"],
+        ["serve", "--backend", "columnar"],
     ])
     def test_retired_flags_are_argparse_errors(self, argv, capsys):
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
 
     def test_serve_defaults(self):
-        from repro.cli import build_parser
+        from repro.cli import DEFAULT_SNAPSHOT, build_parser
 
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8734
-        assert args.snapshot is None
+        assert args.snapshot == DEFAULT_SNAPSHOT == "iyp.iyp2"
+        assert args.workers == 1  # one process, the dict store
 
 
 class TestInspection:
@@ -303,19 +315,6 @@ class TestValidateGraph:
 
 
 class TestQueryExplain:
-    def test_query_explain_prints_plan_and_warnings(self, snapshot_path, capsys):
-        code = main(
-            [
-                "query", "MATCH (a:ASN) RETURN a",
-                "--snapshot", str(snapshot_path),
-                "--explain",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "anchor=" in out or "MATCH" in out
-        assert "LNT001" in out
-
     def test_explain_command_prints_warnings(self, snapshot_path, capsys):
         code = main(
             [
@@ -327,6 +326,69 @@ class TestQueryExplain:
         out = capsys.readouterr().out
         assert "anchor=:AS" in out
         assert "LNT007" in out
+
+
+class TestCypherErrors:
+    """A Cypher error is one stderr line and exit code 1, no traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["query", "MATCH (a:AS RETURN a"], "CypherSyntaxError: expected ')'"),
+        (["explain", "MATCH (a:AS RETURN a"], "CypherSyntaxError: expected ')'"),
+        (["query", "CALL algo.pagerankk()"], "did you mean algo.pagerank"),
+    ])
+    def test_error_is_one_line(self, snapshot_path, capsys, argv, message):
+        assert main(argv + ["--snapshot", str(snapshot_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_procedure_through_query(self, snapshot_path, capsys):
+        query = (
+            "CALL algo.pagerank() YIELD asn, score "
+            "RETURN asn, score ORDER BY score DESC LIMIT 3"
+        )
+        assert main(["query", query, "--snapshot", str(snapshot_path)]) == 0
+        out = capsys.readouterr().out
+        header, rule, *rows = out.splitlines()
+        assert header.split() == ["asn", "|", "score"] and len(rows) == 3
+
+
+@pytest.fixture(scope="module")
+def archive_dir(tmp_path_factory):
+    """A two-entry archive: week-2 adds one AS to week-1."""
+    from repro.archive import SnapshotArchive
+    from repro.graphdb import GraphStore
+
+    archive = SnapshotArchive(tmp_path_factory.mktemp("cli") / "archive")
+    for label, asns in (("week-1", (64500,)), ("week-2", (64500, 64501))):
+        store = GraphStore()
+        for asn in asns:
+            store.create_node({"AS"}, {"asn": asn})
+        archive.add(store, label)
+    return str(archive.root)
+
+
+class TestEveryCommandRuns:
+    @pytest.mark.parametrize("argv, code, line", [
+        (["diff", "{snapshot}", "{snapshot}"], 0, "snapshots are identical"),
+        (["report", "--snapshot", "{snapshot}"], 0, "## Dataset consistency"),
+        (["info", "--snapshot", "{snapshot}"], 0, "estimated memory footprint"),
+        (["info", "--snapshot", "{snapshot}", "--json"], 0, '"columnar": {'),
+        (["check-concurrency", "src/repro/graphdb/rwlock.py"], 0, "checked 1 file:"),
+        (["archive", "list", "--dir", "{archive}"], 0, "week-2"),
+        (["archive", "info", "week-1", "--dir", "{archive}"], 0, '"label": "week-1"'),
+        (["archive", "verify", "--dir", "{archive}"], 0, "archive is consistent"),
+        (["archive", "diff", "week-1", "week-2", "--dir", "{archive}"], 0, "nodes"),
+        (["archive", "prune", "--keep", "2", "--dir", "{archive}"], 0, "nothing to prune"),
+    ], ids=[
+        "diff", "report", "info", "info-json", "check-concurrency",
+        "archive-list", "archive-info", "archive-verify", "archive-diff",
+        "archive-prune",
+    ])
+    def test_command(self, snapshot_path, archive_dir, capsys, argv, code, line):
+        paths = {"snapshot": str(snapshot_path), "archive": archive_dir}
+        assert main([arg.format(**paths) for arg in argv]) == code
+        assert line in capsys.readouterr().out
 
 
 class TestQualityCommand:

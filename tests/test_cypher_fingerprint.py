@@ -66,6 +66,36 @@ class TestLiteralMasking:
         assert "?" in text
 
 
+class TestWriteClauseMasking:
+    """SET, REMOVE and MERGE's ON CREATE / ON MATCH SET render their
+    items with values masked and keys, labels and operators kept."""
+
+    def test_set_values_share_a_fingerprint(self):
+        assert fp("MATCH (a:AS) SET a.name = 'x', a += {tag: 1} RETURN a") == fp(
+            "MATCH (a:AS) SET a.name = 'y', a += {tag: 2} RETURN a"
+        )
+        assert normalized("MATCH (a:AS) SET a.name = 'x', a += {tag: 1}, a = {}") == (
+            "MATCH (a:AS) SET a.name = ?, a += {tag: ?}, a = {}"
+        )
+
+    def test_remove_renders_properties_and_labels(self):
+        text = normalized("MATCH (a:AS) REMOVE a.name, a:Tagged")
+        assert text == "MATCH (a:AS) REMOVE a.name, a:Tagged"
+        assert fp("MATCH (a:AS) REMOVE a.name") != fp("MATCH (a:AS) REMOVE a.tag")
+
+    def test_merge_on_create_set_masks_values(self):
+        def query(label: str, seen: int) -> str:
+            return (
+                f"MERGE (t:Tag {{label: '{label}'}}) "
+                f"ON CREATE SET t.seen = {seen} ON MATCH SET t:Old"
+            )
+
+        assert fp(query("a", 1)) == fp(query("b", 2))
+        assert normalized(query("a", 1)) == (
+            "MERGE (t:Tag {label: ?}) ON CREATE SET t.seen = ? ON MATCH SET t:Old"
+        )
+
+
 class TestStructureSensitivity:
     def test_label_change_changes_the_fingerprint(self):
         assert fp("MATCH (a:AS) WHERE a.asn = 1 RETURN a") != fp(

@@ -636,7 +636,7 @@ class TestArchiveWatcher:
         assert service.generation == 1
 
     def test_store_without_apply_delta_swaps_on_delta_entry(self, tmp_path):
-        """``--backend columnar``: the frozen store cannot take a delta,
+        """A columnar store: the frozen store cannot take a delta,
         so the entry arrives through the chain-aware load-and-swap."""
         service, archive, base = _service_with_archive(tmp_path, "columnar")
         watcher = ArchiveWatcher(service, archive)

@@ -63,6 +63,16 @@ class TestOntologyChecks:
         assert "LNT004" in codes(findings)
         assert "`nombre`" in [f for f in findings if f.code == "LNT004"][0].message
 
+    @pytest.mark.parametrize("clause", (
+        "SET n:Unknown",
+        "REMOVE n:Unknown",
+        "MERGE (m:AS {asn: 1}) ON CREATE SET m:Unknown",
+    ))
+    def test_unknown_label_written_or_removed_is_lnt001(self, clause):
+        findings = lint_query(f"MATCH (n:AS) {clause} RETURN n")
+        assert "LNT001" in codes(findings)
+        assert ":Unknown" in [f for f in findings if f.code == "LNT001"][0].message
+
     def test_label_knowledge_crosses_clauses(self):
         # `pfx` is bound as :Prefix in the first MATCH; a wrong property
         # on it in the second clause must still be caught (Listing 3's

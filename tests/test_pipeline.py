@@ -202,42 +202,19 @@ class TestPipelineTelemetry:
         assert second.nodes_merged > 0
         assert second.nodes_created == 0
 
-    def test_metrics_counters_accumulate(self, small_world):
-        from repro.server.metrics import Metrics
-
-        metrics = Metrics()
-        _, report = build_iyp(
-            small_world,
-            dataset_names=["bgpkit.pfx2as", "tranco.top1m"],
-            postprocess=False,
-            metrics=metrics,
-        )
-        assert metrics.counter_total("crawler_runs_total") == 2
-        assert metrics.counter_value(
-            "crawler_runs_total", {"crawler": "bgpkit.pfx2as", "status": "ok"}
-        ) == 1
-        total_created = sum(r.nodes_created for r in report.crawler_runs)
-        assert metrics.counter_total("crawler_nodes_created_total") == total_created
-        assert metrics.counter_total("crawler_seconds_total") > 0
-
     def test_failed_crawler_reports_error_run(self, small_world, monkeypatch):
         from repro.datasets.crawlers import tranco as tranco_module
-        from repro.server.metrics import Metrics
 
         def boom(self):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(tranco_module.TrancoCrawler, "run", boom)
-        metrics = Metrics()
         _, report = build_iyp(
-            small_world, dataset_names=["tranco.top1m"],
-            raise_on_error=False, metrics=metrics,
+            small_world, dataset_names=["tranco.top1m"], raise_on_error=False
         )
         (run,) = report.crawler_runs
         assert run.error is not None and "synthetic failure" in run.error
-        assert metrics.counter_value(
-            "crawler_runs_total", {"crawler": "tranco.top1m", "status": "error"}
-        ) == 1
+        assert report.crawler_errors == {"tranco.top1m": run.error}
 
     def test_build_trace_spans(self, small_world):
         from repro.obs import Tracer
@@ -350,9 +327,8 @@ class TestSchemaValidation:
         assert report.schema_report is None
         assert report.ok  # ok falls back to crawler errors only
 
-    def test_schema_violations_counted_in_metrics(self, small_world, monkeypatch):
+    def test_schema_violations_counted_in_report(self, small_world, monkeypatch):
         from repro.datasets.crawlers import bgpkit as bgpkit_module
-        from repro.server.metrics import Metrics
 
         original = bgpkit_module.PrefixToASNCrawler.run
 
@@ -361,13 +337,8 @@ class TestSchemaValidation:
             self.iyp.store.create_node({"Gremlin"}, {"id": 1})
 
         monkeypatch.setattr(bgpkit_module.PrefixToASNCrawler, "run", sabotage)
-        metrics = Metrics()
         _, report = build_iyp(
-            small_world, dataset_names=["bgpkit.pfx2as"],
-            postprocess=False, metrics=metrics,
+            small_world, dataset_names=["bgpkit.pfx2as"], postprocess=False
         )
         assert not report.ok
         assert report.schema_report.by_code() == {"SCH001": 1}
-        assert metrics.counter_value(
-            "schema_violations_total", {"code": "SCH001"}
-        ) == 1
