@@ -18,7 +18,6 @@ from repro.analytics.measures import (
     customer_cones,
     degree_centrality,
     degree_histogram,
-    degree_histograms,
     k_reach,
     pagerank,
     parse_direction,
@@ -33,7 +32,11 @@ from repro.analytics.registry import (
     suggest,
 )
 from repro.analytics.report import AnalyticsReport, compute_analytics_report
-from repro.analytics.statistics import GraphStatistics, compute_statistics
+from repro.analytics.statistics import (
+    GraphStatistics,
+    compute_statistics,
+    degree_histograms,
+)
 
 __all__ = [
     "AS_EDGE_TYPES",

@@ -207,43 +207,6 @@ def degree_histogram(
     return dict(histogram)
 
 
-def degree_histograms(store: GraphReadStore) -> dict[tuple[str, str], dict[int, int]]:
-    """All per-(type, direction) degree histograms in one node pass.
-
-    Keys are ``(rel_type, direction_name)`` with ``"*"`` aggregating
-    every relationship type and direction names ``out``/``in``/``both``.
-    Each node contributes only to the types it actually touches during
-    the pass; zero-degree buckets are back-filled afterwards so every
-    histogram sums to the node count.
-    """
-    histograms: dict[tuple[str, str], Counter[int]] = {}
-    counted: Counter[tuple[str, str]] = Counter()
-    for node_id in store.node_ids():
-        total_out = total_in = total_loops = 0
-        for rel_type, (out, inbound, loops) in store.typed_degrees(node_id).items():
-            total_out += out
-            total_in += inbound
-            total_loops += loops
-            for name, direction in DIRECTION_NAMES:
-                key = (rel_type, name)
-                bucket = histograms.setdefault(key, Counter())
-                bucket[directional_count(out, inbound, loops, direction)] += 1
-                counted[key] += 1
-        for name, direction in DIRECTION_NAMES:
-            bucket = histograms.setdefault(("*", name), Counter())
-            bucket[
-                directional_count(total_out, total_in, total_loops, direction)
-            ] += 1
-    node_count = store.node_count
-    for key, bucket in histograms.items():
-        if key[0] == "*":
-            continue
-        missing = node_count - counted[key]
-        if missing:
-            bucket[0] += missing
-    return {key: dict(bucket) for key, bucket in histograms.items()}
-
-
 def degree_centrality(
     store: GraphReadStore,
     label: str | None = None,

@@ -78,11 +78,18 @@ def _degree_distribution(
 ) -> list[dict[str, Any]]:
     parsed = measures.parse_direction(direction)
     histogram = None
-    if rel_type is None and label is None and parsed is measures.Direction.BOTH:
-        # The all-types, undirected histogram is one the statistics hold.
-        statistics = context.statistics
-        if statistics is not None and statistics.version == context.store.version:
-            histogram = statistics.degree_histograms.get(("*", "both"))
+    statistics = context.statistics
+    if (
+        label is None
+        and rel_type != "*"
+        and statistics is not None
+        and statistics.version == context.store.version
+    ):
+        # Every label-free slice of a type the graph has is one the
+        # statistics hold ("*" there means all types).
+        histogram = statistics.degree_histograms.get(
+            ("*" if rel_type is None else rel_type, parsed.value)
+        )
     if histogram is None:
         histogram = measures.degree_histogram(
             context.store, rel_type=rel_type, direction=parsed, label=label

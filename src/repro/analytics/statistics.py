@@ -8,8 +8,10 @@ to replace its uniform-cost guesses with real cardinality estimates;
 the build pipeline embeds it in the :class:`~repro.analytics.report.
 AnalyticsReport` cached alongside snapshots.
 
-Everything here is derived in O(nodes + relationships) single passes
-over the store's internal maps and serializes to plain JSON.
+Everything but the components comes from one walk over the store's
+nodes: one ``typed_degrees`` and one ``node_labels`` call per node,
+never a per-relationship lookup.  The components are one union-find
+pass over ``iter_edges``.  The result serializes to plain JSON.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.analytics.measures import degree_histograms, weakly_connected_components
+from repro.analytics.measures import DIRECTION_NAMES, weakly_connected_components
 from repro.graphdb.interface import GraphReadStore
+from repro.graphdb.store import directional_count
 
 #: How many of the largest component sizes to retain in the summary.
 TOP_COMPONENT_SIZES = 10
@@ -127,53 +130,92 @@ class GraphStatistics:
         )
 
 
+def degree_histograms(store: GraphReadStore) -> dict[tuple[str, str], dict[int, int]]:
+    """All per-(type, direction) degree histograms in one node pass.
+
+    Keys are ``(rel_type, direction_name)`` with ``"*"`` aggregating
+    every relationship type and direction names ``out``/``in``/``both``.
+    A node that does not touch a type sits at degree 0 in its
+    histograms, so every histogram sums to the node count.
+    """
+    return _degree_pass(store)[0]
+
+
 def compute_statistics(store: GraphReadStore, components: bool = True) -> GraphStatistics:
-    """Measure ``store`` in a few linear passes.
+    """Measure ``store`` in one node pass (plus the union-find pass).
 
     ``components=False`` skips the union-find pass for callers that only
     need cardinalities (e.g. per-request serving-state construction).
     """
+    histograms, incidences = _degree_pass(store)
     label_counts = store.label_counts()
-
-    out_totals: dict[tuple[str, str], int] = {}
-    in_totals: dict[tuple[str, str], int] = {}
-    for rel_type, start_id, end_id in store.iter_edges():
-        for label in store.node_labels(start_id):
-            for rel_key in (rel_type, "*"):
-                key = (label, rel_key)
-                out_totals[key] = out_totals.get(key, 0) + 1
-        for label in store.node_labels(end_id):
-            for rel_key in (rel_type, "*"):
-                key = (label, rel_key)
-                in_totals[key] = in_totals.get(key, 0) + 1
-    expansions: dict[tuple[str, str, str], float] = {}
-    for (label, rel_key), total in out_totals.items():
-        population = label_counts.get(label, 0)
-        if population:
-            expansions[(label, rel_key, "out")] = total / population
-    for (label, rel_key), total in in_totals.items():
-        population = label_counts.get(label, 0)
-        if population:
-            expansions[(label, rel_key, "in")] = total / population
-    for (label, rel_key) in set(out_totals) | set(in_totals):
-        population = label_counts.get(label, 0)
-        if population:
-            combined = out_totals.get((label, rel_key), 0) + in_totals.get(
-                (label, rel_key), 0
-            )
-            expansions[(label, rel_key, "both")] = combined / population
-
     statistics = GraphStatistics(
         version=store.version,
         node_count=store.node_count,
         relationship_count=store.relationship_count,
         label_counts=label_counts,
         relationship_type_counts=store.relationship_type_counts(),
-        expansions=expansions,
-        degree_histograms=degree_histograms(store),
+        expansions={
+            key: total / label_counts[key[0]] for key, total in incidences.items()
+        },
+        degree_histograms=histograms,
     )
     if components:
         statistics.set_component_sizes(
             [len(ids) for ids in weakly_connected_components(store)]
         )
     return statistics
+
+
+def _degree_pass(
+    store: GraphReadStore,
+) -> tuple[dict[tuple[str, str], dict[int, int]], dict[tuple[str, str, str], int]]:
+    """The degree histograms and the ``(label, rel_type, direction)``
+    endpoint totals behind the expansion factors, from one walk over
+    ``node_ids()``.
+
+    Each node reads its ``typed_degrees`` and ``node_labels`` once and
+    counts one ``(labels, type, out, in, loops)`` profile per type it
+    touches, plus one for ``"*"`` with its totals.  Far fewer profiles
+    are distinct than (node, type) pairs exist, and both outputs are
+    sums over them.  A total counts relationship ends on the label's
+    nodes (``both`` = ``out`` + ``in``, so a self-loop counts twice);
+    only non-zero totals are kept.
+    """
+    profiles: dict[tuple[frozenset[str], str, int, int, int], int] = {}
+    for node_id in store.node_ids():
+        labels = store.node_labels(node_id)
+        total_out = total_in = total_loops = 0
+        for rel_type, (out, inbound, loops) in store.typed_degrees(node_id).items():
+            profile = (labels, rel_type, out, inbound, loops)
+            profiles[profile] = profiles.get(profile, 0) + 1
+            total_out += out
+            total_in += inbound
+            total_loops += loops
+        profile = (labels, "*", total_out, total_in, total_loops)
+        profiles[profile] = profiles.get(profile, 0) + 1
+
+    histograms: dict[tuple[str, str], dict[int, int]] = {}
+    incidences: dict[tuple[str, str, str], int] = {}
+    touching: dict[str, int] = {}
+    for (labels, rel_type, out, inbound, loops), nodes in profiles.items():
+        touching[rel_type] = touching.get(rel_type, 0) + nodes
+        for name, direction in DIRECTION_NAMES:
+            histogram = histograms.get((rel_type, name))
+            if histogram is None:
+                histogram = histograms[(rel_type, name)] = {}
+            degree = directional_count(out, inbound, loops, direction)
+            histogram[degree] = histogram.get(degree, 0) + nodes
+        for name, ends in (("out", out), ("in", inbound), ("both", out + inbound)):
+            if ends:
+                for label in labels:
+                    key = (label, rel_type, name)
+                    incidences[key] = incidences.get(key, 0) + ends * nodes
+    # Every node counts under "*"; the rest of a type's nodes sit at 0.
+    for rel_type, nodes in touching.items():
+        missing = store.node_count - nodes
+        if missing:
+            for name, _ in DIRECTION_NAMES:
+                histogram = histograms[(rel_type, name)]
+                histogram[0] = histogram.get(0, 0) + missing
+    return histograms, incidences

@@ -178,27 +178,12 @@ def pack_store(
     """Pack any GraphReadStore into a fresh shared segment.
 
     A :class:`ColumnarGraphStore` built locally (arrays in process
-    memory) is re-packed as-is; any other backend is converted through
-    ``from_records`` semantics first.
+    memory) is re-packed as-is; any other backend is converted by
+    :meth:`ColumnarGraphStore.from_store` first.
     """
-    if isinstance(store, ColumnarGraphStore):
-        return pack_arrays(store._meta, store._arrays, name_prefix)
-    from repro.columnar.store import build_columnar
-
-    meta, arrays = build_columnar(
-        (
-            (node.id, node.labels, node.properties)
-            for node in store.iter_nodes()
-        ),
-        (
-            (rel.id, rel.type, rel.start_id, rel.end_id, rel.properties)
-            for rel in store.iter_relationships()
-        ),
-        indexes=store.indexes(),
-        constraints=store.constraints(),
-        version=store.version,
-    )
-    return pack_arrays(meta, arrays, name_prefix)
+    if not isinstance(store, ColumnarGraphStore):
+        store = ColumnarGraphStore.from_store(store)
+    return pack_arrays(store._meta, store._arrays, name_prefix)
 
 
 _ATTACH_LOCK = new_lock("columnar.shm._ATTACH_LOCK")

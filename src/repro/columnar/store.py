@@ -47,8 +47,11 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from contextlib import AbstractContextManager
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.graphdb.errors import (
     ConstraintViolationError,
@@ -120,40 +123,111 @@ def encode_index_key(value: Any) -> bytes:
     return b"s" + str(value).encode("utf-8")
 
 
-def _dumps(values: list[Any]) -> bytes:
-    return json.dumps(values, separators=(",", ":")).encode("utf-8")
+#: Value types whose equal values always encode to equal JSON.  Floats
+#: stay out (``0.0 == -0.0`` but they print differently), containers
+#: too (``[1] == [True]``; lists are unhashable anyway).
+_MEMO_TYPES = frozenset((str, int, bool, type(None)))
+
+#: Reads one key order's values off a property map, as a tuple.
+_ValuesIn = Callable[[dict[str, Any]], tuple[Any, ...]]
 
 
-class _Interner:
-    """Append-only string table handing out stable integer ids."""
+class _RowEncoder:
+    """The strings, shapes and property blobs of one build, memoized for
+    that build only: each label set and each key order is interned once,
+    and each distinct property-value tuple is JSON-encoded once.
+
+    ``strings`` and ``shapes`` map each entry to its id, in first-seen
+    order.  The blob memo keys on ``(value types, values)`` and only
+    covers tuples of :data:`_MEMO_TYPES`: ``True == 1`` and
+    ``0.0 == -0.0`` hash alike, so a values-only key would write ``[1]``
+    for ``[true]``.
+    """
 
     def __init__(self) -> None:
-        self.strings: list[str] = []
-        self._ids: dict[str, int] = {}
+        self.strings: dict[str, int] = {}
+        self.shapes: dict[tuple[int, ...], int] = {}
+        self._label_shapes: dict[tuple[str, ...], int] = {}
+        self._key_shapes: dict[tuple[str, ...], tuple[int, _ValuesIn]] = {}
+        self._blobs: dict[tuple[tuple[type, ...], tuple[Any, ...]], bytes] = {}
+        self._json = json.JSONEncoder(separators=(",", ":"))
 
     def intern(self, value: str) -> int:
-        sid = self._ids.get(value)
-        if sid is None:
-            sid = len(self.strings)
-            self._ids[value] = sid
-            self.strings.append(value)
-        return sid
+        return self.strings.setdefault(value, len(self.strings))
+
+    def shape(self, strings: Iterable[str]) -> int:
+        """The shape id of the string ids of ``strings``, in order."""
+        sids = tuple(self.intern(value) for value in strings)
+        return self.shapes.setdefault(sids, len(self.shapes))
+
+    def label_shape(self, labels: tuple[str, ...]) -> int:
+        """A label set's shape: its string ids, ascending."""
+        shape = self._label_shapes.get(labels)
+        if shape is None:
+            sids = tuple(sorted(self.intern(label) for label in labels))
+            shape = self._label_shapes[labels] = self.shapes.setdefault(
+                sids, len(self.shapes)
+            )
+        return shape
+
+    def properties(self, props: dict[str, Any]) -> tuple[int, bytes]:
+        """``(key shape id, blob)``: the values in sorted-key order."""
+        order = tuple(props)
+        entry = self._key_shapes.get(order)
+        if entry is None:
+            keys = sorted(props)
+            # itemgetter returns a bare value for one key.
+            values_in: _ValuesIn = (
+                itemgetter(*keys)
+                if len(keys) > 1
+                else lambda props: tuple(props[key] for key in keys)
+            )
+            entry = self._key_shapes[order] = (self.shape(keys), values_in)
+        shape, values_in = entry
+        values = values_in(props)
+        if not values:
+            return shape, b""
+        types = tuple(map(type, values))
+        if not _MEMO_TYPES.issuperset(types):
+            return shape, self._json.encode(values).encode("utf-8")
+        blob = self._blobs.get((types, values))
+        if blob is None:
+            blob = self._blobs[(types, values)] = self._json.encode(values).encode(
+                "utf-8"
+            )
+        return shape, blob
 
 
-class _ShapeTable:
-    """Deduplicated tuples of string ids (label sets, key tuples)."""
+def _csr(
+    ends: list[int],
+    rel_types: list[int],
+    type_count: int,
+    n: int,
+    loops: Counter[int] | None,
+) -> dict[str, Iterable[int]]:
+    """One side of the two-level CSR adjacency, given each relationship
+    row's node row on that side and its type index.
 
-    def __init__(self) -> None:
-        self.shapes: list[list[int]] = []
-        self._ids: dict[tuple[int, ...], int] = {}
-
-    def intern(self, shape: tuple[int, ...]) -> int:
-        sid = self._ids.get(shape)
-        if sid is None:
-            sid = len(self.shapes)
-            self._ids[shape] = sid
-            self.shapes.append(list(shape))
-        return sid
+    A bucket is one (node row, type) pair, keyed ``row * type_count +
+    type``: the sorted distinct keys are the buckets, and a stable sort
+    of the relationship rows by key is the adjacency, each bucket's rows
+    still ascending.  ``loops`` counts self-loops per key (out side only).
+    """
+    keys = [end * type_count + tidx for end, tidx in zip(ends, rel_types, strict=True)]
+    sizes = Counter(keys)
+    buckets = sorted(sizes)
+    per_node = [0] * n
+    for bucket in buckets:
+        per_node[bucket // type_count] += 1
+    csr: dict[str, Iterable[int]] = {
+        "node_offsets": accumulate(per_node, initial=0),
+        "bucket_types": [bucket % type_count for bucket in buckets],
+        "bucket_offsets": accumulate(map(sizes.__getitem__, buckets), initial=0),
+        "adj": sorted(range(len(keys)), key=keys.__getitem__),
+    }
+    if loops is not None:
+        csr["bucket_loops"] = [loops.get(bucket, 0) for bucket in buckets]
+    return csr
 
 
 def build_columnar(
@@ -170,44 +244,52 @@ def build_columnar(
     :class:`DanglingEndpointError` carrying the input position, and
     pre-existing duplicates under a uniqueness constraint raise
     :class:`ConstraintViolationError`.
+
+    Every column is built as a plain list (or an iterator) and turned
+    into its :data:`ARRAY_SPECS` array once, as soon as it is complete.
     """
-    interner = _Interner()
-    shapes = _ShapeTable()
+    encoder = _RowEncoder()
+    typecodes = dict(ARRAY_SPECS)
+    columns: dict[str, "array[int]"] = {}
+
+    def fill(**lists: Any) -> None:
+        for name, values in lists.items():
+            columns[name] = array(typecodes[name], values)
 
     # ---- nodes: collect, validate, sort by id -----------------------
     node_records = list(nodes)
-    node_records.sort(key=lambda record: record[0])
+    node_records.sort(key=itemgetter(0))
     n = len(node_records)
-    node_ids = array("q", (record[0] for record in node_records))
-    row_of: dict[int, int] = {
-        node_id: row for row, node_id in enumerate(node_ids)
-    }
+    node_ids = [record[0] for record in node_records]
+    row_of: dict[int, int] = {node_id: row for row, node_id in enumerate(node_ids)}
 
-    node_label_shape = array("i", bytes(4 * n))
-    node_key_shape = array("i", bytes(4 * n))
-    node_prop_offsets = array("q", bytes(8 * (n + 1)))
-    node_blob = bytearray()
-    label_rows: dict[int, list[int]] = {}
+    label_shapes: list[int] = []
+    key_shapes: list[int] = []
+    blobs: list[bytes] = []
+    label_rows: dict[str, list[int]] = {}
     for row, (_, labels, props) in enumerate(node_records):
-        label_sids = tuple(sorted(interner.intern(label) for label in labels))
-        node_label_shape[row] = shapes.intern(label_sids)
-        for sid in label_sids:
-            label_rows.setdefault(sid, []).append(row)
-        keys = sorted(props)
-        node_key_shape[row] = shapes.intern(
-            tuple(interner.intern(key) for key in keys)
-        )
-        if keys:
-            node_blob.extend(_dumps([props[key] for key in keys]))
-        node_prop_offsets[row + 1] = len(node_blob)
+        given = tuple(labels)
+        label_shapes.append(encoder.label_shape(given))
+        for label in given:
+            label_rows.setdefault(label, []).append(row)
+        shape, blob = encoder.properties(props)
+        key_shapes.append(shape)
+        blobs.append(blob)
+    fill(
+        node_ids=node_ids,
+        node_label_shape=label_shapes,
+        node_key_shape=key_shapes,
+        node_prop_offsets=accumulate(map(len, blobs), initial=0),
+        node_prop_blob=b"".join(blobs),
+    )
 
-    label_sids_sorted = sorted(label_rows, key=lambda sid: interner.strings[sid])
-    label_index_of = {sid: i for i, sid in enumerate(label_sids_sorted)}
-    label_offsets = array("q", [0])
-    label_members = array("q")
-    for sid in label_sids_sorted:
-        label_members.extend(label_rows[sid])
+    label_names = sorted(label_rows)
+    label_offsets = [0]
+    label_members: list[int] = []
+    for label in label_names:
+        label_members += label_rows[label]
         label_offsets.append(len(label_members))
+    fill(label_offsets=label_offsets, label_members=label_members)
 
     # ---- property indexes (before rels: only nodes are indexed) -----
     constraint_pairs = {(str(a), str(b)) for a, b in constraints}
@@ -216,7 +298,7 @@ def build_columnar(
     postings_by_slot: list[dict[bytes, list[int]]] = []
     for label, prop in index_pairs:
         postings: dict[bytes, list[int]] = {}
-        for row in label_rows.get(interner._ids.get(label, -1), ()):
+        for row in label_rows.get(label, ()):
             value = node_records[row][2].get(prop)
             if _indexable(value):
                 postings.setdefault(encode_index_key(value), []).append(row)
@@ -253,93 +335,64 @@ def build_columnar(
         if end_id not in row_of:
             raise DanglingEndpointError(position, rel_id, "end", end_id)
         rel_records.append(record)
-    rel_records.sort(key=lambda record: record[0])
+    rel_records.sort(key=itemgetter(0))
     m = len(rel_records)
-    rel_ids = array("q", (record[0] for record in rel_records))
-    rel_type_arr = array("i", bytes(4 * m))
-    rel_start = array("q", bytes(8 * m))
-    rel_end = array("q", bytes(8 * m))
-    rel_key_shape = array("i", bytes(4 * m))
-    rel_prop_offsets = array("q", bytes(8 * (m + 1)))
-    rel_blob = bytearray()
-    type_rows: dict[int, list[int]] = {}
-    for row, (_, rel_type, start_id, end_id, props) in enumerate(rel_records):
-        tsid = interner.intern(rel_type)
-        type_rows.setdefault(tsid, []).append(row)
-        rel_start[row] = row_of[start_id]
-        rel_end[row] = row_of[end_id]
-        keys = sorted(props)
-        rel_key_shape[row] = shapes.intern(
-            tuple(interner.intern(key) for key in keys)
-        )
-        if keys:
-            rel_blob.extend(_dumps([props[key] for key in keys]))
-        rel_prop_offsets[row + 1] = len(rel_blob)
+    rel_ids = [record[0] for record in rel_records]
+    rel_start = [row_of[record[2]] for record in rel_records]
+    rel_end = [row_of[record[3]] for record in rel_records]
+    key_shapes = []
+    blobs = []
+    type_rows: dict[str, list[int]] = {}
+    for row, (_, rel_type, _, _, props) in enumerate(rel_records):
+        rows_of_type = type_rows.get(rel_type)
+        if rows_of_type is None:
+            encoder.intern(rel_type)
+            rows_of_type = type_rows[rel_type] = []
+        rows_of_type.append(row)
+        shape, blob = encoder.properties(props)
+        key_shapes.append(shape)
+        blobs.append(blob)
 
-    type_sids_sorted = sorted(type_rows, key=lambda sid: interner.strings[sid])
-    type_index_of = {sid: i for i, sid in enumerate(type_sids_sorted)}
-    for row in range(m):
-        rel_type_arr[row] = type_index_of[
-            interner._ids[rel_records[row][1]]
-        ]
-    rtype_offsets = array("q", [0])
-    rtype_rels = array("q")
-    for sid in type_sids_sorted:
-        rtype_rels.extend(type_rows[sid])
+    types = sorted(type_rows)
+    rel_type_column = [0] * m
+    rtype_offsets = [0]
+    rtype_rels: list[int] = []
+    for tidx, rel_type in enumerate(types):
+        rows = type_rows[rel_type]
+        for row in rows:
+            rel_type_column[row] = tidx
+        rtype_rels += rows
         rtype_offsets.append(len(rtype_rels))
+    fill(
+        rel_ids=rel_ids,
+        rel_type=rel_type_column,
+        rel_start=rel_start,
+        rel_end=rel_end,
+        rel_key_shape=key_shapes,
+        rel_prop_offsets=accumulate(map(len, blobs), initial=0),
+        rel_prop_blob=b"".join(blobs),
+        rtype_offsets=rtype_offsets,
+        rtype_rels=rtype_rels,
+    )
 
     # ---- two-level CSR adjacency ------------------------------------
-    out_by_node: dict[int, dict[int, list[int]]] = {}
-    in_by_node: dict[int, dict[int, list[int]]] = {}
-    for row in range(m):
-        tidx = rel_type_arr[row]
-        out_by_node.setdefault(rel_start[row], {}).setdefault(tidx, []).append(row)
-        in_by_node.setdefault(rel_end[row], {}).setdefault(tidx, []).append(row)
-
-    def _csr(
-        by_node: dict[int, dict[int, list[int]]], count_loops: bool
-    ) -> dict[str, "array[int]"]:
-        node_offsets = array("q", [0])
-        bucket_types = array("i")
-        bucket_offsets = array("q", [0])
-        bucket_loops = array("q")
-        adj = array("q")
-        for row in range(n):
-            for tidx in sorted(by_node.get(row, ())):
-                rel_rows = by_node[row][tidx]
-                bucket_types.append(tidx)
-                adj.extend(rel_rows)
-                bucket_offsets.append(len(adj))
-                if count_loops:
-                    bucket_loops.append(
-                        sum(
-                            1
-                            for r in rel_rows
-                            if rel_start[r] == rel_end[r]
-                        )
-                    )
-            node_offsets.append(len(bucket_types))
-        out: dict[str, "array[int]"] = {
-            "node_offsets": node_offsets,
-            "bucket_types": bucket_types,
-            "bucket_offsets": bucket_offsets,
-            "adj": adj,
-        }
-        if count_loops:
-            out["bucket_loops"] = bucket_loops
-        return out
-
-    out_csr = _csr(out_by_node, count_loops=True)
-    in_csr = _csr(in_by_node, count_loops=False)
+    loops = Counter(
+        rel_start[row] * len(types) + rel_type_column[row]
+        for row in range(m)
+        if rel_start[row] == rel_end[row]
+    )
+    for side, ends in (("out", rel_start), ("in", rel_end)):
+        csr = _csr(ends, rel_type_column, len(types), n, loops if side == "out" else None)
+        fill(**{f"{side}_{name}": values for name, values in csr.items()})
 
     node_base = node_ids[0] if n and node_ids[-1] - node_ids[0] == n - 1 else None
     rel_base = rel_ids[0] if m and rel_ids[-1] - rel_ids[0] == m - 1 else None
 
     meta: dict[str, Any] = {
-        "strings": interner.strings,
-        "shapes": shapes.shapes,
-        "labels": [interner.strings[sid] for sid in label_sids_sorted],
-        "types": [interner.strings[sid] for sid in type_sids_sorted],
+        "strings": list(encoder.strings),
+        "shapes": [list(shape) for shape in encoder.shapes],
+        "labels": label_names,
+        "types": types,
         "index_slots": [list(pair) for pair in index_pairs],
         "constraints": sorted([list(pair) for pair in constraint_pairs]),
         "version": version,
@@ -348,33 +401,7 @@ def build_columnar(
         "node_base": node_base,
         "rel_base": rel_base,
     }
-    arrays: dict[str, "array[int]"] = {
-        "node_ids": node_ids,
-        "node_label_shape": node_label_shape,
-        "node_key_shape": node_key_shape,
-        "node_prop_offsets": node_prop_offsets,
-        "node_prop_blob": array("B", node_blob),
-        "label_offsets": label_offsets,
-        "label_members": label_members,
-        "rel_ids": rel_ids,
-        "rel_type": rel_type_arr,
-        "rel_start": rel_start,
-        "rel_end": rel_end,
-        "rel_key_shape": rel_key_shape,
-        "rel_prop_offsets": rel_prop_offsets,
-        "rel_prop_blob": array("B", rel_blob),
-        "rtype_offsets": rtype_offsets,
-        "rtype_rels": rtype_rels,
-        "out_node_offsets": out_csr["node_offsets"],
-        "out_bucket_types": out_csr["bucket_types"],
-        "out_bucket_offsets": out_csr["bucket_offsets"],
-        "out_bucket_loops": out_csr["bucket_loops"],
-        "out_adj": out_csr["adj"],
-        "in_node_offsets": in_csr["node_offsets"],
-        "in_bucket_types": in_csr["bucket_types"],
-        "in_bucket_offsets": in_csr["bucket_offsets"],
-        "in_adj": in_csr["adj"],
-    }
+    arrays = {name: columns[name] for name, _ in ARRAY_SPECS}
     arrays.update(index_arrays)
     return meta, arrays
 

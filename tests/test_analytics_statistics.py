@@ -11,7 +11,12 @@ join order can change relative to the legacy uniform-cost model.
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analytics import (
     GraphStatistics,
@@ -19,10 +24,14 @@ from repro.analytics import (
     degree_histogram,
     degree_histograms,
 )
+from repro.analytics import measures
+from repro.analytics.measures import DIRECTION_NAMES
+from repro.columnar import ColumnarGraphStore
 from repro.cypher import CypherEngine
 from repro.cypher.values import hash_key
 from repro.graphdb import GraphStore
 from repro.graphdb.model import Direction
+from repro.graphdb.store import directional_count
 
 DIRECTIONS = {
     "out": Direction.OUT,
@@ -84,6 +93,126 @@ class TestComputeStatistics:
         assert restored == stats
 
 
+# ---------------------------------------------------------------------------
+# The one node pass against the per-edge reference
+# ---------------------------------------------------------------------------
+
+
+def naive_statistics(store) -> GraphStatistics:
+    """The per-edge reference: every relationship looks up both of its
+    endpoints' labels, and every (node, type, direction) bumps its own
+    counter."""
+    label_counts = store.label_counts()
+    out_totals: dict[tuple[str, str], int] = {}
+    in_totals: dict[tuple[str, str], int] = {}
+    for rel_type, start_id, end_id in store.iter_edges():
+        for totals, node_id in ((out_totals, start_id), (in_totals, end_id)):
+            for label in store.node_labels(node_id):
+                for rel_key in (rel_type, "*"):
+                    key = (label, rel_key)
+                    totals[key] = totals.get(key, 0) + 1
+    expansions: dict[tuple[str, str, str], float] = {}
+    for (label, rel_key), total in out_totals.items():
+        expansions[(label, rel_key, "out")] = total / label_counts[label]
+    for (label, rel_key), total in in_totals.items():
+        expansions[(label, rel_key, "in")] = total / label_counts[label]
+    for label, rel_key in set(out_totals) | set(in_totals):
+        combined = out_totals.get((label, rel_key), 0) + in_totals.get(
+            (label, rel_key), 0
+        )
+        expansions[(label, rel_key, "both")] = combined / label_counts[label]
+
+    histograms: dict[tuple[str, str], Counter] = {}
+    counted: Counter = Counter()
+    for node_id in store.node_ids():
+        totals = [0, 0, 0]
+        for rel_type, degrees in store.typed_degrees(node_id).items():
+            totals = [a + b for a, b in zip(totals, degrees, strict=True)]
+            for name, direction in DIRECTION_NAMES:
+                key = (rel_type, name)
+                histograms.setdefault(key, Counter())[
+                    directional_count(*degrees, direction)
+                ] += 1
+                counted[key] += 1
+        for name, direction in DIRECTION_NAMES:
+            histograms.setdefault(("*", name), Counter())[
+                directional_count(*totals, direction)
+            ] += 1
+    for key, bucket in histograms.items():
+        missing = store.node_count - counted[key]
+        if key[0] != "*" and missing:
+            bucket[0] += missing
+    return GraphStatistics(
+        version=store.version,
+        node_count=store.node_count,
+        relationship_count=store.relationship_count,
+        label_counts=label_counts,
+        relationship_type_counts=store.relationship_type_counts(),
+        expansions=expansions,
+        degree_histograms={key: dict(bucket) for key, bucket in histograms.items()},
+    )
+
+
+def assert_equals_reference(store) -> None:
+    fast = compute_statistics(store, components=False)
+    slow = naive_statistics(store)
+    assert json.dumps(fast.to_dict()) == json.dumps(slow.to_dict())
+    assert fast.expansions == slow.expansions
+    assert fast.degree_histograms == slow.degree_histograms
+    assert degree_histograms(store) == slow.degree_histograms
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to eight nodes with zero to three labels and up to twenty
+    relationships of three types: self-loops, parallel edges and
+    isolated nodes come for free."""
+    count = draw(st.integers(0, 8))
+    nodes = [
+        (node_id, draw(st.lists(st.sampled_from("ABC"), unique=True)), {})
+        for node_id in range(count)
+    ]
+    edges = (
+        draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, count - 1),
+                    st.sampled_from("RST"),
+                    st.integers(0, count - 1),
+                ),
+                max_size=20,
+            )
+        )
+        if count
+        else []
+    )
+    rels = [
+        (100 + index, rel_type, start, end, {})
+        for index, (start, rel_type, end) in enumerate(edges)
+    ]
+    return nodes, rels
+
+
+class TestOnePassEqualsReference:
+    @pytest.mark.parametrize("fixture", ["loopy_store", "skewed_store"])
+    def test_fixture_stores(self, request, fixture):
+        assert_equals_reference(request.getfixturevalue(fixture))
+
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
+    def test_small_world(self, small_iyp, backend):
+        store = small_iyp.store
+        if backend == "columnar":
+            store = ColumnarGraphStore.from_store(store)
+        assert_equals_reference(store)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=multigraphs())
+    def test_random_multigraphs(self, graph):
+        store = GraphStore.from_records(*graph)
+        assert_equals_reference(store)
+        assert_equals_reference(ColumnarGraphStore.from_store(store))
+
+
 class TestSharedDegreePath:
     """Satellite regression: ``GraphStore.degree``/``degree_by_type``
     and the analytics histograms share one loop-counting helper, so
@@ -127,6 +256,74 @@ class TestSharedDegreePath:
                 loopy_store.degree_by_type(node.id, rel_type, direction)
                 for node in loopy_store.iter_nodes()
             )
+
+
+# ---------------------------------------------------------------------------
+# algo.degree_distribution off the statistics
+# ---------------------------------------------------------------------------
+
+
+def call_distribution(engine, *args) -> dict[int, int]:
+    text = ", ".join("null" if arg is None else f"'{arg}'" for arg in args)
+    result = engine.run(
+        f"CALL algo.degree_distribution({text}) YIELD degree, nodes "
+        "RETURN degree, nodes"
+    )
+    return {row["degree"]: row["nodes"] for row in result.records}
+
+
+class TestDegreeDistributionReadsStatistics:
+    """Fresh statistics answer every label-free slice; a ``label=`` call,
+    a type the graph lacks and a store changed since the statistics
+    were taken all recompute."""
+
+    @pytest.fixture()
+    def spy(self, monkeypatch):
+        calls = []
+        recompute = measures.degree_histogram
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return recompute(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "degree_histogram", counting)
+        return calls
+
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
+    @pytest.mark.parametrize("fixture", ["loopy_store", "skewed_store"])
+    def test_every_slice(self, request, fixture, backend, spy):
+        store = request.getfixturevalue(fixture)
+        if backend == "columnar":
+            store = ColumnarGraphStore.from_store(store)
+        engine = CypherEngine(store)
+        engine.statistics = compute_statistics(store)
+        for rel_type in [None, *store.relationship_type_counts(), "NOPE"]:
+            for name, direction in DIRECTION_NAMES:
+                assert call_distribution(engine, rel_type, name) == degree_histogram(
+                    store, rel_type=rel_type, direction=direction
+                ), (rel_type, name)
+        # Only the unknown type fell back, once per direction.
+        assert [call["rel_type"] for call in spy] == ["NOPE"] * 3
+
+    def test_label_calls_recompute(self, loopy_store, spy):
+        engine = CypherEngine(loopy_store)
+        engine.statistics = compute_statistics(loopy_store)
+        assert call_distribution(engine, "R", "out", "A") == degree_histogram(
+            loopy_store, rel_type="R", direction=Direction.OUT, label="A"
+        )
+        assert [call["label"] for call in spy] == ["A"]
+
+    def test_stale_statistics_are_not_read(self, loopy_store, spy):
+        engine = CypherEngine(loopy_store)
+        engine.statistics = compute_statistics(loopy_store)
+        loopy_store.create_relationship(0, "R", 3)
+        assert call_distribution(engine, "R", "in") == degree_histogram(
+            loopy_store, rel_type="R", direction=Direction.IN
+        )
+        assert call_distribution(engine, None, "both") == degree_histogram(
+            loopy_store
+        )
+        assert len(spy) == 2
 
 
 # ---------------------------------------------------------------------------
