@@ -23,7 +23,10 @@ clauses are join-reordered.  Every MATCH, MERGE and pattern predicate
 then runs on one operator, the matcher's batch expansion
 (:meth:`PatternMatcher.expand`); MERGE and a pattern predicate hand it
 a one-pattern plan, made once per clause or predicate and set of bound
-variables.
+variables.  A MATCH whose rows reach a projection that keeps only
+distinct values, through MATCH clauses alone, is planned with the
+variables read after it (:func:`_distinct_reads`), and its operator
+keeps one row per distinct tuple of them.
 
 The engine is safe for concurrent *read* queries: per-run state
 (parameters, the active guard) lives in thread-local storage, and the
@@ -36,6 +39,7 @@ import re
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import takewhile
 from typing import Any, Callable, Iterable
 
 from repro.analytics.registry import ProcedureContext, get_procedure, suggest
@@ -52,7 +56,7 @@ from repro.cypher.guard import QueryGuard
 from repro.cypher.lru import LRUCache
 from repro.cypher.matcher import PatternMatcher
 from repro.cypher.parser import parse
-from repro.cypher.planner import MatchPlan, plan_match
+from repro.cypher.planner import MatchPlan, free_variables, plan_match
 from repro.cypher.result import QueryResult, WriteStats
 from repro.cypher.values import (
     compare,
@@ -274,9 +278,10 @@ class CypherEngine:
             if len(parts) > 1:
                 plan.append(f"UNION PART {index}/{len(parts)}")
             bound: frozenset[str] = frozenset()
-            for clause in clauses:
+            for position, clause in enumerate(clauses):
                 if isinstance(clause, ast.MatchClause):
-                    plan.extend(self._explain_match(clause, bound))
+                    after = clauses[position + 1 :]
+                    plan.extend(self._explain_match(clause, bound, after))
                 elif isinstance(clause, ast.CallClause):
                     plan.append(self._explain_call(clause))
                 else:
@@ -285,14 +290,18 @@ class CypherEngine:
         warnings = QueryLinter(self.store).lint_tree(tree)
         return Explanation(plan, warnings)
 
-    def _explain_match(self, clause: ast.MatchClause, bound: frozenset[str]) -> list[str]:
+    def _explain_match(
+        self, clause: ast.MatchClause, bound: frozenset[str], later: tuple
+    ) -> list[str]:
         """Plan lines for one MATCH, planned against the variables
-        earlier clauses bind: per pattern in join order, the
-        anchor/access-path description; then one line per pushdown
-        decision (promoted seeks, bind-time filters, the residual)."""
+        earlier clauses bind and the ``later`` clauses read: per pattern
+        in join order, the anchor/access-path description; then one line
+        per pushdown decision (promoted seeks, bind-time filters, the
+        residual) and for set semantics."""
         kind = "OPTIONAL MATCH" if clause.optional else "MATCH"
         match_plan = plan_match(
-            clause.patterns, clause.where, self.store, bound, statistics=self.statistics
+            clause.patterns, clause.where, self.store, bound,
+            statistics=self.statistics, read=_distinct_reads(clause, later),
         )
         lines: list[str] = []
         total = len(match_plan.patterns)
@@ -345,7 +354,7 @@ class CypherEngine:
                     f"UNION column mismatch: {result.columns} vs {other.columns}"
                 )
             result.records.extend(other.records)
-            _merge_stats(result.stats, other.stats)
+            result.stats.add(other.stats)
         if query.union_parts and not query.union_all:
             result.records = _unique(
                 result.records,
@@ -378,9 +387,10 @@ class CypherEngine:
         context = _Context()
         rows: list[Row] = [{}]
         columns: list[str] | None = None
-        for clause in clauses:
+        for index, clause in enumerate(clauses):
             if columns is not None:
                 raise CypherRuntimeError("RETURN must be the final clause")
+            context.later = clauses[index + 1 :]
             if profiler is None:
                 rows, columns = self._apply_clause(clause, rows, context)
             else:
@@ -460,7 +470,8 @@ class CypherEngine:
         # serves every row of the clause.
         bound = frozenset(rows[0] if rows else ())
         plan = plan_match(
-            clause.patterns, clause.where, self.store, bound, statistics=self.statistics
+            clause.patterns, clause.where, self.store, bound,
+            statistics=self.statistics, read=_distinct_reads(clause, context.later),
         )
         prefilters, residual = plan.prefilters, plan.residual
         if context.node is not None:
@@ -472,6 +483,8 @@ class CypherEngine:
                 detail += f" join_order=[{','.join(map(str, plan.order))}]"
             if plan.pushed_count():
                 detail += f" pushed={plan.pushed_count()}"
+            if plan.distinct is not None:
+                detail += f"; {plan.describe_predicates()[-1]}"
             context.node.detail = detail
         for row in rows:
             matched = False
@@ -1172,6 +1185,8 @@ class _Context:
         self.stats = WriteStats()
         #: The profiler operator of the clause being applied, if any.
         self.node: ProfileNode | None = None
+        #: The clauses after the one being applied.
+        self.later: tuple[ast.Clause, ...] = ()
 
 
 def _unique(items: list[Any], key: Callable[[Any], Any]) -> list[Any]:
@@ -1205,13 +1220,43 @@ def _bound_after(clause: ast.Clause, bound: frozenset[str]) -> frozenset[str]:
     return bound
 
 
-def _merge_stats(target: WriteStats, other: WriteStats) -> None:
-    target.nodes_created += other.nodes_created
-    target.nodes_deleted += other.nodes_deleted
-    target.relationships_created += other.relationships_created
-    target.relationships_deleted += other.relationships_deleted
-    target.properties_set += other.properties_set
-    target.labels_added += other.labels_added
+def _distinct_reads(
+    match: ast.MatchClause, later: tuple[ast.Clause, ...]
+) -> frozenset[str] | None:
+    """The variables read after ``match`` if only their distinct values
+    matter: its rows reach, through MATCH clauses alone, a projection
+    with DISTINCT and no aggregate, or one whose aggregates are all
+    DISTINCT, ``min`` or ``max``; and no named path or pattern predicate
+    is on the way.  Otherwise None: every row counts."""
+    chain = list(takewhile(lambda clause: isinstance(clause, ast.MatchClause), later))
+    projection = later[len(chain)] if len(chain) < len(later) else None
+    if not isinstance(projection, (ast.WithClause, ast.ReturnClause)) or projection.star:
+        return None
+    reads = [item.expression for item in projection.items]
+    calls = [
+        node for expression in reads for node, _ in expression.walk()
+        if isinstance(node, ast.FunctionCall) and node.name in AGGREGATE_NAMES
+    ]
+    if not (calls or projection.distinct) or any(
+        call.star or not (call.distinct or call.name in ("min", "max"))
+        for call in calls
+    ):
+        return None
+    patterns = [pattern for clause in chain for pattern in clause.patterns]
+    reads += [item.expression for item in projection.order_by]
+    reads += [getattr(projection, "where", None), *(clause.where for clause in chain)]
+    reads += [value for pattern in patterns for value in pattern.property_values()]
+    own = [match.where]
+    own += [value for pattern in match.patterns for value in pattern.property_values()]
+    if any(pattern.path_variable for pattern in (*match.patterns, *patterns)) or any(
+        isinstance(node, ast.PatternPredicate)
+        for expression in reads + own if expression is not None
+        for node, _ in expression.walk()
+    ):
+        return None
+    return frozenset().union(
+        *map(free_variables, reads), *(pattern.variables() for pattern in patterns)
+    )
 
 
 def has_aggregate(expression: ast.Expression) -> bool:

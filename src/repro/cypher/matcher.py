@@ -16,11 +16,17 @@ first for a variable-length hop, breadth first for ``shortestPath``).
 Relationship isomorphism holds across the clause, which is what makes
 the paper's MOAS query (Listing 2) return distinct origin links.
 Pushed predicates (:mod:`repro.cypher.planner`) are checked the instant
-their variable binds, after its labels and inline map.
+their variable binds, after its labels and inline map.  Under set
+semantics (:attr:`MatchPlan.distinct`) a level keeps the first row of
+each distinct tuple of its :attr:`MatchPlan.keep` columns and only read
+variables are built; first occurrences keep their order, so distinct
+rows, groups and LIMIT come out as from every path.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from repro.cypher import ast
@@ -57,11 +63,19 @@ class PatternMatcher:
         """The bindings of ``plan``'s patterns that extend ``binding``."""
         call = _Expansion(self, plan, binding)
         rows: list[Row] = [()]
-        for step in plan.expand:
+        for step, keep in zip_longest(plan.expand, plan.keep):
             if not rows:
                 return
             rows = call.start(step, rows) if step.kind == "start" else call.hop(step, rows)
+            if keep is not None:
+                rows = _first_of_each(rows, keep)
         yield from call.materialize(rows)
+
+
+def _first_of_each(rows: list[Row], columns: tuple[int, ...]) -> list[Row]:
+    """The first row of each distinct tuple of ``columns``, in order."""
+    key, seen = itemgetter(*columns) if columns else (lambda row: ()), set()
+    return [row for row in rows if not ((k := key(row)) in seen or seen.add(k))]
 
 
 class _Expansion:
@@ -328,12 +342,16 @@ class _Expansion:
             yield from self.store.iter_nodes()
 
     def materialize(self, rows: list[Row]) -> Iterator[Binding]:
-        """One binding per row: one lookup per named element and id."""
+        """One binding per row: one lookup per named element and id —
+        under set semantics, per read one."""
         nodes, get_node = self.nodes, self.store.get_node
         get_relationship = self.store.get_relationship
+        named, distinct = self.plan.named, self.plan.distinct
+        if distinct is not None:
+            named = tuple(entry for entry in named if entry[0] in distinct)
         for row in rows:
             out = dict(self.binding)
-            for variable, column, kind in self.plan.named:
+            for variable, column, kind in named:
                 if kind == "node":  # the hot case, looked up inline
                     node = nodes.get(row[column])
                     if node is None:

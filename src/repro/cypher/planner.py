@@ -34,6 +34,10 @@ that the engine and the matcher's batch operator execute instead:
   :class:`ExpandStep`, the levels the batch operator grows its id rows
   by: each later pattern extends the same row, anchored on a node the
   row already holds or on its own anchor.
+- **Set semantics** — when the engine says only distinct values of
+  some variables (``read``) matter downstream, each level keeps the
+  first row of every distinct tuple of the columns still needed: the
+  read variables bound so far and every column a later step uses.
 
 Everything that cannot be classified stays in ``residual`` and is
 evaluated on complete bindings.
@@ -152,6 +156,11 @@ class MatchPlan:
     #: ``patterns``), only present when the plan was built with
     #: measured :class:`repro.analytics.GraphStatistics`.
     estimates: tuple[float, ...] | None = None
+    #: Set semantics: the introduced variables read later, which rows are
+    #: distinct on; per ``expand`` step, the columns deduplicated on (the
+    #: first row kept).  None keeps every row.
+    distinct: tuple[str, ...] | None = None
+    keep: tuple[tuple[int, ...] | None, ...] = ()
 
     @property
     def reordered(self) -> bool:
@@ -176,7 +185,8 @@ class MatchPlan:
         return lines
 
     def describe_predicates(self) -> list[str]:
-        """EXPLAIN lines for the pushdown decisions, one per predicate."""
+        """EXPLAIN lines for the pushdown decisions, one per predicate,
+        then set semantics (the last line, PROFILE's too)."""
         lines: list[str] = []
         for expr in self.prefilters:
             lines.append(f"prefilter: {render_expression(expr)}")
@@ -190,6 +200,8 @@ class MatchPlan:
                 lines.append(f"pushed filter [{var}]: {render_expression(expr)}")
         if self.residual is not None:
             lines.append(f"residual: {render_expression(self.residual)}")
+        if self.distinct is not None:
+            lines.append(f"distinct rows on {', '.join(self.distinct) or '<none>'}")
         return lines
 
 
@@ -199,6 +211,7 @@ def plan_match(
     store: GraphStore,
     bound: frozenset[str] = frozenset(),
     statistics=None,
+    read: frozenset[str] | None = None,
 ) -> MatchPlan:
     """Plan one MATCH clause.
 
@@ -213,6 +226,9 @@ def plan_match(
     fan-out of every expansion hop — instead of anchor cost alone, and
     the per-pattern estimates are recorded on the plan for EXPLAIN.
     Without it, planning is byte-identical to the uniform-cost model.
+
+    ``read``: the variables read after the clause if only their distinct
+    values matter there (the engine decides); see :func:`_distinct_columns`.
     """
     # Pushdown targets: node and relationship variables.  A path
     # variable binds only after its whole path materializes.
@@ -245,6 +261,11 @@ def plan_match(
     order, anchors, estimates = _order_patterns(rewritten, store, bound, statistics)
     ordered = tuple(rewritten[i] for i in order)
     expand, named, paths = _expand_steps(ordered, anchors, bound)
+    remainder = conjoin(residual)
+    distinct, keep = None, ()
+    if read is not None:
+        read |= free_variables(remainder)
+        distinct, keep = _distinct_columns(expand, named, read)
     return MatchPlan(
         patterns=ordered,
         order=order,
@@ -255,8 +276,10 @@ def plan_match(
         pushed={var: tuple(preds) for var, preds in pushed.items()},
         promoted={var: tuple(pairs) for var, pairs in promotions.items()},
         prefilters=tuple(prefilters),
-        residual=conjoin(residual),
+        residual=remainder,
         estimates=estimates,
+        distinct=distinct,
+        keep=keep,
     )
 
 
@@ -371,6 +394,28 @@ def _expand_steps(
         if pattern.path_variable:
             paths.append((pattern.path_variable, node_columns[0], tuple(rel_columns)))
     return tuple(steps), tuple(named.values()), tuple(paths)
+
+
+def _distinct_columns(
+    steps: tuple[ExpandStep, ...], named: tuple[Named, ...], read: frozenset[str]
+) -> tuple[tuple[str, ...], tuple[tuple[int, ...] | None, ...]]:
+    """The read variables among ``named``; per level, the columns still
+    needed: read ones bound so far and any a later step uses.  None (every
+    row) where that is all of them but at the last level, and before a
+    ``per_row`` step, whose inline map may read any column."""
+    keep: list[tuple[int, ...] | None] = []
+    width = 0
+    for index, step in enumerate(steps):
+        width += 1 if step.kind == "start" else 2
+        later = steps[index + 1 :]
+        needed = {column for name, column, _ in named if name in read}
+        for other in later:
+            needed.update(other.exclusive, other.exclusive_paths)
+            needed.update((other.source, other.same_node, other.same_rel))
+        needed &= set(range(width))
+        full = any(other.per_row for other in later) or (later and len(needed) == width)
+        keep.append(None if full else tuple(sorted(needed)))
+    return tuple(name for name, _, _ in named if name in read), tuple(keep)
 
 
 def _as_promotable_equality(

@@ -108,13 +108,20 @@ def build_addressing(world: World, rng: random.Random) -> None:
                 )
 
 
-def host_ip(rng: random.Random, prefix: str, index: int | None = None) -> str:
-    """Return one host address inside a prefix.
+#: A parsed prefix.
+Network = ipaddress.IPv4Network | ipaddress.IPv6Network
+
+
+def host_ip(
+    rng: random.Random, prefix: str | Network, index: int | None = None
+) -> str:
+    """Return one host address inside a prefix (text, or already parsed
+    by a caller that draws from the same prefixes many times).
 
     With ``index`` the choice is deterministic (used for nameserver IPs
     that several datasets must agree on); otherwise random.
     """
-    network = ipaddress.ip_network(prefix)
+    network = ipaddress.ip_network(prefix) if isinstance(prefix, str) else prefix
     size = network.num_addresses
     offset = (index if index is not None else rng.randrange(1, max(2, min(size - 1, 4096))))
     offset = 1 + (offset % max(1, min(size - 2, 65000)))

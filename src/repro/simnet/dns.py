@@ -19,9 +19,10 @@ This module encodes the phenomena the paper's evaluation measures:
 
 from __future__ import annotations
 
+import ipaddress
 import random
 
-from repro.simnet.addressing import host_ip
+from repro.simnet.addressing import Network, host_ip
 from repro.simnet.topology import COUNTRY_WEIGHTS, weighted_choice
 from repro.simnet.world import DNSProvider, DomainInfo, NameServerInfo, TLDInfo, World
 
@@ -84,15 +85,23 @@ def _ases_by_country_pref(world: World, pool: list[int], country: str,
 
 
 def _ns_for_zone(
-    world: World, rng: random.Random, zone: str, asn: int, count: int, provider: str
+    world: World,
+    rng: random.Random,
+    zone: str,
+    asn: int,
+    count: int,
+    provider: str,
+    v4_prefixes: list[Network] | None = None,
 ) -> list[str]:
-    """Create ``count`` nameserver hostnames for a zone, hosted in ``asn``."""
+    """Create ``count`` nameserver hostnames for a zone, hosted in ``asn``
+    (``v4_prefixes``: its IPv4 prefixes, when the caller indexed them)."""
     names = []
-    v4_prefixes = [
-        p.prefix
-        for p in world.prefixes.values()
-        if p.af == 4 and p.origins[0] == asn
-    ]
+    if v4_prefixes is None:
+        v4_prefixes = [
+            ipaddress.ip_network(p.prefix)
+            for p in world.prefixes.values()
+            if p.af == 4 and p.origins[0] == asn
+        ]
     for index in range(count):
         name = f"ns{index + 1}.{zone}"
         if name not in world.nameservers:
@@ -281,6 +290,13 @@ def _build_domains(world: World, rng: random.Random) -> None:
     top_band = int(n_domains * config.top100k_equivalent)
     bottom_band = n_domains - top_band
     used_names: set[str] = set()
+    # Each prefix parsed once, by (first origin, address family), in
+    # world order: the order the RNG draws from.
+    networks: dict[tuple[int, int], list[Network]] = {}
+    for info in world.prefixes.values():
+        networks.setdefault((info.origins[0], info.af), []).append(
+            ipaddress.ip_network(info.prefix)
+        )
 
     for rank in range(1, n_domains + 1):
         name = _domain_name(rng, used_names)
@@ -311,9 +327,10 @@ def _build_domains(world: World, rng: random.Random) -> None:
         else:
             pool = _pick_pool(rng, pool_mix)
             hosting_asn = _zipf_pick(rng, pool, exponent=0.9)
-        ips = _host_ips(world, rng, hosting_asn, rank)
+        ips = _host_ips(networks, rng, hosting_asn, rank)
         nameservers, provider_key, self_hosted = _assign_nameservers(
-            world, rng, domain_name, hosting_asn, direct_order
+            world, rng, domain_name, hosting_asn, direct_order,
+            networks.get((hosting_asn, 4), []),
         )
         has_glue = rng.random() >= config.discarded_fraction
         in_zone_glue = _in_zone_glue(world, nameservers, self_hosted, tld)
@@ -363,9 +380,13 @@ def _pick_pool(rng: random.Random, mix: list[tuple[list[int], float]]) -> list[i
     return pools[-1][0]
 
 
-def _host_ips(world: World, rng: random.Random, asn: int, rank: int) -> list[str]:
-    v4 = [p.prefix for p in world.prefixes.values() if p.af == 4 and p.origins[0] == asn]
-    v6 = [p.prefix for p in world.prefixes.values() if p.af == 6 and p.origins[0] == asn]
+def _host_ips(
+    networks: dict[tuple[int, int], list[Network]],
+    rng: random.Random,
+    asn: int,
+    rank: int,
+) -> list[str]:
+    v4, v6 = networks.get((asn, 4), []), networks.get((asn, 6), [])
     ips = [host_ip(rng, rng.choice(v4))] if v4 else []
     if rank <= 1000 and v4 and rng.random() < 0.4:
         ips.append(host_ip(rng, rng.choice(v4)))
@@ -380,12 +401,14 @@ def _assign_nameservers(
     domain_name: str,
     hosting_asn: int,
     direct_order: list[str],
+    hosting_v4: list[Network],
 ) -> tuple[list[str], str, bool]:
     config = world.config
     count = _ns_count(rng, config)
     if rng.random() < config.self_hosted_dns_fraction:
         names = _ns_for_zone(
-            world, rng, domain_name, hosting_asn, count, f"self:{domain_name}"
+            world, rng, domain_name, hosting_asn, count, f"self:{domain_name}",
+            hosting_v4,
         )
         return names, f"self:{domain_name}", True
     provider = world.dns_providers[_zipf_pick(rng, direct_order, exponent=1.05)]

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.core import IYP
-from repro.graphdb.snapshot import snapshot_dict
+from repro.graphdb.snapshot import load_snapshot, save_snapshot, snapshot_dict
 from repro.pipeline import build_iyp
 from repro.simnet import WorldConfig, build_world
 
@@ -48,6 +48,34 @@ def quarter_world():
     knobs times 0.25 (``benchmarks/lifecycle/metrics.py``)."""
     return build_world(
         WorldConfig(seed=7, scale=0.025, n_domains=500, n_ases=62)
+    )
+
+
+@pytest.fixture()
+def private_iyp(small_iyp, tmp_path):
+    """A copy of the small graph that a test may write to."""
+    save_snapshot(small_iyp.store, tmp_path / "private.iyp2")
+    return IYP(load_snapshot(tmp_path / "private.iyp2"))
+
+
+#: The session-scoped fixtures holding a built graph: every test that uses
+#: one shares it, so none may write to it.
+SESSION_GRAPHS = ("small_iyp",)
+
+
+@pytest.fixture(autouse=True)
+def session_graphs_unchanged(request):
+    """Fail a test that writes to a session graph it requested: its
+    store's mutation counter must be the same after the test."""
+    stores = [
+        request.getfixturevalue(name).store
+        for name in SESSION_GRAPHS
+        if name in request.fixturenames
+    ]
+    versions = [store.version for store in stores]
+    yield
+    assert [store.version for store in stores] == versions, (
+        f"{request.node.nodeid} wrote to a session-scoped graph"
     )
 
 

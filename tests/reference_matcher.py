@@ -13,7 +13,10 @@ Two ways to use it:
 
 - :func:`walking` reroutes an engine's planned MATCH, MERGE and pattern
   predicates through the walk *from the same plan* (same pattern order,
-  anchors and pushed filters), so records must agree in order;
+  anchors and pushed filters), so records must agree in order.  Where
+  the plan has set semantics (:attr:`MatchPlan.distinct`), the walk
+  still enumerates every path, then keeps the first binding of each
+  tuple of those variables, and only them;
 - :func:`naive_engine` runs it with no planner at all: textual pattern
   order, no pushdown, WHERE applied to complete bindings — the
   reference for the optimizer's result multisets.
@@ -31,7 +34,7 @@ from typing import Any, Callable, Iterator, Mapping
 from repro.cypher import CypherEngine, ast
 from repro.cypher.errors import CypherRuntimeError
 from repro.cypher.planner import Anchor, choose_anchor
-from repro.cypher.values import Path, equals, is_truthy
+from repro.cypher.values import Path, equals, hash_key, is_truthy
 from repro.graphdb.model import Direction, Node, Relationship
 from repro.graphdb.store import GraphStore
 from repro.obs import record_access
@@ -576,9 +579,25 @@ class _Walk:
     def expand(self, plan, binding: Binding) -> Iterator[Binding]:
         if not self._planned:
             return self._walk.match_patterns(plan.patterns, binding)
-        return self._walk.match_patterns(
+        walked = self._walk.match_patterns(
             plan.patterns, binding, plan.pushed or None, plan.anchors
         )
+        if plan.distinct is None:
+            return walked
+        return _first_of_each(walked, binding, plan.distinct)
+
+
+def _first_of_each(
+    bindings: Iterator[Binding], incoming: Binding, read: tuple[str, ...]
+) -> Iterator[Binding]:
+    """The incoming binding plus ``read``, for the first of ``bindings``
+    with each tuple of ``read`` values."""
+    seen = set()
+    for binding in bindings:
+        key = tuple(hash_key(binding[name]) for name in read)
+        if key not in seen:
+            seen.add(key)
+            yield {**incoming, **{name: binding[name] for name in read}}
 
 
 def walking(engine: CypherEngine) -> CypherEngine:

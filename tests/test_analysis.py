@@ -81,9 +81,9 @@ class TestReasoning:
         created = run_inference(reasoning_iyp, rules=(rule,))
         assert created["as_country_via_prefix"] == 1
 
-    def test_runs_on_full_graph(self, small_iyp):
+    def test_runs_on_full_graph(self, private_iyp):
         # On the fully built graph, inference adds real knowledge.
-        created = run_inference(small_iyp)
+        created = run_inference(private_iyp)
         assert created["ip_country"] > 0
         assert created["prefix_org"] > 0
 

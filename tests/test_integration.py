@@ -55,24 +55,20 @@ class TestSnapshotRoundtrip:
 
 
 class TestLocalInstanceWorkflow:
-    def test_user_can_add_private_data_and_query_across(self, small_iyp):
+    def test_user_can_add_private_data_and_query_across(self, private_iyp):
         # Section 6.1 "Local instance": tag studied resources, then use
         # the tag in later queries.  Write via Cypher like a user would.
-        small_iyp.run(
+        private_iyp.run(
             "MATCH (:Ranking {name:'Tranco top 1M'})-[r:RANK]-(d:DomainName) "
             "WHERE r.rank <= 10 "
             "MERGE (t:Tag {label:'My Study Set'}) "
             "MERGE (d)-[:CATEGORIZED {reference_name:'local'}]->(t)"
         )
-        count = small_iyp.run(
+        count = private_iyp.run(
             "MATCH (d:DomainName)-[:CATEGORIZED]->(:Tag {label:'My Study Set'}) "
             "RETURN count(DISTINCT d)"
         ).value()
         assert count == 10
-        # Clean up so other session-scoped tests see the shared graph.
-        small_iyp.run(
-            "MATCH (t:Tag {label:'My Study Set'}) DETACH DELETE t"
-        )
 
 
 class TestDeterministicBuilds:

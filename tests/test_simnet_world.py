@@ -1,5 +1,12 @@
 """Structural invariants of the synthetic Internet."""
 
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
 from repro.nettypes import ip_in_prefix, prefix_contains
 from repro.simnet import WorldConfig, build_world
 from repro.simnet.dns import zone_nameservers
@@ -18,6 +25,49 @@ class TestDeterminism:
         first = build_world(WorldConfig.small(seed=1))
         second = build_world(WorldConfig.small(seed=2))
         assert first.tranco != second.tranco
+
+
+#: sha256 of :func:`world_digest` per configuration, written before the
+#: DNS build indexed prefixes by origin: a faster build must draw the
+#: same world.
+WORLD_DIGESTS = json.loads(
+    (Path(__file__).parent / "golden" / "world_digests.json").read_text()
+)
+WORLD_CONFIGS = {
+    # The lifecycle benchmark's world (benchmarks/lifecycle/metrics.py).
+    "benchmark": lambda: WorldConfig(seed=7, scale=0.025, n_domains=500, n_ases=62),
+    "small": WorldConfig.small,
+    "year2015": WorldConfig.year2015,
+}
+
+
+def _canonical(value):
+    """``value`` as nested lists of ``repr`` strings: dict and list order
+    kept, sets sorted, private attributes (caches) left out."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return [type(value).__name__] + [
+            [item.name, _canonical(getattr(value, item.name))]
+            for item in dataclasses.fields(value)
+        ]
+    if isinstance(value, dict):
+        return [[_canonical(key), _canonical(item)] for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(_canonical(item) for item in value)
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return repr(value)
+    raise TypeError(f"no canonical form for {type(value).__name__}")
+
+
+def world_digest(world) -> str:
+    """A digest of everything a world holds, the same under any hash seed."""
+    return hashlib.sha256(json.dumps(_canonical(world)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(WORLD_CONFIGS))
+def test_world_is_unchanged(name):
+    assert world_digest(build_world(WORLD_CONFIGS[name]())) == WORLD_DIGESTS[name]
 
 
 class TestTopology(object):

@@ -411,13 +411,13 @@ def _post(host, port, query):
         return json.loads(response.read())
 
 
-def test_worker_pool_serves_and_hot_swaps_mid_query(small_iyp):
-    first = pack_store(small_iyp.store)
+def test_worker_pool_serves_and_hot_swaps_mid_query(private_iyp):
+    first = pack_store(private_iyp.store)
 
     # Second snapshot: same graph plus a marker node, packed from the
     # (still mutable) dict store after the first segment was copied out.
-    small_iyp.store.create_node(["SwapMarker"], {"name": "generation-2"})
-    second = pack_store(small_iyp.store)
+    private_iyp.store.create_node(["SwapMarker"], {"name": "generation-2"})
+    second = pack_store(private_iyp.store)
 
     pool = WorkerPool(first, workers=2, service_config={"max_concurrent": 4})
     try:
@@ -425,7 +425,7 @@ def test_worker_pool_serves_and_hot_swaps_mid_query(small_iyp):
         host, port = pool.address
 
         count_query = "MATCH (a:AS) RETURN count(a) AS n"
-        expected = len(small_iyp.store.nodes_with_label("AS"))
+        expected = len(private_iyp.store.nodes_with_label("AS"))
         body = _post(host, port, count_query)
         assert body["rows"] == [[expected]]
 
