@@ -354,7 +354,7 @@ class CypherEngine:
                     f"UNION column mismatch: {result.columns} vs {other.columns}"
                 )
             result.records.extend(other.records)
-            result.stats.add(other.stats)
+            _merge_stats(result.stats, other.stats)
         if query.union_parts and not query.union_all:
             result.records = _unique(
                 result.records,
@@ -1218,6 +1218,15 @@ def _bound_after(clause: ast.Clause, bound: frozenset[str]) -> frozenset[str]:
     if isinstance(clause, (ast.MatchClause, ast.CreateClause)):
         return bound.union(*(pattern.variables() for pattern in clause.patterns))
     return bound
+
+
+def _merge_stats(target: WriteStats, other: WriteStats) -> None:
+    target.nodes_created += other.nodes_created
+    target.nodes_deleted += other.nodes_deleted
+    target.relationships_created += other.relationships_created
+    target.relationships_deleted += other.relationships_deleted
+    target.properties_set += other.properties_set
+    target.labels_added += other.labels_added
 
 
 def _distinct_reads(

@@ -208,6 +208,30 @@ SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
 # ---------------------------------------------------------------------------
 
 
+def agg_count(values: list[Any]) -> int:
+    return len(values)
+
+
+def agg_collect(values: list[Any]) -> list[Any]:
+    return list(values)
+
+
+def agg_sum(values: list[Any]) -> Any:
+    return sum(values) if values else 0
+
+
+def agg_avg(values: list[Any]) -> Any:
+    return sum(values) / len(values) if values else None
+
+
+def agg_min(values: list[Any]) -> Any:
+    return min(values, key=sort_key) if values else None
+
+
+def agg_max(values: list[Any]) -> Any:
+    return max(values, key=sort_key) if values else None
+
+
 def agg_stdev(values: list[Any]) -> Any:
     if len(values) < 2:
         return 0.0
@@ -248,12 +272,12 @@ def agg_percentile_disc(values: list[Any], percentile: float) -> Any:
 #: (percentile) argument; together they are every name the engine treats
 #: as an aggregate call.
 AGGREGATES: dict[str, Callable[[list[Any]], Any]] = {
-    "count": len,
-    "collect": list,
-    "sum": lambda values: sum(values) if values else 0,
-    "avg": lambda values: sum(values) / len(values) if values else None,
-    "min": lambda values: min(values, key=sort_key) if values else None,
-    "max": lambda values: max(values, key=sort_key) if values else None,
+    "count": agg_count,
+    "collect": agg_collect,
+    "sum": agg_sum,
+    "avg": agg_avg,
+    "min": agg_min,
+    "max": agg_max,
     "stdev": agg_stdev,
 }
 PERCENTILE_AGGREGATES: dict[str, Callable[[list[Any], float], Any]] = {

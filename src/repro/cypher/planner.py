@@ -261,10 +261,9 @@ def plan_match(
     order, anchors, estimates = _order_patterns(rewritten, store, bound, statistics)
     ordered = tuple(rewritten[i] for i in order)
     expand, named, paths = _expand_steps(ordered, anchors, bound)
-    remainder = conjoin(residual)
     distinct, keep = None, ()
     if read is not None:
-        read |= free_variables(remainder)
+        read = read.union(*map(free_variables, residual))
         distinct, keep = _distinct_columns(expand, named, read)
     return MatchPlan(
         patterns=ordered,
@@ -276,7 +275,7 @@ def plan_match(
         pushed={var: tuple(preds) for var, preds in pushed.items()},
         promoted={var: tuple(pairs) for var, pairs in promotions.items()},
         prefilters=tuple(prefilters),
-        residual=remainder,
+        residual=conjoin(residual),
         estimates=estimates,
         distinct=distinct,
         keep=keep,
@@ -401,8 +400,9 @@ def _distinct_columns(
 ) -> tuple[tuple[str, ...], tuple[tuple[int, ...] | None, ...]]:
     """The read variables among ``named``; per level, the columns still
     needed: read ones bound so far and any a later step uses.  None (every
-    row) where that is all of them but at the last level, and before a
-    ``per_row`` step, whose inline map may read any column."""
+    row) where that is all of them, since distinct paths never share every
+    column, and before a ``per_row`` step, whose inline map may read any
+    column."""
     keep: list[tuple[int, ...] | None] = []
     width = 0
     for index, step in enumerate(steps):
@@ -413,7 +413,7 @@ def _distinct_columns(
             needed.update(other.exclusive, other.exclusive_paths)
             needed.update((other.source, other.same_node, other.same_rel))
         needed &= set(range(width))
-        full = any(other.per_row for other in later) or (later and len(needed) == width)
+        full = any(other.per_row for other in later) or len(needed) == width
         keep.append(None if full else tuple(sorted(needed)))
     return tuple(name for name, _, _ in named if name in read), tuple(keep)
 

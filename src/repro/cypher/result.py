@@ -18,12 +18,16 @@ class WriteStats:
     labels_added: int = 0
 
     def __bool__(self) -> bool:
-        return any(vars(self).values())
-
-    def add(self, other: "WriteStats") -> None:
-        """Count ``other``'s mutations in as well."""
-        for name, count in vars(other).items():
-            setattr(self, name, getattr(self, name) + count)
+        return any(
+            (
+                self.nodes_created,
+                self.nodes_deleted,
+                self.relationships_created,
+                self.relationships_deleted,
+                self.properties_set,
+                self.labels_added,
+            )
+        )
 
 
 @dataclass

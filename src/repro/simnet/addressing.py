@@ -110,18 +110,27 @@ def build_addressing(world: World, rng: random.Random) -> None:
 
 #: A parsed prefix.
 Network = ipaddress.IPv4Network | ipaddress.IPv6Network
+#: Parsed prefixes by (first origin AS, address family).
+Networks = dict[tuple[int, int], list[Network]]
 
 
-def host_ip(
-    rng: random.Random, prefix: str | Network, index: int | None = None
-) -> str:
-    """Return one host address inside a prefix (text, or already parsed
-    by a caller that draws from the same prefixes many times).
+def networks_by_origin(world: World) -> Networks:
+    """Every prefix parsed once, keyed by (first origin AS, address
+    family), in world order: the order callers draw from."""
+    networks: Networks = {}
+    for info in world.prefixes.values():
+        networks.setdefault((info.origins[0], info.af), []).append(
+            ipaddress.ip_network(info.prefix)
+        )
+    return networks
+
+
+def host_ip(rng: random.Random, network: Network, index: int | None = None) -> str:
+    """Return one host address inside a prefix.
 
     With ``index`` the choice is deterministic (used for nameserver IPs
     that several datasets must agree on); otherwise random.
     """
-    network = ipaddress.ip_network(prefix) if isinstance(prefix, str) else prefix
     size = network.num_addresses
     offset = (index if index is not None else rng.randrange(1, max(2, min(size - 1, 4096))))
     offset = 1 + (offset % max(1, min(size - 2, 65000)))

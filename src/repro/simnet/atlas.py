@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from repro.simnet.addressing import host_ip
+from repro.simnet.addressing import host_ip, networks_by_origin
 from repro.simnet.world import AtlasMeasurementInfo, AtlasProbeInfo, World
 
 _PROBE_TAGS = ["system-ipv4-works", "home", "datacentre", "dual-stack", "nat"]
@@ -24,13 +24,10 @@ def build_atlas(world: World, rng: random.Random) -> None:
     probe_asns = [
         asn for asn in asns if world.ases[asn].category in ("ISP", "Hosting", "Academic")
     ] or asns
+    networks = networks_by_origin(world)
     for probe_id in range(1, n_probes + 1):
         asn = rng.choice(probe_asns)
-        v4 = [
-            p.prefix
-            for p in world.prefixes.values()
-            if p.af == 4 and p.origins[0] == asn
-        ]
+        v4 = networks.get((asn, 4), [])
         if not v4:
             continue
         world.atlas_probes[probe_id] = AtlasProbeInfo(

@@ -19,10 +19,9 @@ This module encodes the phenomena the paper's evaluation measures:
 
 from __future__ import annotations
 
-import ipaddress
 import random
 
-from repro.simnet.addressing import Network, host_ip
+from repro.simnet.addressing import Networks, host_ip, networks_by_origin
 from repro.simnet.topology import COUNTRY_WEIGHTS, weighted_choice
 from repro.simnet.world import DNSProvider, DomainInfo, NameServerInfo, TLDInfo, World
 
@@ -52,9 +51,10 @@ _WORDS = [
 
 def build_dns(world: World, rng: random.Random) -> None:
     """Populate TLDs, providers, nameservers, domains, and rankings."""
-    _build_tlds(world, rng)
-    _build_providers(world, rng)
-    _build_domains(world, rng)
+    networks = networks_by_origin(world)
+    _build_tlds(world, networks, rng)
+    _build_providers(world, networks, rng)
+    _build_domains(world, networks, rng)
     _build_umbrella(world, rng)
     _build_cloudflare_queries(world, rng)
 
@@ -86,22 +86,16 @@ def _ases_by_country_pref(world: World, pool: list[int], country: str,
 
 def _ns_for_zone(
     world: World,
+    networks: Networks,
     rng: random.Random,
     zone: str,
     asn: int,
     count: int,
     provider: str,
-    v4_prefixes: list[Network] | None = None,
 ) -> list[str]:
-    """Create ``count`` nameserver hostnames for a zone, hosted in ``asn``
-    (``v4_prefixes``: its IPv4 prefixes, when the caller indexed them)."""
+    """Create ``count`` nameserver hostnames for a zone, hosted in ``asn``."""
     names = []
-    if v4_prefixes is None:
-        v4_prefixes = [
-            ipaddress.ip_network(p.prefix)
-            for p in world.prefixes.values()
-            if p.af == 4 and p.origins[0] == asn
-        ]
+    v4_prefixes = networks.get((asn, 4), [])
     for index in range(count):
         name = f"ns{index + 1}.{zone}"
         if name not in world.nameservers:
@@ -114,7 +108,7 @@ def _ns_for_zone(
     return names
 
 
-def _build_tlds(world: World, rng: random.Random) -> None:
+def _build_tlds(world: World, networks: Networks, rng: random.Random) -> None:
     dns_pool = _ases_by_category(world, "DNS Provider", "Cloud", "Tier1")
     if not dns_pool:
         dns_pool = sorted(world.ases)
@@ -122,7 +116,9 @@ def _build_tlds(world: World, rng: random.Random) -> None:
     gtld_asn = _ases_by_country_pref(world, dns_pool, "US", rng)
     for tld, _ in GTLDS + [(t, w) for t, w in OTHER_TLDS if t not in _CC_OPERATOR_COUNTRY]:
         operator = world.ases[gtld_asn]
-        zone_ns = _ns_for_zone(world, rng, f"nic.{tld}", gtld_asn, 2, "registry")
+        zone_ns = _ns_for_zone(
+            world, networks, rng, f"nic.{tld}", gtld_asn, 2, "registry"
+        )
         world.tlds[tld] = TLDInfo(
             tld=tld,
             operator_org=operator.org_name,
@@ -133,7 +129,7 @@ def _build_tlds(world: World, rng: random.Random) -> None:
     for tld, country in _CC_OPERATOR_COUNTRY.items():
         asn = _ases_by_country_pref(world, dns_pool, country, rng)
         operator = world.ases[asn]
-        zone_ns = _ns_for_zone(world, rng, f"nic.{tld}", asn, 2, "registry")
+        zone_ns = _ns_for_zone(world, networks, rng, f"nic.{tld}", asn, 2, "registry")
         world.tlds[tld] = TLDInfo(
             tld=tld,
             operator_org=operator.org_name,
@@ -147,7 +143,7 @@ def _build_tlds(world: World, rng: random.Random) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_providers(world: World, rng: random.Random) -> None:
+def _build_providers(world: World, networks: Networks, rng: random.Random) -> None:
     config = world.config
     n_providers = max(6, config.scaled(config.n_dns_providers))
     provider_pool = _ases_by_category(
@@ -191,7 +187,9 @@ def _build_providers(world: World, rng: random.Random) -> None:
             name=key, domain=domain, asn=asn, mode=mode,
         )
         pool_size = 48 if mode == "per_customer" else rng.randint(4, 8)
-        provider.ns_pool = _make_provider_pool(world, rng, provider, pool_size)
+        provider.ns_pool = _make_provider_pool(
+            world, networks, rng, provider, pool_size
+        )
         keys.append(key)
         world.dns_providers[key] = provider
     # Outsourcing DAG: most providers host their own domain on another,
@@ -217,27 +215,23 @@ def _build_providers(world: World, rng: random.Random) -> None:
     for key in keys:
         provider = world.dns_providers[key]
         if provider.outsourced_to is None:
-            _ns_for_zone(world, rng, provider.domain, provider.asn, 2, key)
+            _ns_for_zone(world, networks, rng, provider.domain, provider.asn, 2, key)
 
 
 def _make_provider_pool(
-    world: World, rng: random.Random, provider: DNSProvider, pool_size: int
+    world: World,
+    networks: Networks,
+    rng: random.Random,
+    provider: DNSProvider,
+    pool_size: int,
 ) -> list[str]:
     """Provider nameserver hostnames, concentrated in a couple of /24s."""
     config = world.config
-    v4_prefixes = [
-        p.prefix
-        for p in world.prefixes.values()
-        if p.af == 4 and p.origins[0] == provider.asn
-    ]
+    v4_prefixes = networks.get((provider.asn, 4), [])
     if not v4_prefixes:
         raise RuntimeError(f"provider AS {provider.asn} has no IPv4 prefix")
     n_slash24 = max(1, config.n_nameserver_slash24s_per_provider)
-    v6_prefixes = [
-        p.prefix
-        for p in world.prefixes.values()
-        if p.af == 6 and p.origins[0] == provider.asn
-    ]
+    v6_prefixes = networks.get((provider.asn, 6), [])
     pool = []
     for index in range(pool_size):
         name = f"ns{index + 1:02d}.{provider.domain}"
@@ -274,7 +268,7 @@ def _zipf_pick(rng: random.Random, items: list, exponent: float = 1.1):
     return items[-1]
 
 
-def _build_domains(world: World, rng: random.Random) -> None:
+def _build_domains(world: World, networks: Networks, rng: random.Random) -> None:
     config = world.config
     n_domains = config.n_domains
     cdn_ases = _ases_by_category(world, "Content Delivery Network")
@@ -290,13 +284,6 @@ def _build_domains(world: World, rng: random.Random) -> None:
     top_band = int(n_domains * config.top100k_equivalent)
     bottom_band = n_domains - top_band
     used_names: set[str] = set()
-    # Each prefix parsed once, by (first origin, address family), in
-    # world order: the order the RNG draws from.
-    networks: dict[tuple[int, int], list[Network]] = {}
-    for info in world.prefixes.values():
-        networks.setdefault((info.origins[0], info.af), []).append(
-            ipaddress.ip_network(info.prefix)
-        )
 
     for rank in range(1, n_domains + 1):
         name = _domain_name(rng, used_names)
@@ -329,8 +316,7 @@ def _build_domains(world: World, rng: random.Random) -> None:
             hosting_asn = _zipf_pick(rng, pool, exponent=0.9)
         ips = _host_ips(networks, rng, hosting_asn, rank)
         nameservers, provider_key, self_hosted = _assign_nameservers(
-            world, rng, domain_name, hosting_asn, direct_order,
-            networks.get((hosting_asn, 4), []),
+            world, networks, rng, domain_name, hosting_asn, direct_order
         )
         has_glue = rng.random() >= config.discarded_fraction
         in_zone_glue = _in_zone_glue(world, nameservers, self_hosted, tld)
@@ -380,12 +366,7 @@ def _pick_pool(rng: random.Random, mix: list[tuple[list[int], float]]) -> list[i
     return pools[-1][0]
 
 
-def _host_ips(
-    networks: dict[tuple[int, int], list[Network]],
-    rng: random.Random,
-    asn: int,
-    rank: int,
-) -> list[str]:
+def _host_ips(networks: Networks, rng: random.Random, asn: int, rank: int) -> list[str]:
     v4, v6 = networks.get((asn, 4), []), networks.get((asn, 6), [])
     ips = [host_ip(rng, rng.choice(v4))] if v4 else []
     if rank <= 1000 and v4 and rng.random() < 0.4:
@@ -397,18 +378,18 @@ def _host_ips(
 
 def _assign_nameservers(
     world: World,
+    networks: Networks,
     rng: random.Random,
     domain_name: str,
     hosting_asn: int,
     direct_order: list[str],
-    hosting_v4: list[Network],
 ) -> tuple[list[str], str, bool]:
     config = world.config
     count = _ns_count(rng, config)
     if rng.random() < config.self_hosted_dns_fraction:
         names = _ns_for_zone(
-            world, rng, domain_name, hosting_asn, count, f"self:{domain_name}",
-            hosting_v4,
+            world, networks, rng, domain_name, hosting_asn, count,
+            f"self:{domain_name}",
         )
         return names, f"self:{domain_name}", True
     provider = world.dns_providers[_zipf_pick(rng, direct_order, exponent=1.05)]

@@ -213,6 +213,18 @@ def test_a_column_isomorphism_checks_is_kept_until_its_check(store):
     assert plan.keep == (None, (1, 2), (4,))
 
 
+def test_a_query_reading_every_column_never_deduplicates(store):
+    """Distinct paths never share every column, so no level pays for a
+    set that would drop nothing, the last one included."""
+    query = "MATCH (a:AS)-[r:PEERS_WITH]-(b:AS) RETURN DISTINCT a, r, b"
+    (clause, _) = parse(query).clauses
+    plan = plan_match(clause.patterns, None, store, read=frozenset({"a", "r", "b"}))
+    assert plan.keep == (None, None)
+    result, profile = assert_same_as_walk(store, query)
+    assert match_rows(profile) == [6]
+    assert ordered(result) == ordered(every_path(store, query)[0])
+
+
 # ---------------------------------------------------------------------------
 # Listing 6 on the lifecycle benchmark's world
 # ---------------------------------------------------------------------------
