@@ -1,4 +1,4 @@
-"""Query execution: the clause pipeline.
+"""Query execution: one plan per statement, run as a clause pipeline.
 
 A query is executed as a pipeline of row transformations.  A *row* is a
 dict mapping variable names to values (nodes, relationships, scalars,
@@ -16,31 +16,37 @@ re-running the paper's study queries on fresh snapshots costs no
 re-parsing while an adversarial stream of distinct queries cannot grow
 memory without bound.
 
-MATCH clauses execute through the cost-based planner
-(:mod:`repro.cypher.planner`): WHERE conjuncts are pushed to bind time,
-indexed equality conjuncts become index seeks, and multi-pattern
-clauses are join-reordered.  Every MATCH, MERGE and pattern predicate
-then runs on one operator, the matcher's batch expansion
-(:meth:`PatternMatcher.expand`); MERGE and a pattern predicate hand it
-a one-pattern plan, made once per clause or predicate and set of bound
-variables.  A MATCH whose rows reach a projection that keeps only
-distinct values, through MATCH clauses alone, is planned with the
-variables read after it (:func:`_distinct_reads`), and its operator
-keeps one row per distinct tuple of them.
+Each statement is lowered once (:func:`_lower`, the one dispatch over
+clause types) into one :class:`Operator` per clause: the variables it
+receives and passes on, its PROFILE detail and EXPLAIN lines, and for a
+MATCH the planner's :class:`MatchPlan`, made the first time the operator
+runs.  Running, EXPLAIN and PROFILE all walk these operators, cached on
+the statement for the store, its version and the planner statistics
+(an index, a write, a delta or new statistics lowers it again; no plan
+depends on a parameter value).  MATCH plans push WHERE conjuncts to bind
+time, seek indexes and reorder joins (:mod:`repro.cypher.planner`); every
+MATCH, MERGE and pattern predicate runs on the matcher's batch expansion
+(:meth:`PatternMatcher.expand`), the last two with a one-pattern plan
+memoized on the operator.  A MATCH whose rows reach a projection that
+keeps only distinct values, through MATCH clauses alone, is planned with
+the variables read after it (:func:`_distinct_reads`) and keeps one row
+per distinct tuple of them.
 
 The engine is safe for concurrent *read* queries: per-run state
-(parameters, the active guard) lives in thread-local storage, and the
-query service serializes write queries through the store's write lock.
+(parameters, the active guard, the operator being applied) lives in
+thread-local storage and operators keep none; readers racing a new
+lowering at most plan twice.  The query service serializes write
+queries through the store's write lock.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import takewhile
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.analytics.registry import ProcedureContext, get_procedure, suggest
 from repro.cypher import ast
@@ -115,6 +121,8 @@ class Statement:
     #: Any mutating clause in any UNION part: decides the store lock the
     #: query service takes and whether the result cache is consulted.
     is_write: bool
+    #: ``((store, version, statistics), operators per UNION part)``.
+    lowered: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def identity(self) -> tuple[str, str]:
@@ -182,26 +190,25 @@ class CypherEngine:
         time per clause) — see :meth:`profile` for the one-call form.
         """
         if isinstance(query, Statement):
-            tree = query.tree
+            statement = query
         else:
             with self.tracer.span("parse", query_chars=len(query)):
-                tree = self.statement(query).tree
+                statement = self.statement(query)
         self._tls.guard = guard
-        self._tls.plans = {}
         try:
             with self.tracer.span("execute") as span:
                 if profiler is None:
-                    result = self._execute(tree, parameters or {})
+                    result = self._execute(statement, parameters or {})
                 else:
                     with collecting(profiler.collector):
-                        result = self._execute(tree, parameters or {}, profiler)
+                        result = self._execute(statement, parameters or {}, profiler)
                     profiler.finish(len(result.records))
                 if span is not None:
                     span.attributes["rows"] = len(result.records)
                     if profiler is not None and profiler.root.hits:
                         span.attributes["counters"] = dict(profiler.root.hits)
         finally:
-            self._tls.guard = None
+            self._tls.guard = self._tls.operator = None
             self._tls.parameters = {}
         if guard is not None:
             guard.check_rows(len(result.records))
@@ -256,83 +263,35 @@ class CypherEngine:
         return self.statement(query).identity
 
     def explain(self, query: str) -> "Explanation":
-        """Describe how each MATCH would be executed (plan introspection).
-
-        For every path pattern, reports the anchor element the planner
-        picks and the access path (index seek, label scan, or full
-        scan), with its estimated cardinality — the information behind
-        the ablation benchmarks.  The result also carries the static
-        lint diagnostics for the query (see :mod:`repro.lint`), so
-        every EXPLAIN surfaces ontology mistakes before execution;
-        iterating an :class:`Explanation` yields the plan lines, which
-        keeps ``for line in engine.explain(q)`` working.
-        """
+        """The lines of the operators a run executes and PROFILE
+        annotates: per MATCH pattern, the anchor and access path (index
+        seek, label scan, or full scan) with its estimated cardinality.
+        The result also carries the query's static lint diagnostics (see
+        :mod:`repro.lint`); iterating it yields the plan lines, so ``for
+        line in engine.explain(q)`` works."""
         # Imported lazily: repro.lint depends on the cypher parser, so a
         # module-level import would be circular.
         from repro.lint import QueryLinter
 
-        tree = self.statement(query).tree
+        statement = self.statement(query)
+        parts = self._operators(statement)
         plan: list[str] = []
-        parts = tree.parts()
-        for index, clauses in enumerate(parts, start=1):
+        for index, operators in enumerate(parts, start=1):
             if len(parts) > 1:
                 plan.append(f"UNION PART {index}/{len(parts)}")
-            bound: frozenset[str] = frozenset()
-            for position, clause in enumerate(clauses):
-                if isinstance(clause, ast.MatchClause):
-                    after = clauses[position + 1 :]
-                    plan.extend(self._explain_match(clause, bound, after))
-                elif isinstance(clause, ast.CallClause):
-                    plan.append(self._explain_call(clause))
-                else:
-                    plan.append(type(clause).__name__.replace("Clause", "").upper())
-                bound = _bound_after(clause, bound)
-        warnings = QueryLinter(self.store).lint_tree(tree)
+            for operator in operators:
+                plan.extend(operator.explain(self))
+        warnings = QueryLinter(self.store).lint_tree(statement.tree)
         return Explanation(plan, warnings)
 
-    def _explain_match(
-        self, clause: ast.MatchClause, bound: frozenset[str], later: tuple
-    ) -> list[str]:
-        """Plan lines for one MATCH, planned against the variables
-        earlier clauses bind and the ``later`` clauses read: per pattern
-        in join order, the anchor/access-path description; then one line
-        per pushdown decision (promoted seeks, bind-time filters, the
-        residual) and for set semantics."""
-        kind = "OPTIONAL MATCH" if clause.optional else "MATCH"
-        match_plan = plan_match(
-            clause.patterns, clause.where, self.store, bound,
-            statistics=self.statistics, read=_distinct_reads(clause, later),
-        )
-        lines: list[str] = []
-        total = len(match_plan.patterns)
-        for rank, (source, anchor) in enumerate(
-            zip(match_plan.order, match_plan.describe_anchors(), strict=True)
-        ):
-            line = f"{kind} {anchor}"
-            if total > 1:
-                line += f" join={rank + 1}/{total} pattern={source}"
-            if match_plan.estimates is not None:
-                line += f" est~{match_plan.estimates[rank]:.0f}"
-            lines.append(line)
-        lines.extend(f"  {text}" for text in match_plan.describe_predicates())
-        return lines
-
-    def _explain_call(self, clause: ast.CallClause) -> str:
-        """One plan line for a CALL: the procedure, the projected
-        columns, and whether the build-time precompute would serve it."""
-        spec = get_procedure(clause.procedure)
-        if spec is None:
-            return f"CALL {clause.procedure} (unknown procedure)"
-        columns = [item.alias for item in clause.yields] or list(spec.columns)
-        line = f"CALL {spec.name} yield=[{', '.join(columns)}]"
-        if (
-            not clause.args
-            and self.analytics is not None
-            and self.analytics.version == self.store.version
-            and spec.name in self.analytics.procedures
-        ):
-            line += " precomputed"
-        return line
+    def _operators(self, statement: Statement) -> tuple[tuple[Operator, ...], ...]:
+        """The statement's operators per UNION part, lowered again unless
+        its last lowering's store, version and statistics are these objects."""
+        key = (self.store, self.store.version, self.statistics)
+        lowered = statement.lowered
+        if lowered is None or any(old is not new for old, new in zip(lowered[0], key)):
+            lowered = statement.lowered = (key, tuple(map(_lower, statement.tree.parts())))
+        return lowered[1]
 
     # ------------------------------------------------------------------
     # Execution pipeline
@@ -340,21 +299,29 @@ class CypherEngine:
 
     def _execute(
         self,
-        query: ast.Query,
+        statement: Statement,
         parameters: dict[str, Any],
         profiler: Profiler | None = None,
     ) -> QueryResult:
         self._tls.parameters = parameters
-        main, *rest = query.parts()
-        result = self._execute_union_part(main, profiler, 0, query)
-        for index, clauses in enumerate(rest, start=1):
-            other = self._execute_union_part(clauses, profiler, index, query)
-            if other.columns != result.columns:
+        query, parts = statement.tree, self._operators(statement)
+        result: QueryResult | None = None
+        for index, operators in enumerate(parts, start=1):
+            if profiler is None or len(parts) == 1:
+                other = self._execute_part(operators, profiler)
+            else:  # a UNION part is wrapped in its own profile operator
+                with profiler.operator("UnionPart", f"{index}/{len(parts)}") as node:
+                    other = self._execute_part(operators, profiler)
+                    node.rows = len(other.records)
+            if result is None:
+                result = other
+            elif other.columns != result.columns:
                 raise CypherRuntimeError(
                     f"UNION column mismatch: {result.columns} vs {other.columns}"
                 )
-            result.records.extend(other.records)
-            _merge_stats(result.stats, other.stats)
+            else:
+                result.records.extend(other.records)
+                _merge_stats(result.stats, other.stats)
         if query.union_parts and not query.union_all:
             result.records = _unique(
                 result.records,
@@ -362,100 +329,32 @@ class CypherEngine:
             )
         return result
 
-    def _execute_union_part(
-        self,
-        clauses: tuple[ast.Clause, ...],
-        profiler: Profiler | None,
-        index: int,
-        query: ast.Query,
-    ) -> QueryResult:
-        """One UNION part, wrapped in its own profile operator when the
-        query actually has UNION parts."""
-        if profiler is None or not query.union_parts:
-            return self._execute_part(clauses, profiler)
-        total = len(query.union_parts) + 1
-        with profiler.operator("UnionPart", f"{index + 1}/{total}") as node:
-            result = self._execute_part(clauses, profiler)
-            node.rows = len(result.records)
-        return result
-
     def _execute_part(
         self,
-        clauses: tuple[ast.Clause, ...],
+        operators: tuple[Operator, ...],
         profiler: Profiler | None = None,
     ) -> QueryResult:
+        """Apply each operator in turn (``Match`` with :meth:`_apply_match`)."""
         context = _Context()
         rows: list[Row] = [{}]
-        columns: list[str] | None = None
-        for index, clause in enumerate(clauses):
-            if columns is not None:
+        for operator in operators:
+            if context.columns is not None:
                 raise CypherRuntimeError("RETURN must be the final clause")
-            context.later = clauses[index + 1 :]
+            context.operator = self._tls.operator = operator
+            apply = getattr(self, f"_apply_{operator.name.lower()}")
             if profiler is None:
-                rows, columns = self._apply_clause(clause, rows, context)
+                rows = apply(operator.clause, rows, context)
             else:
-                name = type(clause).__name__.replace("Clause", "")
-                with profiler.operator(name, self._clause_detail(clause)) as node:
-                    context.node = node
-                    rows, columns = self._apply_clause(clause, rows, context)
-                    node.rows = len(rows)
-        if columns is None and clauses and isinstance(clauses[-1], ast.CallClause):
-            # A standalone CALL (no trailing RETURN) yields its
-            # procedure columns directly, like Neo4j.
-            columns = [item.alias for item in self._resolve_call(clauses[-1])[1]]
+                with profiler.operator(operator.name) as node:
+                    rows = apply(operator.clause, rows, context)
+                    node.rows, node.detail = len(rows), operator.detail
+        columns, last = context.columns, operators[-1]
+        if columns is None and isinstance(last, CallOperator):
+            # A standalone CALL yields its procedure columns, like Neo4j.
+            columns = [item.alias for item in last.yields]
         if columns is None:
             return QueryResult([], [], context.stats)
         return QueryResult(columns, rows, context.stats)
-
-    def _apply_clause(
-        self, clause: ast.Clause, rows: list[Row], context: "_Context"
-    ) -> tuple[list[Row], list[str] | None]:
-        """Dispatch one clause; returns (rows, columns-if-RETURN)."""
-        if isinstance(clause, ast.MatchClause):
-            return self._apply_match(clause, rows, context), None
-        if isinstance(clause, ast.UnwindClause):
-            return self._apply_unwind(clause, rows, context), None
-        if isinstance(clause, ast.WithClause):
-            return self._apply_with(clause, rows, context), None
-        if isinstance(clause, ast.ReturnClause):
-            return self._apply_return(clause, rows, context)
-        if isinstance(clause, ast.CreateClause):
-            return self._apply_create(clause, rows, context), None
-        if isinstance(clause, ast.MergeClause):
-            return self._apply_merge(clause, rows, context), None
-        if isinstance(clause, ast.SetClause):
-            return self._apply_set(clause.items, rows, context), None
-        if isinstance(clause, ast.RemoveClause):
-            return self._apply_remove(clause, rows, context), None
-        if isinstance(clause, ast.DeleteClause):
-            return self._apply_delete(clause, rows, context), None
-        if isinstance(clause, ast.CallClause):
-            return self._apply_call(clause, rows, context), None
-        raise CypherRuntimeError(f"unsupported clause {clause!r}")
-
-    def _clause_detail(self, clause: ast.Clause) -> str:
-        """The annotation shown next to a profiled operator; a MATCH
-        or MERGE writes its own from the plan it executes."""
-        if isinstance(clause, ast.UnwindClause):
-            return f"AS {clause.alias}"
-        if isinstance(clause, (ast.WithClause, ast.ReturnClause)):
-            flags = []
-            if clause.distinct:
-                flags.append("DISTINCT")
-            if clause.order_by:
-                flags.append("ORDER BY")
-            if clause.limit is not None:
-                flags.append("LIMIT")
-            if not clause.star:
-                flags.append(f"{len(clause.items)} items")
-            return " ".join(flags)
-        if isinstance(clause, ast.CallClause):
-            detail = clause.procedure
-            if clause.yields:
-                aliases = ",".join(item.alias for item in clause.yields)
-                detail += f" yield={aliases}"
-            return detail
-        return ""
 
     # -- reading clauses -------------------------------------------------
 
@@ -463,29 +362,9 @@ class CypherEngine:
         self, clause: ast.MatchClause, rows: list[Row], context: "_Context"
     ) -> list[Row]:
         output: list[Row] = []
-        new_variables = frozenset().union(
-            *(pattern.variables() for pattern in clause.patterns)
-        )
-        # Rows of one pipeline stage share a variable set, so one plan
-        # serves every row of the clause.
-        bound = frozenset(rows[0] if rows else ())
-        plan = plan_match(
-            clause.patterns, clause.where, self.store, bound,
-            statistics=self.statistics, read=_distinct_reads(clause, context.later),
-        )
+        operator = context.operator
+        plan = operator.plan(self)
         prefilters, residual = plan.prefilters, plan.residual
-        if context.node is not None:
-            # PROFILE describes the plan that is about to run: same
-            # bound variables, same join order, same pushdown.
-            detail = "optional " if clause.optional else ""
-            detail += "; ".join(plan.describe_anchors())
-            if plan.reordered:
-                detail += f" join_order=[{','.join(map(str, plan.order))}]"
-            if plan.pushed_count():
-                detail += f" pushed={plan.pushed_count()}"
-            if plan.distinct is not None:
-                detail += f"; {plan.describe_predicates()[-1]}"
-            context.node.detail = detail
         for row in rows:
             matched = False
             if all(is_truthy(self._evaluate(p, row)) for p in prefilters):
@@ -498,7 +377,7 @@ class CypherEngine:
                     output.append(binding)
             if not matched and clause.optional:
                 padded = dict(row)
-                for name in new_variables:
+                for name in operator.variables:
                     padded.setdefault(name, None)
                 output.append(padded)
         return output
@@ -519,18 +398,6 @@ class CypherEngine:
                 output.append(extended)
         return output
 
-    def _resolve_call(
-        self, clause: ast.CallClause
-    ) -> tuple[Any, tuple[ast.YieldItem, ...]]:
-        """The procedure a CALL names and its YIELD projection (every
-        procedure column when none is written)."""
-        spec = get_procedure(clause.procedure)
-        if spec is None:
-            raise CypherRuntimeError(_unknown_procedure_message(clause.procedure))
-        return spec, clause.yields or tuple(
-            ast.YieldItem(column, column) for column in spec.columns
-        )
-
     def _apply_call(
         self, clause: ast.CallClause, rows: list[Row], context: "_Context"
     ) -> list[Row]:
@@ -543,7 +410,9 @@ class CypherEngine:
         served from the engine's precomputed analytics when the cached
         generation matches the store.
         """
-        spec, yields = self._resolve_call(clause)
+        spec, yields = context.operator.spec, context.operator.yields
+        if spec is None:
+            raise CypherRuntimeError(_unknown_procedure_message(clause.procedure))
         for item in yields:
             if item.column not in spec.columns:
                 raise CypherRuntimeError(
@@ -592,7 +461,7 @@ class CypherEngine:
 
     def _apply_return(
         self, clause: ast.ReturnClause, rows: list[Row], context: "_Context"
-    ) -> tuple[list[Row], list[str]]:
+    ) -> list[Row]:
         if clause.star:
             names = sorted({name for row in rows for name in row if not name.startswith("__")})
             items = tuple(
@@ -600,8 +469,8 @@ class CypherEngine:
             )
         else:
             items = clause.items
-        projected = self._project(rows, clause, items, star=False)
-        return projected, [item.alias for item in items]
+        context.columns = [item.alias for item in items]
+        return self._project(rows, clause, items, star=False)
 
     def _project(
         self,
@@ -764,14 +633,15 @@ class CypherEngine:
             binding[node_pattern.variable] = node
         return node
 
-    def _plan_pattern(self, pattern: ast.PathPattern, row: Row) -> MatchPlan:
-        """The one-pattern plan MERGE and a pattern predicate run, made
-        once per run for each pattern and set of bound variables."""
-        key = (id(pattern), frozenset(row))
-        plans = self._tls.__dict__.setdefault("plans", {})
+    def _pattern_plan(self, pattern: ast.PathPattern, bound: frozenset[str]) -> MatchPlan:
+        """The one-pattern plan a MERGE or a pattern predicate runs, kept on
+        the operator being applied per pattern and bound variables."""
+        operator = getattr(self._tls, "operator", None)
+        plans = {} if operator is None else operator.plans
+        key = (id(pattern), bound)
         if key not in plans:
             plans[key] = plan_match(
-                (pattern,), None, self.store, key[1], statistics=self.statistics
+                (pattern,), None, self.store, bound, statistics=self.statistics
             )
         return plans[key]
 
@@ -779,30 +649,28 @@ class CypherEngine:
         self, clause: ast.MergeClause, rows: list[Row], context: "_Context"
     ) -> list[Row]:
         output: list[Row] = []
-        # Rows of one pipeline stage share a variable set.
-        plan = self._plan_pattern(clause.pattern, rows[0] if rows else {})
-        if context.node is not None:
-            context.node.detail = "; ".join(plan.describe_anchors())
+        plan = self._pattern_plan(clause.pattern, context.operator.incoming)
+        context.operator.detail = "; ".join(plan.describe_anchors())
         for row in rows:
             matches = list(self._matcher.expand(plan, row))
             if matches:
                 for binding in matches:
                     if clause.on_match:
-                        self._apply_set(clause.on_match, [binding], context)
+                        self._apply_set(ast.SetClause(clause.on_match), [binding], context)
                     output.append(binding)
                 continue
             extended = dict(row)
             self._create_path(clause.pattern, extended, context)
             if clause.on_create:
-                self._apply_set(clause.on_create, [extended], context)
+                self._apply_set(ast.SetClause(clause.on_create), [extended], context)
             output.append(extended)
         return output
 
     def _apply_set(
-        self, items: Iterable[ast.SetItem], rows: list[Row], context: "_Context"
+        self, clause: ast.SetClause, rows: list[Row], context: "_Context"
     ) -> list[Row]:
         for row in rows:
-            for item in items:
+            for item in clause.items:
                 subject = self._evaluate(item.subject, row)
                 if subject is None:
                     continue
@@ -945,7 +813,7 @@ class CypherEngine:
         if isinstance(expression, ast.Reduce):
             return self._evaluate_reduce(expression, row, group_rows)
         if isinstance(expression, ast.PatternPredicate):
-            plan = self._plan_pattern(expression.pattern, row)
+            plan = self._pattern_plan(expression.pattern, frozenset(row))
             return any(True for _ in self._matcher.expand(plan, row))
         raise CypherRuntimeError(f"cannot evaluate {expression!r}")
 
@@ -1178,15 +1046,153 @@ class CypherEngine:
         return result
 
 
+@dataclass
 class _Context:
-    """Per-execution mutable state: write stats and the profiled clause."""
+    """Per-run state of one UNION part."""
 
-    def __init__(self) -> None:
-        self.stats = WriteStats()
-        #: The profiler operator of the clause being applied, if any.
-        self.node: ProfileNode | None = None
-        #: The clauses after the one being applied.
-        self.later: tuple[ast.Clause, ...] = ()
+    stats: WriteStats = field(default_factory=WriteStats)
+    operator: Operator | None = None  # the one being applied
+    columns: list[str] | None = None  # set by RETURN
+
+
+@dataclass(eq=False)
+class Operator:
+    """One clause of a lowered statement, which the engine applies with
+    ``_apply_<name>``; it holds no per-run state, only plans."""
+
+    #: The PROFILE name: Match, Unwind, With, Return, Create, Merge, ...
+    name: str
+    clause: Any
+    #: The variables the clause's rows carry in, and those it passes on.
+    incoming: frozenset[str]
+    outgoing: frozenset[str]
+    #: The PROFILE detail; a MATCH's or MERGE's is its plan's.
+    detail: str = ""
+    #: One-pattern plans (MERGE, pattern predicates) by pattern and bound set.
+    plans: dict[tuple[int, frozenset[str]], MatchPlan] = field(default_factory=dict)
+
+    def explain(self, engine: CypherEngine) -> list[str]:
+        """The EXPLAIN lines."""
+        return [self.name.upper()]
+
+
+@dataclass(eq=False)
+class MatchOperator(Operator):
+    """A MATCH, planned the first time it runs or is explained."""
+
+    #: Every variable the patterns mention, which an OPTIONAL miss pads.
+    variables: frozenset[str] = frozenset()
+    #: Set semantics (:func:`_distinct_reads`); None keeps every row.
+    read: frozenset[str] | None = None
+    _plan: MatchPlan | None = field(default=None, repr=False)
+
+    def plan(self, engine: CypherEngine) -> MatchPlan:
+        """The plan; its anchors, pushdown and so on are the PROFILE detail."""
+        if self._plan is None:
+            clause = self.clause
+            plan = plan_match(
+                clause.patterns, clause.where, engine.store, self.incoming,
+                statistics=engine.statistics, read=self.read,
+            )
+            detail = "optional " if clause.optional else ""
+            detail += "; ".join(plan.describe_anchors())
+            if plan.reordered:
+                detail += f" join_order=[{','.join(map(str, plan.order))}]"
+            if plan.pushed_count():
+                detail += f" pushed={plan.pushed_count()}"
+            if plan.distinct is not None:
+                detail += f"; {plan.describe_predicates()[-1]}"
+            self.detail, self._plan = detail, plan
+        return self._plan
+
+    def explain(self, engine: CypherEngine) -> list[str]:
+        """Per pattern in join order, its anchor and access path; then a
+        line per pushdown decision and for set semantics."""
+        plan = self.plan(engine)
+        kind = "OPTIONAL MATCH" if self.clause.optional else "MATCH"
+        lines: list[str] = []
+        total = len(plan.patterns)
+        for rank, (source, anchor) in enumerate(
+            zip(plan.order, plan.describe_anchors(), strict=True)
+        ):
+            line = f"{kind} {anchor}"
+            if total > 1:
+                line += f" join={rank + 1}/{total} pattern={source}"
+            if plan.estimates is not None:
+                line += f" est~{plan.estimates[rank]:.0f}"
+            lines.append(line)
+        lines.extend(f"  {text}" for text in plan.describe_predicates())
+        return lines
+
+
+@dataclass(eq=False)
+class CallOperator(Operator):
+    """A CALL: its procedure (None if unknown, an error when it runs)
+    and YIELD projection, every procedure column when none is written."""
+
+    spec: Any = None
+    yields: tuple[ast.YieldItem, ...] = ()
+
+    def explain(self, engine: CypherEngine) -> list[str]:
+        """The procedure, its columns, and whether the precompute serves it."""
+        clause, spec = self.clause, self.spec
+        if spec is None:
+            return [f"CALL {clause.procedure} (unknown procedure)"]
+        columns = ", ".join(item.alias for item in self.yields)
+        line = f"CALL {spec.name} yield=[{columns}]"
+        if (
+            not clause.args
+            and engine.analytics is not None
+            and engine.analytics.version == engine.store.version
+            and spec.name in engine.analytics.procedures
+        ):
+            line += " precomputed"
+        return [line]
+
+
+def _lower(clauses: tuple[ast.Clause, ...]) -> tuple[Operator, ...]:
+    """One operator per clause of a UNION part: the one dispatch over
+    clause types.  A MATCH under set semantics passes on only its read
+    variables, the only ones a later clause mentions, so the plans made
+    from these sets are those of the rows the clauses produce."""
+    operators: list[Operator] = []
+    bound: frozenset[str] = frozenset()
+    for position, clause in enumerate(clauses):
+        name = type(clause).__name__.replace("Clause", "")
+        operator = Operator(name, clause, bound, bound)
+        if isinstance(clause, ast.MatchClause):
+            read = _distinct_reads(clause, clauses[position + 1 :])
+            variables = frozenset().union(*(p.variables() for p in clause.patterns))
+            after = bound | (variables if read is None else variables & read)
+            operator = MatchOperator(name, clause, bound, after, variables=variables, read=read)
+        elif isinstance(clause, ast.CallClause):
+            spec = get_procedure(clause.procedure)
+            yields = clause.yields or tuple(
+                ast.YieldItem(column, column) for column in (spec.columns if spec else ())
+            )
+            names = [item.alias for item in yields]
+            detail = clause.procedure + (f" yield={','.join(names)}" if clause.yields else "")
+            after = bound | frozenset(names)
+            operator = CallOperator(name, clause, bound, after, detail, spec=spec, yields=yields)
+        elif isinstance(clause, ast.UnwindClause):
+            operator.outgoing, operator.detail = bound | {clause.alias}, f"AS {clause.alias}"
+        elif isinstance(clause, (ast.WithClause, ast.ReturnClause)):
+            aliases = frozenset(item.alias for item in clause.items)
+            operator.outgoing = bound | aliases if clause.star else aliases
+            flags = (
+                ("DISTINCT", clause.distinct),
+                ("ORDER BY", clause.order_by),
+                ("LIMIT", clause.limit is not None),
+                (f"{len(clause.items)} items", not clause.star),
+            )
+            operator.detail = " ".join(flag for flag, shown in flags if shown)
+        elif isinstance(clause, ast.MergeClause):
+            operator.outgoing = bound | clause.pattern.variables()
+        elif isinstance(clause, ast.CreateClause):
+            operator.outgoing = bound.union(*(p.variables() for p in clause.patterns))
+        operators.append(operator)
+        bound = operator.outgoing
+    return tuple(operators)
 
 
 def _unique(items: list[Any], key: Callable[[Any], Any]) -> list[Any]:
@@ -1200,24 +1206,6 @@ def _unique(items: list[Any], key: Callable[[Any], Any]) -> list[Any]:
             seen.add(identity)
             unique.append(item)
     return unique
-
-
-def _bound_after(clause: ast.Clause, bound: frozenset[str]) -> frozenset[str]:
-    """The variables bound once ``clause`` has run after ``bound``."""
-    if isinstance(clause, ast.WithClause):
-        aliases = frozenset(item.alias for item in clause.items)
-        return bound | aliases if clause.star else aliases
-    if isinstance(clause, ast.UnwindClause):
-        return bound | {clause.alias}
-    if isinstance(clause, ast.CallClause):
-        spec = get_procedure(clause.procedure)
-        names = [item.alias for item in clause.yields] or (spec.columns if spec else ())
-        return bound | frozenset(names)
-    if isinstance(clause, ast.MergeClause):
-        return bound | clause.pattern.variables()
-    if isinstance(clause, (ast.MatchClause, ast.CreateClause)):
-        return bound.union(*(pattern.variables() for pattern in clause.patterns))
-    return bound
 
 
 def _merge_stats(target: WriteStats, other: WriteStats) -> None:

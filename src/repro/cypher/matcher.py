@@ -61,6 +61,12 @@ class PatternMatcher:
 
     def expand(self, plan: MatchPlan, binding: Binding) -> Iterator[Binding]:
         """The bindings of ``plan``'s patterns that extend ``binding``."""
+        for variable, kind in plan.typed:
+            value = binding.get(variable)
+            if value is not None and not isinstance(value, kind):
+                raise CypherRuntimeError(
+                    f"variable {variable!r} is not a {kind.__name__.lower()}"
+                )
         call = _Expansion(self, plan, binding)
         rows: list[Row] = [()]
         for step, keep in zip_longest(plan.expand, plan.keep):
@@ -325,11 +331,8 @@ class _Expansion:
         assert anchor is not None
         if anchor.access == "bound":
             value = scope[variable or ""]
-            if value is None:
-                return
-            if not isinstance(value, Node):
-                raise CypherRuntimeError(f"variable {variable!r} is not a node")
-            yield value
+            if value is not None:
+                yield value
         elif anchor.seek is not None and anchor.label is not None:
             key, value_expr = anchor.seek
             value = self.evaluate(value_expr, scope)

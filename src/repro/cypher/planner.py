@@ -51,7 +51,7 @@ from typing import Collection, Mapping, NamedTuple, TypeVar
 from repro.cypher import ast
 from repro.cypher.errors import CypherRuntimeError
 from repro.cypher.render import PLAIN
-from repro.graphdb.model import Direction
+from repro.graphdb.model import Direction, Node, Relationship
 from repro.graphdb.store import GraphStore
 
 __all__ = [
@@ -67,6 +67,7 @@ __all__ = [
 _Element = TypeVar("_Element", ast.NodePattern, ast.RelPattern)
 Named = tuple[str, int, str]
 PathColumns = tuple[str, int, tuple[int, ...]]
+Typed = tuple[tuple[str, type], ...]
 #: A relationship's direction when it is walked against its pattern.
 _REVERSED = {"out": "in", "in": "out", "both": "both"}
 
@@ -142,6 +143,9 @@ class MatchPlan:
     #: ``(path variable, first node's column, relationship columns in
     #: pattern order)`` per named path.
     paths: tuple[PathColumns, ...]
+    #: ``(variable, Node | Relationship)`` per bound variable the steps
+    #: use as a node or a single-hop relationship, which a value must be.
+    typed: Typed = ()
     #: Bind-time predicates, keyed by the variable that triggers them.
     pushed: dict[str, tuple[ast.Expression, ...]] = field(default_factory=dict)
     #: Promoted equalities per variable, for EXPLAIN: (key, value expr).
@@ -260,7 +264,7 @@ def plan_match(
     rewritten = tuple(_apply_promotions(p, promotions) for p in patterns)
     order, anchors, estimates = _order_patterns(rewritten, store, bound, statistics)
     ordered = tuple(rewritten[i] for i in order)
-    expand, named, paths = _expand_steps(ordered, anchors, bound)
+    expand, named, paths, typed = _expand_steps(ordered, anchors, bound)
     distinct, keep = None, ()
     if read is not None:
         read = read.union(*map(free_variables, residual))
@@ -272,6 +276,7 @@ def plan_match(
         expand=expand,
         named=named,
         paths=paths,
+        typed=typed,
         pushed={var: tuple(preds) for var, preds in pushed.items()},
         promoted={var: tuple(pairs) for var, pairs in promotions.items()},
         prefilters=tuple(prefilters),
@@ -314,19 +319,22 @@ def _expand_steps(
     patterns: tuple[ast.PathPattern, ...],
     anchors: tuple[Anchor, ...],
     bound: frozenset[str],
-) -> tuple[tuple[ExpandStep, ...], tuple[Named, ...], tuple[PathColumns, ...]]:
+) -> tuple[tuple[ExpandStep, ...], tuple[Named, ...], tuple[PathColumns, ...], Typed]:
     """The batch operator's steps for a clause's patterns in plan order,
     each pattern from its anchor: hops right of it first, then the left
-    ones, which is the order a backtracking walk takes.  Also returns
-    the :attr:`MatchPlan.named` and :attr:`MatchPlan.paths` columns."""
+    ones, which is the order a backtracking walk takes.  Also returns the
+    :attr:`MatchPlan.named`, ``paths`` and ``typed`` columns."""
     steps: list[ExpandStep] = []
     named: dict[str, Named] = {}
+    typed: dict[tuple[str, type], None] = {}
     earlier: dict[bool, list[tuple[int, ast.RelPattern]]] = {True: [], False: []}
     paths: list[PathColumns] = []
 
     def claim(variable: str | None, column: int, kind: str) -> int | None:
         """The column already holding ``variable``, or None after noting
         that ``column`` introduces it."""
+        if variable in bound and kind != "rels":
+            typed[variable or "", Node if kind == "node" else Relationship] = None
         if not variable or variable in bound:
             return None
         if variable in named:
@@ -392,7 +400,7 @@ def _expand_steps(
             width += 2
         if pattern.path_variable:
             paths.append((pattern.path_variable, node_columns[0], tuple(rel_columns)))
-    return tuple(steps), tuple(named.values()), tuple(paths)
+    return tuple(steps), tuple(named.values()), tuple(paths), tuple(typed)
 
 
 def _distinct_columns(

@@ -83,7 +83,21 @@ class ReferenceMatcher:
         """Yield bindings satisfying *all* patterns (one MATCH clause).
 
         ``anchors`` are the plan's per-pattern anchors; without a plan
-        each pattern's anchor is chosen against the binding it meets."""
+        each pattern's anchor is chosen against the binding it meets.  A
+        bound variable that is not null must be a node where a pattern
+        uses it as a node, and a relationship where it names one hop."""
+        for pattern in patterns:
+            for node in pattern.nodes:
+                value = binding.get(node.variable or "")
+                if value is not None and not isinstance(value, Node):
+                    raise CypherRuntimeError(f"variable {node.variable!r} is not a node")
+            for rel in pattern.relationships:
+                value = binding.get(rel.variable or "")
+                single = not (rel.is_variable_length or pattern.shortest)
+                if single and value is not None and not isinstance(value, Relationship):
+                    raise CypherRuntimeError(
+                        f"variable {rel.variable!r} is not a relationship"
+                    )
         steps = tuple(
             zip(patterns, anchors or (None,) * len(patterns), strict=True)
         )
