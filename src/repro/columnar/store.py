@@ -51,7 +51,7 @@ from collections import Counter
 from contextlib import AbstractContextManager
 from itertools import accumulate
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro.graphdb.errors import (
     ConstraintViolationError,
@@ -564,6 +564,16 @@ class ColumnarGraphStore:
             return row
         raise NoSuchNodeError(f"no node with id {node_id}")
 
+    def _node_rows(self, node_ids: Sequence[int]) -> list[int]:
+        """:meth:`_node_row` of each id, one subtraction apiece when ids
+        are dense."""
+        base, n = self._node_base, len(self._arrays["node_ids"])
+        if base is not None:
+            rows = [node_id - base for node_id in node_ids]
+            if not rows or (min(rows) >= 0 and max(rows) < n):
+                return rows
+        return [self._node_row(node_id) for node_id in node_ids]
+
     def _rel_row(self, rel_id: int) -> int:
         ids = self._arrays["rel_ids"]
         m = len(ids)
@@ -813,53 +823,6 @@ class ColumnarGraphStore:
     def iter_relationships(self) -> Iterator[Relationship]:
         return (self._rel_at(row) for row in range(self.relationship_count))
 
-    def _adj_rel_rows(
-        self, side: str, row: int, rel_type: str | None
-    ) -> Sequence[int]:
-        """One node's relationship rows on ``side``: the bucket of
-        ``rel_type``, or every bucket (a node's buckets are contiguous,
-        one per type, in type order)."""
-        arrays = self._arrays
-        lo, hi = self._bucket_range(side, row)
-        if rel_type is not None:
-            tidx = self._type_slot.get(rel_type)
-            types = arrays[f"{side}_bucket_types"]
-            for bucket in range(lo, hi):
-                if types[bucket] == tidx:
-                    lo, hi = bucket, bucket + 1
-                    break
-            else:
-                return ()
-        offsets = arrays[f"{side}_bucket_offsets"]
-        return arrays[f"{side}_adj"][offsets[lo] : offsets[hi]]
-
-    def _expand_rows(
-        self, node_id: int, direction: Direction, rel_type: str | None
-    ) -> list[tuple[int, int]]:
-        """Typed-CSR expansion as ``(relationship row, neighbour row)``
-        pairs, with the ``expand`` / ``rels_expanded`` counters; ``BOTH``
-        deduplicates self-loops exactly like the dict backend (the loop
-        appears in the outgoing list)."""
-        collector = current_collector()
-        if collector is not None:
-            collector.record("expand")
-        row = self._node_row(node_id)
-        result: list[tuple[int, int]] = []
-        if direction is not Direction.IN:
-            rel_end = self._arrays["rel_end"]
-            result = [(r, rel_end[r]) for r in self._adj_rel_rows("out", row, rel_type)]
-        if direction is not Direction.OUT:
-            rel_start = self._arrays["rel_start"]
-            inbound = self._adj_rel_rows("in", row, rel_type)
-            if direction is Direction.BOTH:
-                # A self-loop is already in the outgoing list.
-                result += [(r, rel_start[r]) for r in inbound if rel_start[r] != row]
-            else:
-                result += [(r, rel_start[r]) for r in inbound]
-        if result and collector is not None:
-            collector.record("rels_expanded", len(result))
-        return result
-
     def relationships_of(
         self,
         node_id: int,
@@ -867,7 +830,7 @@ class ColumnarGraphStore:
         rel_type: str | None = None,
     ) -> list[Relationship]:
         return [
-            self._rel_at(r) for r, _ in self._expand_rows(node_id, direction, rel_type)
+            self.get_relationship(r) for r, _ in self.expand_ids(node_id, direction, rel_type)
         ]
 
     def expand_ids(
@@ -877,13 +840,75 @@ class ColumnarGraphStore:
         rel_type: str | None = None,
     ) -> list[tuple[int, int]]:
         """``relationships_of`` as ``(relationship id, neighbour id)``
-        pairs, read off the CSR arrays: no relationship is decoded."""
-        rel_ids = self._arrays["rel_ids"]
-        node_ids = self._arrays["node_ids"]
-        return [
-            (rel_ids[r], node_ids[other])
-            for r, other in self._expand_rows(node_id, direction, rel_type)
-        ]
+        pairs: a one-node :meth:`expand_level`."""
+        return self.expand_level((node_id,), direction, rel_type)[0]
+
+    def expand_level(
+        self,
+        node_ids: Sequence[int],
+        direction: Direction = Direction.BOTH,
+        rel_type: str | None = None,
+    ) -> list[list[tuple[int, int]]]:
+        """Per node, its ``(relationship id, neighbour id)`` pairs read off
+        the typed CSR, in the dict backend's order (outgoing, then
+        incoming; a ``BOTH`` self-loop once, in the outgoing list) and
+        with its counters.  The arrays are looked up once per call; a
+        node's buckets are in type order, so a typed bucket is one
+        bisection.  No relationship is decoded."""
+        rows = self._node_rows(node_ids)
+        if rows:
+            record_access("expand", len(rows))
+        arrays = self._arrays
+        rel_ids, ids = arrays["rel_ids"], arrays["node_ids"]
+        tidx = None if rel_type is None else self._type_slot.get(rel_type, -1)
+        sides: list[tuple[str, Any, bool]] = []
+        if direction is not Direction.IN:
+            sides.append(("out", arrays["rel_end"], False))
+        if direction is not Direction.OUT:
+            sides.append(("in", arrays["rel_start"], direction is Direction.BOTH))
+        level: list[list[tuple[int, int]]] = [[] for _ in rows]
+        for side, other, dedupe in sides:
+            node_offsets = arrays[f"{side}_node_offsets"]
+            types = arrays[f"{side}_bucket_types"]
+            offsets = arrays[f"{side}_bucket_offsets"]
+            adj = arrays[f"{side}_adj"]
+            for row, result in zip(rows, level, strict=True):
+                lo, hi = node_offsets[row], node_offsets[row + 1]
+                if tidx is not None:
+                    lo = bisect_left(types, tidx, lo, hi)
+                    if lo == hi or types[lo] != tidx:
+                        continue
+                    hi = lo + 1
+                if dedupe:
+                    result += [
+                        (rel_ids[r], ids[o])
+                        for r in adj[offsets[lo] : offsets[hi]]
+                        if (o := other[r]) != row
+                    ]
+                else:
+                    result += [
+                        (rel_ids[r], ids[other[r]]) for r in adj[offsets[lo] : offsets[hi]]
+                    ]
+        pairs = sum(map(len, level))
+        if pairs:
+            record_access("rels_expanded", pairs)
+        return level
+
+    def having_labels(self, node_ids: Iterable[int], labels: Collection[str]) -> set[int]:
+        """The ids among ``node_ids`` whose nodes carry every label,
+        decided once per label shape."""
+        ids = list(node_ids)
+        shapes = self._arrays["node_label_shape"]
+        verdicts: dict[int, bool] = {}
+        kept: set[int] = set()
+        for node_id, row in zip(ids, self._node_rows(ids), strict=True):
+            shape = shapes[row]
+            verdict = verdicts.get(shape)
+            if verdict is None:
+                verdict = verdicts[shape] = self._shape_labels(shape).issuperset(labels)
+            if verdict:
+                kept.add(node_id)
+        return kept
 
     def relationships_with_type(self, rel_type: str) -> list[Relationship]:
         slot = self._type_slot.get(rel_type)
@@ -896,13 +921,11 @@ class ColumnarGraphStore:
     def relationships_between(
         self, start_id: int, end_id: int, rel_type: str | None = None
     ) -> list[Relationship]:
-        start_row = self._node_row(start_id)
-        end_row = self._node_row(end_id)
-        rel_end = self._arrays["rel_end"]
+        self._node_row(end_id)
         return [
-            self._rel_at(r)
-            for r in self._adj_rel_rows("out", start_row, rel_type)
-            if rel_end[r] == end_row
+            self.get_relationship(r)
+            for r, other in self.expand_ids(start_id, Direction.OUT, rel_type)
+            if other == end_id
         ]
 
     # -- bulk accessors (analytics / statistics) -----------------------

@@ -347,7 +347,7 @@ class CypherEngine:
             else:
                 with profiler.operator(operator.name) as node:
                     rows = apply(operator.clause, rows, context)
-                    node.rows, node.detail = len(rows), operator.detail
+                    node.rows, node.detail = len(rows), operator.describe()
         columns, last = context.columns, operators[-1]
         if columns is None and isinstance(last, CallOperator):
             # A standalone CALL yields its procedure columns, like Neo4j.
@@ -863,11 +863,11 @@ class CypherEngine:
             accumulator = self._evaluate(expression.expression, scope, group_rows)
         return accumulator
 
-    def _tick(self) -> None:
+    def _tick(self, count: int = 1) -> None:
         """Cooperative cancellation point, called from inner loops."""
         guard = getattr(self._tls, "guard", None)
         if guard is not None:
-            guard.tick()
+            guard.tick(count)
 
     def _evaluate_call(
         self, call: ast.FunctionCall, row: Row, group_rows: list[Row] | None
@@ -1071,6 +1071,10 @@ class Operator:
     #: One-pattern plans (MERGE, pattern predicates) by pattern and bound set.
     plans: dict[tuple[int, frozenset[str]], MatchPlan] = field(default_factory=dict)
 
+    def describe(self) -> str:
+        """The PROFILE detail, formatted only when PROFILE reads it."""
+        return self.detail
+
     def explain(self, engine: CypherEngine) -> list[str]:
         """The EXPLAIN lines."""
         return [self.name.upper()]
@@ -1087,23 +1091,28 @@ class MatchOperator(Operator):
     _plan: MatchPlan | None = field(default=None, repr=False)
 
     def plan(self, engine: CypherEngine) -> MatchPlan:
-        """The plan; its anchors, pushdown and so on are the PROFILE detail."""
+        """The plan, built the first time it is asked for."""
         if self._plan is None:
             clause = self.clause
-            plan = plan_match(
+            self._plan = plan_match(
                 clause.patterns, clause.where, engine.store, self.incoming,
                 statistics=engine.statistics, read=self.read,
             )
-            detail = "optional " if clause.optional else ""
-            detail += "; ".join(plan.describe_anchors())
-            if plan.reordered:
-                detail += f" join_order=[{','.join(map(str, plan.order))}]"
-            if plan.pushed_count():
-                detail += f" pushed={plan.pushed_count()}"
-            if plan.distinct is not None:
-                detail += f"; {plan.describe_predicates()[-1]}"
-            self.detail, self._plan = detail, plan
         return self._plan
+
+    def describe(self) -> str:
+        """The plan's anchors, join order, pushdown and set semantics."""
+        plan = self._plan
+        assert plan is not None
+        detail = "optional " if self.clause.optional else ""
+        detail += "; ".join(plan.describe_anchors())
+        if plan.reordered:
+            detail += f" join_order=[{','.join(map(str, plan.order))}]"
+        if plan.pushed_count():
+            detail += f" pushed={plan.pushed_count()}"
+        if plan.distinct is not None:
+            detail += f"; {plan.describe_predicates()[-1]}"
+        return detail
 
     def explain(self, engine: CypherEngine) -> list[str]:
         """Per pattern in join order, its anchor and access path; then a

@@ -8,7 +8,8 @@ that blows its time budget aborts cooperatively mid-match instead of
 holding a worker thread (and, for read queries, a read lock) forever.
 
 Checking the clock on every tick would dominate tight matching loops, so
-the deadline is only consulted every ``TICK_STRIDE`` ticks.
+the deadline is only consulted each time the ticks pass a multiple of
+``TICK_STRIDE``.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ class QueryGuard:
         self._deadline = (time.monotonic() + timeout) if timeout else None
         self._ticks = 0
 
-    def tick(self) -> None:
-        """Called from execution inner loops; raises on a blown deadline."""
+    def tick(self, count: int = 1) -> None:
+        """Charges ``count`` units of work (a hop: a source row's pairs);
+        raises on a blown deadline."""
         if self._deadline is None:
             return
-        self._ticks += 1
-        if self._ticks % TICK_STRIDE:
+        self._ticks += count
+        if (self._ticks - count) // TICK_STRIDE == self._ticks // TICK_STRIDE:
             return
         if time.monotonic() > self._deadline:
             raise QueryTimeoutError(self.timeout)

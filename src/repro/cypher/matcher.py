@@ -4,11 +4,12 @@ One operator, :meth:`PatternMatcher.expand`, finds every binding.  It
 runs a :class:`repro.cypher.planner.MatchPlan` over rows of int ids, a
 level (:class:`repro.cypher.planner.ExpandStep`) at a time: a pattern's
 anchor candidates, then one hop per level, each later pattern of the
-clause extending the same row.  Per incoming binding it keeps each
-(step, node) expansion and each (step, id) verdict, so a hub reached by
-many paths is read once.  ``Node`` and ``Relationship`` objects are built
-only for the named variables of surviving rows, path values from the id
-columns at the end.
+clause extending the same row.  A hop asks the store once per level
+(``expand_level``, ``having_labels``) and decides each id once, so a hub
+reached by many paths is read once; where nothing reads a relationship
+column, parallel copies of one fact count once.  ``Node`` and
+``Relationship`` objects are built only for the named variables of
+surviving rows, path values from the id columns at the end.
 
 Rows come out in the order a backtracking walk of the same plan yields
 them: levels grow in row order, each row in adjacency order (depth
@@ -39,7 +40,7 @@ from repro.obs import record_access
 
 Binding = dict[str, Any]
 Evaluator = Callable[[ast.Expression, Binding], Any]
-Tick = Callable[[], None]
+Tick = Callable[..., None]
 Row = tuple[Any, ...]
 
 class PatternMatcher:
@@ -72,7 +73,7 @@ class PatternMatcher:
         for step, keep in zip_longest(plan.expand, plan.keep):
             if not rows:
                 return
-            rows = call.start(step, rows) if step.kind == "start" else call.hop(step, rows)
+            rows = call.start(step, rows) if step.kind == "start" else call.hop(step, rows, keep)
             if keep is not None:
                 rows = _first_of_each(rows, keep)
         yield from call.materialize(rows)
@@ -193,14 +194,19 @@ class _Expansion:
             if binds:
                 record_access("bind_attempt", binds)
 
-    def hop(self, step: ExpandStep, rows: list[Row]) -> list[Row]:
+    def hop(
+        self, step: ExpandStep, rows: list[Row], keep: tuple[int, ...] | None
+    ) -> list[Row]:
         """One relationship level: per row, the admitted (relationship,
-        node) pairs leaving the node in column ``step.source``."""
+        node) pairs leaving the node in column ``step.source``.  A single
+        hop asks the store once per type for the level's distinct sources
+        and once for their neighbours' labels.  Per row only the checks
+        that read the row run, in the walk's order; with none, a source's
+        pairs are admitted for its first row and copied onto later ones."""
         store, tick, binding = self.store, self.tick, self.binding
         rel, node, source = step.rel, step.node, step.source
         assert rel is not None and source is not None
-        single, per_row, direction = step.kind == "hop", step.per_row, step.direction
-        types = rel.types or (None,)
+        single, per_row, labels = step.kind == "hop", step.per_row, node.labels
         exclusive, exclusive_paths = step.exclusive, step.exclusive_paths
         same_rel, same_node = step.same_rel, step.same_node
         rel_pushed = self.pushed(rel.variable, same_rel)
@@ -211,56 +217,76 @@ class _Expansion:
             (single and rel.properties) or rel_pushed or rel.variable in binding
         )
         check_node = bool(node.properties or node_pushed or node.variable in binding)
-        expansions: dict[int, list[tuple[int, int]]] = {}
+        by_row = per_row or exclusive or exclusive_paths or same_rel is not None
+        if single:
+            sources = list(dict.fromkeys(map(itemgetter(source), rows)))
+            first, *others = rel.types or (None,)
+            expansions = dict(zip(sources, store.expand_level(sources, step.direction, first)))
+            for rel_type in others:
+                level = store.expand_level(sources, step.direction, rel_type)
+                for key, pairs in zip(sources, level, strict=True):
+                    expansions[key] = expansions[key] + pairs
+            # Copies of one fact differ only in the relationship: where
+            # nothing checks, reads or keeps it, the first stands for all.
+            if keep is not None and len(rows[0]) not in keep and not (check_rel or by_row):
+                for key, pairs in expansions.items():
+                    seen: set[int] = set()
+                    expansions[key] = [p for p in pairs if not (p[1] in seen or seen.add(p[1]))]
+            ends = {other for pairs in expansions.values() for _, other in pairs}
+            labelled = store.having_labels(ends, labels) if labels else ends
+        admitted: dict[int, list[tuple[Any, int]]] = {}
         rel_verdicts: dict[Any, bool] = {}
         verdicts: dict[int, bool] = {}
         grown: list[Row] = []
         for row in rows:
-            scope = self.scope(row) if per_row else binding
-            if not single:
-                pairs: Any = self.search(step, row, scope)
-            elif (pairs := expansions.get(row[source])) is None:
-                pairs = expansions[row[source]] = [
-                    pair
-                    for rel_type in types
-                    for pair in store.expand_ids(row[source], direction, rel_type)
-                ]
-            for slot, other in pairs:
-                tick()
-                if single:
-                    if exclusive and any(row[i] == slot for i in exclusive):
+            if single:
+                tick(len(expansions[row[source]]))
+            if (pairs := admitted.get(row[source])) is None:
+                scope = self.scope(row) if per_row else binding
+                pairs = []
+                for slot, other in (
+                    expansions[row[source]] if single else self.search(step, row, scope)
+                ):
+                    if single:
+                        if exclusive and any(row[i] == slot for i in exclusive):
+                            continue
+                        if exclusive_paths and any(slot in row[i] for i in exclusive_paths):
+                            continue
+                    elif step.reverse:
+                        slot = slot[::-1]
+                    if check_rel:
+                        verdict = None if per_row else rel_verdicts.get(slot)
+                        if verdict is None:
+                            entity = self.entity("rel" if single else "rels", slot)
+                            verdict = rel_verdicts[slot] = self.admits(
+                                rel, entity, scope, rel_pushed, single
+                            )
+                        if not verdict:
+                            continue
+                    if same_rel is not None and row[same_rel] != slot:
                         continue
-                    if exclusive_paths and any(slot in row[i] for i in exclusive_paths):
-                        continue
-                elif step.reverse:
-                    slot = slot[::-1]
-                if check_rel:
-                    verdict = None if per_row else rel_verdicts.get(slot)
+                    verdict = None if per_row else verdicts.get(other)
                     if verdict is None:
-                        entity = self.entity("rel" if single else "rels", slot)
-                        verdict = rel_verdicts[slot] = self.admits(
-                            rel, entity, scope, rel_pushed, single
-                        )
-                    if not verdict:
-                        continue
-                if same_rel is not None and row[same_rel] != slot:
-                    continue
-                verdict = None if per_row else verdicts.get(other)
-                if verdict is None:
-                    if node.labels and not store.node_labels(other).issuperset(node.labels):
-                        verdict = False
-                    elif check_node:
-                        # The node's inline map may read the relationship
-                        # just traversed.
-                        node_scope = self.scope(row + (slot,)) if per_row else binding
-                        verdict = self.admits(
-                            node, self.node(other), node_scope, node_pushed
-                        )
-                    else:
-                        verdict = True
-                    verdicts[other] = verdict
-                if verdict and (same_node is None or row[same_node] == other):
-                    grown.append(row + (slot, other))
+                        if labels and not (
+                            other in labelled if single
+                            else store.node_labels(other).issuperset(labels)
+                        ):
+                            verdict = False
+                        elif check_node:
+                            # The node's inline map may read the relationship
+                            # just traversed.
+                            node_scope = self.scope(row + (slot,)) if per_row else binding
+                            verdict = self.admits(
+                                node, self.node(other), node_scope, node_pushed
+                            )
+                        else:
+                            verdict = True
+                        verdicts[other] = verdict
+                    if verdict and (same_node is None or row[same_node] == other):
+                        pairs.append((slot, other))
+                if single and not by_row and same_node is None:
+                    admitted[row[source]] = pairs
+            grown += [row + pair for pair in pairs]
         return grown
 
     def search(

@@ -11,7 +11,10 @@ it as a :class:`typing.Protocol` in two layers:
     Everything a *read-only* consumer needs: counts, lookups, typed
     adjacency, index metadata, the readers-writer lock surface, and the
     bulk accessors the analytics layer iterates (``node_ids``,
-    ``iter_edges``, ``typed_degrees``, ...).  The columnar backend
+    ``iter_edges``, ``typed_degrees``, ...) and the matcher asks once
+    per hop level (``expand_level``, ``having_labels``).  Each backend
+    has one adjacency walk, ``expand_level``: ``expand_ids`` and
+    ``relationships_of`` read it for one node.  The columnar backend
     implements exactly this and raises
     :class:`~repro.graphdb.errors.ReadOnlyStoreError` from the write
     surface.
@@ -31,10 +34,12 @@ from __future__ import annotations
 from contextlib import AbstractContextManager
 from typing import (
     Any,
+    Collection,
     Iterable,
     Iterator,
     Mapping,
     Protocol,
+    Sequence,
     runtime_checkable,
 )
 
@@ -161,8 +166,28 @@ class GraphReadStore(Protocol):
         rel_type: str | None = ...,
     ) -> list[tuple[int, int]]:
         """``(relationship id, neighbour id)`` per incident relationship,
-        in :meth:`relationships_of`'s order and with its counters (the
-        batch matcher's and BFS's primitive — nothing is materialized)."""
+        in :meth:`relationships_of`'s order and with its counters: a
+        one-node :meth:`expand_level` (BFS's primitive)."""
+        ...
+
+    def expand_level(
+        self,
+        node_ids: Sequence[int],
+        direction: Direction = ...,
+        rel_type: str | None = ...,
+    ) -> list[list[tuple[int, int]]]:
+        """One list per node of ``node_ids``, aligned with it, each
+        exactly what :meth:`expand_ids` returns for that node; an
+        ``expand`` counter per node and a ``rels_expanded`` per pair.
+        The batch matcher asks once per hop level and type, not once
+        per source row, so each backend pays its per-call set-up (array
+        lookups, collector) once a level.  Nothing is materialized."""
+        ...
+
+    def having_labels(self, node_ids: Iterable[int], labels: Collection[str]) -> set[int]:
+        """The ids among ``node_ids`` whose label set includes every one
+        of ``labels``: :meth:`node_labels` ``.issuperset`` as one call
+        per level (the columnar backend decides once per label shape)."""
         ...
 
     def memory_info(self) -> dict[str, int]:

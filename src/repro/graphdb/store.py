@@ -37,7 +37,7 @@ import gc
 from collections import defaultdict
 from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     from repro.delta.apply import DeltaApplyResult
@@ -933,33 +933,16 @@ class GraphStore:
         direction: Direction = Direction.BOTH,
         rel_type: str | None = None,
     ) -> list[Relationship]:
-        """Return relationships incident to a node.
+        """Return relationships incident to a node, in :meth:`expand_ids`'s
+        order and with its counters.
 
         With ``rel_type`` the typed adjacency partition is read directly
         — O(degree-of-type), never touching edges of other types.
         ``Direction.BOTH`` deduplicates self-loops (an edge from a node
         to itself is returned once).
         """
-        collector = current_collector()
-        if collector is not None:
-            collector.record("expand")
-        self._require_node(node_id)
         relationships = self._relationships
-        result: list[Relationship] = []
-        if direction is not Direction.IN:
-            for ids in self._buckets(self._outgoing, node_id, rel_type):
-                result.extend([relationships[i] for i in ids])
-        if direction is not Direction.OUT:
-            dedupe = direction is Direction.BOTH
-            for ids in self._buckets(self._incoming, node_id, rel_type):
-                for rel_id in ids:
-                    rel = relationships[rel_id]
-                    if dedupe and rel.start_id == node_id:
-                        continue  # self-loop already in the outgoing list
-                    result.append(rel)
-        if result and collector is not None:
-            collector.record("rels_expanded", len(result))
-        return result
+        return [relationships[i] for i, _ in self.expand_ids(node_id, direction, rel_type)]
 
     def expand_ids(
         self,
@@ -967,29 +950,53 @@ class GraphStore:
         direction: Direction = Direction.BOTH,
         rel_type: str | None = None,
     ) -> list[tuple[int, int]]:
-        """``(relationship id, neighbour id)`` per incident relationship,
-        in :meth:`relationships_of`'s order and with its ``expand`` /
-        ``rels_expanded`` counters: the id-level expansion primitive."""
+        """``(relationship id, neighbour id)`` per incident relationship:
+        a one-node :meth:`expand_level`."""
+        return self.expand_level((node_id,), direction, rel_type)[0]
+
+    def expand_level(
+        self,
+        node_ids: Sequence[int],
+        direction: Direction = Direction.BOTH,
+        rel_type: str | None = None,
+    ) -> list[list[tuple[int, int]]]:
+        """Per node of ``node_ids``, its ``(relationship id, neighbour
+        id)`` pairs: outgoing first, then incoming, a ``BOTH`` self-loop
+        once.  One ``expand`` counter per node and one ``rels_expanded``
+        per pair: the id-level expansion primitive, batched."""
+        nodes, relationships, buckets = self._nodes, self._relationships, self._buckets
+        outgoing = None if direction is Direction.IN else self._outgoing
+        incoming = None if direction is Direction.OUT else self._incoming
+        dedupe = direction is Direction.BOTH
+        level: list[list[tuple[int, int]]] = []
+        pairs = 0
+        for node_id in node_ids:
+            if node_id not in nodes:
+                raise NoSuchNodeError(f"no node with id {node_id}")
+            result: list[tuple[int, int]] = []
+            if outgoing is not None:
+                for ids in buckets(outgoing, node_id, rel_type):
+                    result += [(i, relationships[i].end_id) for i in ids]
+            if incoming is not None:
+                for ids in buckets(incoming, node_id, rel_type):
+                    for i in ids:
+                        start = relationships[i].start_id
+                        # A BOTH self-loop is already in the outgoing list.
+                        if start != node_id or not dedupe:
+                            result.append((i, start))
+            pairs += len(result)
+            level.append(result)
         collector = current_collector()
-        if collector is not None:
-            collector.record("expand")
-        self._require_node(node_id)
-        relationships = self._relationships
-        result: list[tuple[int, int]] = []
-        if direction is not Direction.IN:
-            for ids in self._buckets(self._outgoing, node_id, rel_type):
-                result.extend([(i, relationships[i].end_id) for i in ids])
-        if direction is not Direction.OUT:
-            dedupe = direction is Direction.BOTH
-            for ids in self._buckets(self._incoming, node_id, rel_type):
-                for rel_id in ids:
-                    start = relationships[rel_id].start_id
-                    if dedupe and start == node_id:
-                        continue  # self-loop already in the outgoing list
-                    result.append((rel_id, start))
-        if result and collector is not None:
-            collector.record("rels_expanded", len(result))
-        return result
+        if collector is not None and level:
+            collector.record("expand", len(level))
+            if pairs:
+                collector.record("rels_expanded", pairs)
+        return level
+
+    def having_labels(self, node_ids: Iterable[int], labels: Collection[str]) -> set[int]:
+        """The ids among ``node_ids`` whose nodes carry every label."""
+        nodes = self._nodes
+        return {i for i in node_ids if nodes[i].labels.issuperset(labels)}
 
     @staticmethod
     def _buckets(
